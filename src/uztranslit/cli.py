@@ -263,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--table")
     p.add_argument("--out", required=True, help="model JSON path")
-    p.add_argument("--seed", type=int, default=42)
 
     p = add("transliterate", cmd_transliterate, help="transliterate words")
     p.add_argument("--model", required=True)

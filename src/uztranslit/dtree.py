@@ -15,13 +15,27 @@ order.
 Unlike a numeric-threshold tree over some arbitrary character encoding,
 equality tests do not depend on a character ordering; the learning task
 is unchanged.
+
+Growth never rescans a node to score it. Each open node carries its
+sample indices grouped by label and, per window position, a
+symbol -> label -> count histogram. After a split only the smaller
+child is scanned; the larger child's histograms are the parent's minus
+the smaller's, updated in place (histogram subtraction, as in LightGBM,
+Ke et al. 2017). Equality splits peel a small eq side off a long ne
+chain, so a tree costs about two scans of its samples rather than one
+per level. Every score comes from the same integer counts through the
+same float expression in the same candidate order, so the chosen
+splits, and the serialized model, are bit-identical to those of a
+grower that rebuilds every node's histograms.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .alphabets import Direction
 from .featurizer import Sample, WindowSpec
@@ -93,56 +107,95 @@ def _majority_label(class_counts: dict[str, int]) -> str:
     return min(label for label, count in class_counts.items() if count == best_count)
 
 
-def _best_split(feats, labs, indices, counts, width):
+def _histograms(columns, members) -> list[dict]:
+    """Per position, symbol -> label histogram over ``members``, a
+    label -> sample indices map."""
+    stats = []
+    for column in columns:
+        symbol_of = column.__getitem__
+        per_symbol: dict = {}
+        for label, group in members.items():
+            for symbol, count in Counter(map(symbol_of, group)).items():
+                hist = per_symbol.get(symbol)
+                if hist is None:
+                    per_symbol[symbol] = {label: count}
+                else:
+                    hist[label] = count
+        stats.append(per_symbol)
+    return stats
+
+
+def _subtract(stats, small) -> None:
+    """stats -= small in place, deleting entries that reach zero."""
+    for per_symbol, small_per_symbol in zip(stats, small):
+        for symbol, small_hist in small_per_symbol.items():
+            hist = per_symbol[symbol]
+            for label, count in small_hist.items():
+                left = hist[label] - count
+                if left:
+                    hist[label] = left
+                else:
+                    del hist[label]
+            if not hist:
+                del per_symbol[symbol]
+
+
+def _partition(members, column, symbol, eq_counts):
+    """Split a label -> indices map on ``column[i] == symbol``. Labels the
+    equality side has none or all of move without a scan."""
+    eq_members = {}
+    ne_members = {}
+    for label, group in members.items():
+        n_eq = eq_counts.get(label, 0)
+        if n_eq == 0:
+            ne_members[label] = group
+        elif n_eq == len(group):
+            eq_members[label] = group
+        else:
+            eq_group = []
+            ne_group = []
+            for i in group:
+                (eq_group if column[i] == symbol else ne_group).append(i)
+            eq_members[label] = eq_group
+            ne_members[label] = ne_group
+    return eq_members, ne_members
+
+
+def _best_split(stats, counts, n):
     """Exhaustively score every (position, symbol) equality split.
 
-    Returns (position, symbol, eq_indices, ne_indices), or None when
-    every sample carries the same feature vector and no split can
-    separate anything. A zero impurity decrease does not stop growth;
-    the split decrease is never negative, so any valid split is taken
-    when nothing better exists. Candidates are scanned position
-    ascending, symbol ascending, and only a strictly better decrease
-    replaces the incumbent, which implements the tie-break.
+    Returns (position, symbol), or None when every sample carries the
+    same feature vector and no split can separate anything. A zero
+    impurity decrease does not stop growth; the split decrease is never
+    negative, so any valid split is taken when nothing better exists.
+    Candidates are scanned position ascending, symbol ascending, and
+    only a strictly better decrease replaces the incumbent, which
+    implements the tie-break.
     """
-    n = len(indices)
     parent_gini = gini(counts)
-    # stats[p][symbol] -> label histogram of samples whose p-th feature is symbol
-    stats: list[dict] = [{} for _ in range(width)]
-    for i in indices:
-        features = feats[i]
-        label = labs[i]
-        for p in range(width):
-            per_symbol = stats[p]
-            hist = per_symbol.get(features[p])
-            if hist is None:
-                per_symbol[features[p]] = hist = {}
-            hist[label] = hist.get(label, 0) + 1
-
+    sq = sum(c * c for c in counts.values())
     best_decrease = -1.0
     best = None
-    for p in range(width):
-        per_symbol = stats[p]
+    for p, per_symbol in enumerate(stats):
         for symbol in sorted(per_symbol):
-            hist = per_symbol[symbol]
-            n_eq = sum(hist.values())
+            n_eq = sq_eq = cross = 0
+            for label, c in per_symbol[symbol].items():
+                n_eq += c
+                sq_eq += c * c
+                cross += c * counts[label]
             if n_eq == n:
                 continue  # equality side would swallow the node
             n_ne = n - n_eq
-            sq_eq = sum(c * c for c in hist.values())
-            sq_ne = sum(
-                (counts[label] - hist.get(label, 0)) ** 2 for label in counts
-            )
+            # sum((counts[l] - hist[l]) ** 2) over the node's labels,
+            # expanded so only the symbol's own labels are visited; the
+            # integers are exact, so the floats below are unchanged
+            sq_ne = sq - 2 * cross + sq_eq
             weighted = (n_eq - sq_eq / n_eq + n_ne - sq_ne / n_ne) / n
             decrease = parent_gini - weighted
             if decrease > best_decrease:
                 best_decrease = decrease
                 best = (p, symbol)
-    if best is None:
-        return None
-    p, symbol = best
-    eq_idx = [i for i in indices if feats[i][p] == symbol]
-    ne_idx = [i for i in indices if feats[i][p] != symbol]
-    return p, symbol, eq_idx, ne_idx
+    return best
 
 
 def _grow(feats, labs, width) -> TreeNode:
@@ -159,25 +212,54 @@ def _grow(feats, labs, width) -> TreeNode:
         else:
             parent.ne = node
 
-    stack = [(None, "", list(range(len(labs))))]
+    # One shared object per distinct symbol keeps the histogram counting
+    # inside a few cache lines instead of one str object per window cell.
+    canonical: dict[str, str] = {}
+    columns = []
+    for p in range(width):
+        symbols = list(map(itemgetter(p), feats))
+        columns.append(list(map(canonical.setdefault, symbols, symbols)))
+    members: dict[str, list[int]] = {}
+    for i, label in enumerate(labs):
+        members.setdefault(label, []).append(i)
+    # Each node carries its members grouped by label (so its label
+    # counts are the group sizes) and, while impure, its histograms.
+    # Pure nodes carry None: they become leaves without a split.
+    stats = _histograms(columns, members) if len(members) > 1 else None
+    stack = [(None, "", members, stats)]
     while stack:
-        parent, side, indices = stack.pop()
-        counts: dict[str, int] = {}
-        for i in indices:
-            label = labs[i]
-            counts[label] = counts.get(label, 0) + 1
-        if len(counts) == 1 or len(indices) < 2:
-            attach(parent, side, Leaf(counts, _majority_label(counts)))
-            continue
-        split = _best_split(feats, labs, indices, counts, width)
+        parent, side, members, stats = stack.pop()
+        counts = {label: len(group) for label, group in members.items()}
+        n = sum(counts.values())
+        split = None if stats is None else _best_split(stats, counts, n)
         if split is None:
             attach(parent, side, Leaf(counts, _majority_label(counts)))
             continue
-        p, symbol, eq_idx, ne_idx = split
+        p, symbol = split
         node = Internal(p, symbol, placeholder, placeholder)
         attach(parent, side, node)
-        stack.append((node, "ne", ne_idx))
-        stack.append((node, "eq", eq_idx))
+        eq_counts = stats[p][symbol]
+        eq_members, ne_members = _partition(members, columns[p], symbol, eq_counts)
+
+        # Scan only the smaller child; the larger child's histograms are
+        # the parent's minus the smaller's, computed in place.
+        eq_child = [node, "eq", eq_members, None]
+        ne_child = [node, "ne", ne_members, None]
+        if 2 * sum(eq_counts.values()) <= n:
+            small, large = eq_child, ne_child
+        else:
+            small, large = ne_child, eq_child
+        small_grows = len(small[2]) > 1
+        large_grows = len(large[2]) > 1
+        if small_grows or large_grows:
+            small_stats = _histograms(columns, small[2])
+            if small_grows:
+                small[3] = small_stats
+            if large_grows:
+                _subtract(stats, small_stats)
+                large[3] = stats
+        stack.append(tuple(ne_child))
+        stack.append(tuple(eq_child))
     return root_box[0]
 
 
@@ -257,7 +339,7 @@ def _node_to_obj(root: TreeNode):
     return done[id(root)]
 
 
-def _obj_to_node(obj) -> TreeNode:
+def _obj_to_node(obj, width: int) -> TreeNode:
     if not isinstance(obj, dict):
         raise ModelFormatError("node is not an object")
     # Iterative conversion, mirroring _node_to_obj.
@@ -278,10 +360,15 @@ def _obj_to_node(obj) -> TreeNode:
             stack.append((node_obj["t"], False))
             stack.append((node_obj["e"], False))
         else:
-            if not isinstance(node_obj["f"], int) or not isinstance(node_obj["s"], str):
+            feature_index = node_obj["f"]
+            if not isinstance(feature_index, int) or not isinstance(node_obj["s"], str):
                 raise ModelFormatError("malformed internal node")
+            if isinstance(feature_index, bool) or not 0 <= feature_index < width:
+                raise ModelFormatError(
+                    f"feature index {feature_index!r} outside window width {width}"
+                )
             done[id(node_obj)] = Internal(
-                node_obj["f"],
+                feature_index,
                 node_obj["s"],
                 done[id(node_obj["t"])],
                 done[id(node_obj["e"])],
@@ -336,7 +423,7 @@ def deserialize(data: bytes) -> TranslitModel:
         window = WindowSpec(x=obj["window"]["x"], y=obj["window"]["y"])
         direction = tuple(obj["direction"])
         fingerprint = obj["table_fingerprint"]
-        root = _obj_to_node(obj["root"])
+        root = _obj_to_node(obj["root"], window.width)
     except (KeyError, TypeError) as err:
         raise ModelFormatError(f"model file missing fields: {err}") from err
     if len(direction) != 2 or not isinstance(fingerprint, str):

@@ -13,6 +13,7 @@ the feature space. PAD renders as ∅ only in debug dumps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .aligner import AlignedPair
 
@@ -37,8 +38,7 @@ class WindowSpec:
         return self.x + 1 + self.y
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(NamedTuple):
     features: tuple[str, ...]
     label: str
 
@@ -53,11 +53,13 @@ def window_features(chars, index: int, window: WindowSpec) -> tuple[str, ...]:
 
 
 def extract_samples(pair: AlignedPair, window: WindowSpec) -> list[Sample]:
-    """One sample per source character, in word order."""
-    chars = pair.source_chars
+    """One sample per source character, in word order: the word is padded
+    once and each window is a slice of it, equal to ``window_features``."""
+    padded = (PAD,) * window.x + tuple(pair.source_chars) + (PAD,) * window.y
+    width = window.width
     return [
-        Sample(window_features(chars, i, window), pair.target_segments[i])
-        for i in range(len(chars))
+        Sample(padded[i : i + width], label)
+        for i, label in enumerate(pair.target_segments)
     ]
 
 
@@ -67,14 +69,7 @@ def dedup_samples(samples) -> list[Sample]:
     Samples with equal features but different labels are all kept;
     silently dropping one side would bias the classifier.
     """
-    seen = set()
-    out = []
-    for sample in samples:
-        key = (sample.features, sample.label)
-        if key not in seen:
-            seen.add(key)
-            out.append(sample)
-    return out
+    return list(dict.fromkeys(samples))
 
 
 def dump_samples_tsv(samples) -> str:

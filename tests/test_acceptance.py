@@ -229,6 +229,7 @@ def test_criterion_8_gini_split_oracle():
     symbols = list("абвгде") + [PAD]
     labels = ["", "a", "b", "sh"]
     splits_checked = 0
+    nodes_checked = 0
     for _ in range(100):
         width = rng.randint(1, 4)
         samples = [
@@ -251,8 +252,30 @@ def test_criterion_8_gini_split_oracle():
         )
         assert abs(chosen - oracle) < 1e-12
         splits_checked += 1
+        # every internal node below the root, on the samples routed to it:
+        # these are the nodes whose histograms come from subtraction
+        stack = [(root.eq, eq), (root.ne, ne)]
+        while stack:
+            node, part = stack.pop()
+            if isinstance(node, dtree.Leaf):
+                continue
+            node_eq = [s for s in part if s.features[node.feature_index] == node.test_symbol]
+            node_ne = [s for s in part if s.features[node.feature_index] != node.test_symbol]
+            m = len(part)
+            node_chosen = (
+                _gini_of(part)
+                - (len(node_eq) / m) * _gini_of(node_eq)
+                - (len(node_ne) / m) * _gini_of(node_ne)
+            )
+            assert abs(node_chosen - _oracle_best_decrease(part)) < 1e-12
+            nodes_checked += 1
+            stack += [(node.eq, node_eq), (node.ne, node_ne)]
     assert splits_checked >= 80
-    print(f"ACCEPTANCE 8: best split == brute-force oracle on {splits_checked} node sets: PASS")
+    assert nodes_checked > splits_checked
+    print(
+        f"ACCEPTANCE 8: best split == brute-force oracle on {splits_checked} node sets"
+        f" and {nodes_checked} nodes below their roots: PASS"
+    )
 
 
 def test_criterion_9_serialization_roundtrip():

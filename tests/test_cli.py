@@ -46,6 +46,20 @@ def test_transliterate_restores_case(trained_model, capsys):
     assert capsys.readouterr().out == "SIRK\nSirk\n"
 
 
+def test_out_of_range_feature_index_is_data_error(tmp_path, trained_model, capsys):
+    obj = json.loads(trained_model.read_bytes())
+    width = obj["window"]["x"] + 1 + obj["window"]["y"]
+    for bad_index in (width, -1):
+        obj["root"]["f"] = bad_index
+        broken = tmp_path / f"broken{bad_index}.json"
+        broken.write_text(json.dumps(obj, ensure_ascii=False), encoding="utf-8")
+        code = main(["transliterate", "--model", str(broken), "--word", "цирк"])
+        assert code == 2
+        assert f"feature index {bad_index} outside window width {width}" in (
+            capsys.readouterr().err
+        )
+
+
 def test_missing_corpus_is_usage_error(tmp_path):
     code = main(
         ["train", "--dir", "cyr2lat", "--corpus", str(tmp_path / "absent.tsv"),

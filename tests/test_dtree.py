@@ -12,16 +12,26 @@ from uztranslit.dtree import (
     EmptyTrainingSetError,
     InconsistentFeatureWidthError,
     Internal,
+    Leaf,
     ModelFormatError,
     ModelVersionError,
+    TranslitModel,
+    TreeNode,
     WidthMismatchError,
+    _majority_label,
     deserialize,
     gini,
     predict,
     serialize,
     train,
 )
-from uztranslit.featurizer import PAD, Sample, WindowSpec, extract_samples
+from uztranslit.featurizer import (
+    PAD,
+    Sample,
+    WindowSpec,
+    dedup_samples,
+    extract_samples,
+)
 
 
 def table7_samples(cyr2lat_table):
@@ -266,3 +276,183 @@ def test_save_load_model(tmp_path, cyr2lat_table):
     dtree.save_model(model, path)
     clone = dtree.load_model(path)
     assert serialize(clone) == serialize(model)
+
+
+@pytest.mark.parametrize("feature_index", [True, "0", 1.5, 2, -1])
+def test_bad_feature_index_rejected(feature_index):
+    obj = {
+        "format_version": 1,
+        "direction": ["a", "b"],
+        "window": {"x": 1, "y": 0},
+        "table_fingerprint": "",
+        "root": {
+            "f": feature_index,
+            "s": "x",
+            "t": {"leaf": "a", "counts": {"a": 1}},
+            "e": {"leaf": "b", "counts": {"b": 1}},
+        },
+    }
+    with pytest.raises(ModelFormatError):
+        deserialize(json.dumps(obj).encode("utf-8"))
+
+
+# Reference grower: the rescanning implementation that histogram
+# subtraction replaced, kept verbatim. Every node rebuilds its histograms
+# and label counts from its sample indices, which makes it slow but
+# obviously correct; train() must produce the same bytes.
+
+def _best_split(feats, labs, indices, counts, width):
+    """Exhaustively score every (position, symbol) equality split.
+
+    Returns (position, symbol, eq_indices, ne_indices), or None when
+    every sample carries the same feature vector and no split can
+    separate anything. A zero impurity decrease does not stop growth;
+    the split decrease is never negative, so any valid split is taken
+    when nothing better exists. Candidates are scanned position
+    ascending, symbol ascending, and only a strictly better decrease
+    replaces the incumbent, which implements the tie-break.
+    """
+    n = len(indices)
+    parent_gini = gini(counts)
+    # stats[p][symbol] -> label histogram of samples whose p-th feature is symbol
+    stats: list[dict] = [{} for _ in range(width)]
+    for i in indices:
+        features = feats[i]
+        label = labs[i]
+        for p in range(width):
+            per_symbol = stats[p]
+            hist = per_symbol.get(features[p])
+            if hist is None:
+                per_symbol[features[p]] = hist = {}
+            hist[label] = hist.get(label, 0) + 1
+
+    best_decrease = -1.0
+    best = None
+    for p in range(width):
+        per_symbol = stats[p]
+        for symbol in sorted(per_symbol):
+            hist = per_symbol[symbol]
+            n_eq = sum(hist.values())
+            if n_eq == n:
+                continue  # equality side would swallow the node
+            n_ne = n - n_eq
+            sq_eq = sum(c * c for c in hist.values())
+            sq_ne = sum(
+                (counts[label] - hist.get(label, 0)) ** 2 for label in counts
+            )
+            weighted = (n_eq - sq_eq / n_eq + n_ne - sq_ne / n_ne) / n
+            decrease = parent_gini - weighted
+            if decrease > best_decrease:
+                best_decrease = decrease
+                best = (p, symbol)
+    if best is None:
+        return None
+    p, symbol = best
+    eq_idx = [i for i in indices if feats[i][p] == symbol]
+    ne_idx = [i for i in indices if feats[i][p] != symbol]
+    return p, symbol, eq_idx, ne_idx
+
+
+def _grow(feats, labs, width) -> TreeNode:
+    # Iterative with an explicit stack; equality-split chains get deep
+    # enough to threaten the interpreter recursion limit.
+    placeholder = Leaf({}, "")
+    root_box: list[TreeNode] = [placeholder]
+
+    def attach(parent, side, node):
+        if parent is None:
+            root_box[0] = node
+        elif side == "eq":
+            parent.eq = node
+        else:
+            parent.ne = node
+
+    stack = [(None, "", list(range(len(labs))))]
+    while stack:
+        parent, side, indices = stack.pop()
+        counts: dict[str, int] = {}
+        for i in indices:
+            label = labs[i]
+            counts[label] = counts.get(label, 0) + 1
+        if len(counts) == 1 or len(indices) < 2:
+            attach(parent, side, Leaf(counts, _majority_label(counts)))
+            continue
+        split = _best_split(feats, labs, indices, counts, width)
+        if split is None:
+            attach(parent, side, Leaf(counts, _majority_label(counts)))
+            continue
+        p, symbol, eq_idx, ne_idx = split
+        node = Internal(p, symbol, placeholder, placeholder)
+        attach(parent, side, node)
+        stack.append((node, "ne", ne_idx))
+        stack.append((node, "eq", eq_idx))
+    return root_box[0]
+
+
+def _reference_bytes(samples, window):
+    root = _grow([s.features for s in samples], [s.label for s in samples], window.width)
+    return serialize(TranslitModel(root=root, window=window, direction=("a", "b")))
+
+
+_SYMBOLS = ["а", "б", "в", PAD]
+_LABELS = ["", "a", "b", "ch"]
+
+
+@st.composite
+def _sample_sets(draw):
+    """Random windows over a small alphabet with PAD, plus feature vectors
+    repeated under another label (conflicts) and an optional XOR block,
+    whose first split has zero impurity decrease."""
+    width = draw(st.integers(1, 4))
+    vector = st.tuples(*[st.sampled_from(_SYMBOLS)] * width)
+    samples = [
+        Sample(features, label)
+        for features, label in draw(
+            st.lists(st.tuples(vector, st.sampled_from(_LABELS)), min_size=1, max_size=60)
+        )
+    ]
+    for k, label in draw(
+        st.lists(st.tuples(st.integers(0, len(samples) - 1), st.sampled_from(_LABELS)), max_size=8)
+    ):
+        samples.append(Sample(samples[k].features, label))
+    if width >= 2 and draw(st.booleans()):
+        tail = (PAD,) * (width - 2)
+        samples += [
+            Sample((a, b) + tail, "a" if (a == "а") == (b == "а") else "b")
+            for a in ("а", "б")
+            for b in ("а", "б")
+        ]
+    return width, draw(st.permutations(samples))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_sample_sets())
+def test_matches_reference_grower(case):
+    width, samples = case
+    window = WindowSpec(0, width - 1)
+    got = serialize(train(samples, window, direction=("a", "b")))
+    assert got == _reference_bytes(samples, window)
+
+
+def test_xor_block_matches_reference_grower():
+    samples = [
+        Sample((a, b), "a" if a == b else "b") for a in ("а", "б") for b in ("а", "б")
+    ]
+    window = WindowSpec(1, 0)
+    model = train(samples, window, direction=("a", "b"))
+    assert isinstance(model.root, Internal)
+    assert serialize(model) == _reference_bytes(samples, window)
+    assert all(predict(model, s.features) == s.label for s in samples)
+
+
+@pytest.mark.parametrize(("x", "y"), [(0, 0), (1, 2), (3, 1)])
+def test_matches_reference_grower_on_synthetic(synthetic_small, cyr2lat_table, x, y):
+    from uztranslit.aligner import align_corpus
+
+    alignments, _ = align_corpus(synthetic_small.pairs, cyr2lat_table)
+    window = WindowSpec(x, y)
+    samples = dedup_samples(
+        [sample for pair in alignments for sample in extract_samples(pair, window)]
+    )
+    got = serialize(train(samples, window, direction=("a", "b")))
+    assert got == _reference_bytes(samples, window)

@@ -10,6 +10,7 @@ from uztranslit.featurizer import (
     dedup_samples,
     dump_samples_tsv,
     extract_samples,
+    window_features,
 )
 
 TABLE7 = [
@@ -64,6 +65,27 @@ def test_pad_never_interior():
         # PAD only at the outer ends of each side
         assert list(left) == sorted(left, key=lambda s: s != PAD)
         assert list(right) == sorted(right, key=lambda s: s == PAD)
+
+
+@given(
+    word=st.text(alphabet="абв", min_size=1, max_size=8),
+    x=st.integers(0, 10),
+    y=st.integers(0, 10),
+)
+def test_extracted_windows_equal_window_features(word, x, y):
+    chars = tuple(word)
+    window = WindowSpec(x, y)
+    samples = extract_samples(AlignedPair(chars, chars, CYR2LAT), window)
+    assert [s.features for s in samples] == [
+        window_features(chars, i, window) for i in range(len(chars))
+    ]
+    assert [s.label for s in samples] == list(chars)
+
+
+def test_dedup_keeps_first_occurrence_order():
+    a, b = ("а",), ("б",)
+    samples = [Sample(b, "x"), Sample(a, "x"), Sample(b, "x"), Sample(a, "y")]
+    assert dedup_samples(samples) == [Sample(b, "x"), Sample(a, "x"), Sample(a, "y")]
 
 
 def test_window_bounds_validated():
