@@ -6,6 +6,8 @@ The models are trained on the 70% part of the 70/15/15 seed-42 split of
 a synthetic corpus (``--synthetic SIZE SEED``) or of the bundled lexicon
 (``--lexicon``). Two checkouts that print the same lines train
 byte-identical models, which is the gate for refactoring the trainer.
+The digests changed once, by design, with model format 2 (flat node
+list); compare checkouts that write the same format.
 
 Usage: PYTHONPATH=src python scripts/model_digests.py --synthetic 5000 42
        PYTHONPATH=src python scripts/model_digests.py --lexicon --dir cyr2lat

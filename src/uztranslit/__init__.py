@@ -8,7 +8,6 @@ from .alphabets import (
     ScriptSpec,
     bundled_mapping_table,
     bundled_script_spec,
-    discover_unmapped,
     load_mapping_table,
     normalize_word,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "ScriptSpec",
     "bundled_mapping_table",
     "bundled_script_spec",
-    "discover_unmapped",
     "load_mapping_table",
     "normalize_word",
     "AlignedPair",

@@ -76,7 +76,8 @@ def align_word(source: str, target: str, table: MappingTable) -> AlignedPair:
     Raises UnknownSourceCharError when a source character has no table
     row, and NoAlignmentError when no candidate assignment concatenates
     to the target; the error carries the furthest source position the
-    search got stuck at, which is what discover_unmapped reports.
+    search got stuck at, which is what align_corpus records as the
+    failure position and ``translit discover`` reports.
     """
     if not source:
         raise ValueError("source word is empty")

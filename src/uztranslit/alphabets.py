@@ -232,18 +232,3 @@ def parse_direction(text: str) -> Direction:
         return aliases[text.lower()]
     except KeyError:
         raise ValueError(f"unknown direction {text!r}; use cyr2lat or lat2cyr")
-
-
-def discover_unmapped(corpus, table: MappingTable):
-    """Word pairs the aligner cannot tile under ``table``.
-
-    Returns a list of alignment failures, each with the first source
-    position at which every candidate fails. An empty list means the
-    table covers the corpus; nonempty results point at table rows that
-    still need to be added, mirroring the bootstrap loop used to build
-    the bundled tables.
-    """
-    from .aligner import align_corpus
-
-    _, failures = align_corpus(corpus, table)
-    return failures

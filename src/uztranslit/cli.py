@@ -1,10 +1,11 @@
 """Command-line entry point for the transliteration pipeline.
 
 Exit codes: 0 success, 1 usage error (bad flags, missing files),
-2 data error (unparseable tables/corpora, corpora the table cannot
-align at all). All output files are written atomically: a temp file in
-the target directory is renamed over the destination, so an interrupted
-grid search never leaves a half-written model behind.
+2 data error (unparseable tables/corpora/models, a table of the other
+direction, corpora the table cannot align at all). All output files
+are written atomically: a temp file in the target directory is renamed
+over the destination, so an interrupted grid search never leaves a
+half-written model behind.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from . import dtree, gencorpus, pipeline
 from .alphabets import (
     TableParseError,
     bundled_mapping_table,
-    discover_unmapped,
     load_mapping_table,
     normalize_word,
     parse_direction,
@@ -86,10 +86,15 @@ def _window(args) -> WindowSpec:
 
 
 def _load_table(args, direction):
-    if getattr(args, "table", None):
-        _require_file(args.table)
-        return load_mapping_table(args.table, direction)
-    return bundled_mapping_table(direction)
+    if not getattr(args, "table", None):
+        return bundled_mapping_table(direction)
+    _require_file(args.table)
+    table = load_mapping_table(args.table)  # direction inferred from the keys
+    if table.direction != direction:
+        raise DataError(
+            f"{args.table} maps {'->'.join(table.direction)}, not {'->'.join(direction)}"
+        )
+    return table
 
 
 def _load_corpus(args):
@@ -141,7 +146,7 @@ def cmd_train(args) -> int:
         raise DataError(str(err))
     payload = dtree.serialize(model)
     atomic_write(args.out, payload)
-    depth = dtree.tree_depth(model.root)
+    depth = dtree.tree_depth(model.nodes)
     print(
         f"trained {args.dir} model on {len(corpus.pairs)} pairs"
         f" (window x={args.x} y={args.y}, tree depth {depth});"
@@ -166,6 +171,11 @@ def cmd_evaluate(args) -> int:
     _require_file(args.model)
     model = dtree.load_model(args.model)
     table = _load_table(args, model.direction)
+    if table.fingerprint() != model.table_fingerprint:
+        print(
+            "warning: the mapping table differs from the one the model was trained with",
+            file=sys.stderr,
+        )
     corpus = _load_corpus(args)
     report = pipeline.evaluate(model, corpus, table)
     if args.format == "json":
@@ -234,7 +244,7 @@ def cmd_discover(args) -> int:
     direction = _direction(args.dir)
     table = _load_table(args, direction)
     corpus = _load_corpus(args)
-    failures = discover_unmapped(corpus.oriented(direction), table)
+    failures = align_corpus(corpus.oriented(direction), table)[1]
     _emit(format_failure_report(failures), args.out)
     print(f"{len(failures)} uncovered pairs", file=sys.stderr)
     return 0
@@ -306,12 +316,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        env_seed = os.environ.get("TRANSLIT_SEED")
-        if env_seed is not None and hasattr(args, "seed"):
-            try:
-                args.seed = int(env_seed)
-            except ValueError:
-                raise UsageError(f"TRANSLIT_SEED is not an integer: {env_seed!r}")
         return args.func(args)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)

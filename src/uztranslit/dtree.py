@@ -27,12 +27,21 @@ per level. Every score comes from the same integer counts through the
 same float expression in the same candidate order, so the chosen
 splits, and the serialized model, are bit-identical to those of a
 grower that rebuilds every node's histograms.
+
+The tree is one flat list of nodes, the same in memory and on disk. An
+internal node is ``[f, s, eq, ne]``: window position ``f`` is tested
+for equality with symbol ``s``, and ``eq``/``ne`` are the list indices
+of the children taken when the test passes or fails. A leaf is
+``[label, counts]``, its majority label and label histogram. The list
+is in pre-order with the eq subtree first, so the root is node 0 and
+every child index is greater than its parent's. Walking and validating
+the tree are therefore plain loops, and JSON nesting stays a few levels
+deep however deep the tree grows.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
@@ -40,7 +49,7 @@ from operator import itemgetter
 from .alphabets import Direction
 from .featurizer import Sample, WindowSpec
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class EmptyTrainingSetError(ValueError):
@@ -68,25 +77,8 @@ class ModelVersionError(ModelFormatError):
 
 
 @dataclass
-class Leaf:
-    class_counts: dict[str, int]
-    prediction: str
-
-
-@dataclass
-class Internal:
-    feature_index: int
-    test_symbol: str
-    eq: "TreeNode"
-    ne: "TreeNode"
-
-
-TreeNode = Leaf | Internal
-
-
-@dataclass
 class TranslitModel:
-    root: TreeNode
+    nodes: list[list]  # [f, s, eq, ne] internals, [label, counts] leaves
     window: WindowSpec
     direction: Direction
     table_fingerprint: str = ""
@@ -198,19 +190,11 @@ def _best_split(stats, counts, n):
     return best
 
 
-def _grow(feats, labs, width) -> TreeNode:
+def _grow(feats, labs, width) -> list[list]:
     # Iterative with an explicit stack; equality-split chains get deep
-    # enough to threaten the interpreter recursion limit.
-    placeholder = Leaf({}, "")
-    root_box: list[TreeNode] = [placeholder]
-
-    def attach(parent, side, node):
-        if parent is None:
-            root_box[0] = node
-        elif side == "eq":
-            parent.eq = node
-        else:
-            parent.ne = node
+    # enough to threaten the interpreter recursion limit. The stack pops
+    # nodes in pre-order, eq subtree first, which is the list order.
+    nodes: list[list] = []
 
     # One shared object per distinct symbol keeps the histogram counting
     # inside a few cache lines instead of one str object per window cell.
@@ -226,25 +210,29 @@ def _grow(feats, labs, width) -> TreeNode:
     # counts are the group sizes) and, while impure, its histograms.
     # Pure nodes carry None: they become leaves without a split.
     stats = _histograms(columns, members) if len(members) > 1 else None
-    stack = [(None, "", members, stats)]
+    # Each entry names the parent node and the slot that receives the
+    # entry's index once it is appended.
+    stack = [(None, 0, members, stats)]
     while stack:
-        parent, side, members, stats = stack.pop()
+        parent, slot, members, stats = stack.pop()
+        if parent is not None:
+            parent[slot] = len(nodes)
         counts = {label: len(group) for label, group in members.items()}
         n = sum(counts.values())
         split = None if stats is None else _best_split(stats, counts, n)
         if split is None:
-            attach(parent, side, Leaf(counts, _majority_label(counts)))
+            nodes.append([_majority_label(counts), counts])
             continue
         p, symbol = split
-        node = Internal(p, symbol, placeholder, placeholder)
-        attach(parent, side, node)
+        node = [p, symbol, 0, 0]
+        nodes.append(node)
         eq_counts = stats[p][symbol]
         eq_members, ne_members = _partition(members, columns[p], symbol, eq_counts)
 
         # Scan only the smaller child; the larger child's histograms are
         # the parent's minus the smaller's, computed in place.
-        eq_child = [node, "eq", eq_members, None]
-        ne_child = [node, "ne", ne_members, None]
+        eq_child = [node, 2, eq_members, None]
+        ne_child = [node, 3, ne_members, None]
         if 2 * sum(eq_counts.values()) <= n:
             small, large = eq_child, ne_child
         else:
@@ -260,7 +248,7 @@ def _grow(feats, labs, width) -> TreeNode:
                 large[3] = stats
         stack.append(tuple(ne_child))
         stack.append(tuple(eq_child))
-    return root_box[0]
+    return nodes
 
 
 def train(
@@ -281,9 +269,8 @@ def train(
             )
     feats = [s.features for s in samples]
     labs = [s.label for s in samples]
-    root = _grow(feats, labs, width)
     return TranslitModel(
-        root=root,
+        nodes=_grow(feats, labs, width),
         window=window,
         direction=direction,
         table_fingerprint=table_fingerprint,
@@ -297,99 +284,55 @@ def predict(model: TranslitModel, features) -> str:
         raise WidthMismatchError(
             f"feature width {len(features)} != model width {model.window.width}"
         )
-    node = model.root
-    while isinstance(node, Internal):
-        node = node.eq if features[node.feature_index] == node.test_symbol else node.ne
-    return node.prediction
+    nodes = model.nodes
+    node = nodes[0]
+    while len(node) == 4:
+        f, s, eq, ne = node
+        node = nodes[eq if features[f] == s else ne]
+    return node[0]
 
 
-def tree_depth(root: TreeNode) -> int:
-    depth = 0
-    stack = [(root, 1)]
-    while stack:
-        node, d = stack.pop()
-        depth = max(depth, d)
-        if isinstance(node, Internal):
-            stack.append((node.eq, d + 1))
-            stack.append((node.ne, d + 1))
-    return depth
+def tree_depth(nodes: list[list]) -> int:
+    """Nodes on the longest root-to-leaf path. Children point forward, so
+    one pass in list order sees every parent before its children."""
+    depth = [1] * len(nodes)
+    for i, node in enumerate(nodes):
+        if len(node) == 4:
+            for child in node[2:]:
+                depth[child] = max(depth[child], depth[i] + 1)
+    return max(depth)
 
 
-def _node_to_obj(root: TreeNode):
-    done: dict[int, dict] = {}
-    stack: list[tuple[TreeNode, bool]] = [(root, False)]
-    while stack:
-        node, ready = stack.pop()
-        if isinstance(node, Leaf):
-            done[id(node)] = {
-                "leaf": node.prediction,
-                "counts": dict(sorted(node.class_counts.items())),
-            }
-        elif not ready:
-            stack.append((node, True))
-            stack.append((node.eq, False))
-            stack.append((node.ne, False))
-        else:
-            done[id(node)] = {
-                "f": node.feature_index,
-                "s": node.test_symbol,
-                "t": done[id(node.eq)],
-                "e": done[id(node.ne)],
-            }
-    return done[id(root)]
-
-
-def _obj_to_node(obj, width: int) -> TreeNode:
-    if not isinstance(obj, dict):
-        raise ModelFormatError("node is not an object")
-    # Iterative conversion, mirroring _node_to_obj.
-    done: dict[int, TreeNode] = {}
-    stack: list[tuple[dict, bool]] = [(obj, False)]
-    while stack:
-        node_obj, ready = stack.pop()
-        if "leaf" in node_obj:
-            counts = node_obj.get("counts")
-            if not isinstance(node_obj["leaf"], str) or not isinstance(counts, dict):
-                raise ModelFormatError("malformed leaf node")
-            done[id(node_obj)] = Leaf(dict(counts), node_obj["leaf"])
-        elif not ready:
-            for key in ("f", "s", "t", "e"):
-                if key not in node_obj:
-                    raise ModelFormatError(f"internal node missing field {key!r}")
-            stack.append((node_obj, True))
-            stack.append((node_obj["t"], False))
-            stack.append((node_obj["e"], False))
-        else:
-            feature_index = node_obj["f"]
-            if not isinstance(feature_index, int) or not isinstance(node_obj["s"], str):
-                raise ModelFormatError("malformed internal node")
-            if isinstance(feature_index, bool) or not 0 <= feature_index < width:
+def _check_nodes(nodes, width: int) -> None:
+    """Raise ModelFormatError unless ``nodes`` is a non-empty list of
+    well-formed nodes whose child indices point forward and in range,
+    which also makes every walk from node 0 end at a leaf."""
+    if not isinstance(nodes, list) or not nodes:
+        raise ModelFormatError("model has no nodes")
+    n = len(nodes)
+    for i, node in enumerate(nodes):
+        if not isinstance(node, list) or len(node) not in (2, 4):
+            raise ModelFormatError(f"node {i} is not a 2- or 4-element list")
+        if len(node) == 4:
+            f, s, eq, ne = node
+            if type(f) is not int or not 0 <= f < width:
                 raise ModelFormatError(
-                    f"feature index {feature_index!r} outside window width {width}"
+                    f"node {i}: feature index {f!r} outside window width {width}"
                 )
-            done[id(node_obj)] = Internal(
-                feature_index,
-                node_obj["s"],
-                done[id(node_obj["t"])],
-                done[id(node_obj["e"])],
-            )
-    return done[id(obj)]
-
-
-class _recursion_headroom:
-    """json both encodes and decodes recursively; deep tree chains need a
-    temporarily raised interpreter limit."""
-
-    def __init__(self, depth: int):
-        self.wanted = depth * 4 + 1000
-
-    def __enter__(self):
-        self.saved = sys.getrecursionlimit()
-        if self.wanted > self.saved:
-            sys.setrecursionlimit(self.wanted)
-
-    def __exit__(self, *exc):
-        sys.setrecursionlimit(self.saved)
+            if not isinstance(s, str):
+                raise ModelFormatError(f"node {i}: test symbol is not a string")
+            for child in (eq, ne):
+                if type(child) is not int or not i < child < n:
+                    raise ModelFormatError(f"node {i}: child index is not an int in ({i}, {n})")
+        else:
+            label, counts = node
+            if not isinstance(label, str):
+                raise ModelFormatError(f"node {i}: leaf label is not a string")
+            # JSON object keys are always strings; only the counts vary.
+            if not isinstance(counts, dict) or not counts or not all(
+                type(c) is int and c > 0 for c in counts.values()
+            ):
+                raise ModelFormatError(f"node {i}: leaf counts are not positive ints")
 
 
 def serialize(model: TranslitModel) -> bytes:
@@ -399,37 +342,41 @@ def serialize(model: TranslitModel) -> bytes:
         "direction": list(model.direction),
         "window": {"x": model.window.x, "y": model.window.y},
         "table_fingerprint": model.table_fingerprint,
-        "root": _node_to_obj(model.root),
+        "nodes": model.nodes,
     }
-    with _recursion_headroom(tree_depth(model.root)):
-        text = json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    text = json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
     return text.encode("utf-8")
 
 
 def deserialize(data: bytes) -> TranslitModel:
-    with _recursion_headroom(data.count(b'"f"')):
-        try:
-            obj = json.loads(data.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as err:
-            raise ModelFormatError(f"model file is not valid JSON: {err}") from err
+    try:
+        obj = json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise ModelFormatError(f"model file is not valid JSON: {err}") from err
+    except RecursionError as err:
+        raise ModelFormatError("model file is nested too deeply") from err
     if not isinstance(obj, dict):
         raise ModelFormatError("model file is not a JSON object")
     version = obj.get("format_version")
     if not isinstance(version, int) or version != FORMAT_VERSION:
         raise ModelVersionError(
-            f"unsupported model format_version {version!r}; this build reads {FORMAT_VERSION}"
+            f"unsupported model format_version {version!r}; this build reads"
+            f" {FORMAT_VERSION}, so retrain the model"
         )
     try:
         window = WindowSpec(x=obj["window"]["x"], y=obj["window"]["y"])
         direction = tuple(obj["direction"])
         fingerprint = obj["table_fingerprint"]
-        root = _obj_to_node(obj["root"], window.width)
+        nodes = obj["nodes"]
     except (KeyError, TypeError) as err:
         raise ModelFormatError(f"model file missing fields: {err}") from err
-    if len(direction) != 2 or not isinstance(fingerprint, str):
+    if not isinstance(fingerprint, str) or len(direction) != 2 or not all(
+        isinstance(d, str) for d in direction
+    ):
         raise ModelFormatError("malformed direction or fingerprint")
+    _check_nodes(nodes, window.width)
     return TranslitModel(
-        root=root,
+        nodes=nodes,
         window=window,
         direction=direction,  # type: ignore[arg-type]
         table_fingerprint=fingerprint,

@@ -13,6 +13,7 @@ the feature space. PAD renders as ∅ only in debug dumps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .aligner import AlignedPair
@@ -33,7 +34,7 @@ class WindowSpec:
         if not (0 <= self.x <= 10 and 0 <= self.y <= 10):
             raise ValueError(f"window bounds out of range: x={self.x}, y={self.y}")
 
-    @property
+    @cached_property  # read on every prediction
     def width(self) -> int:
         return self.x + 1 + self.y
 
@@ -44,12 +45,14 @@ class Sample(NamedTuple):
 
 
 def window_features(chars, index: int, window: WindowSpec) -> tuple[str, ...]:
-    """The window around ``chars[index]``, PAD where the word is exhausted."""
-    n = len(chars)
-    out = []
-    for offset in range(index - window.x, index + window.y + 1):
-        out.append(chars[offset] if 0 <= offset < n else PAD)
-    return tuple(out)
+    """The window around ``chars[index]``, PAD where the word is exhausted.
+    ``index`` must be a position of ``chars``."""
+    lo = index - window.x
+    hi = index + window.y + 1
+    right_pad = (PAD,) * (hi - len(chars))  # empty unless the word ends before hi
+    if lo < 0:
+        return (PAD,) * -lo + tuple(chars[:hi]) + right_pad
+    return tuple(chars[lo:hi]) + right_pad
 
 
 def extract_samples(pair: AlignedPair, window: WindowSpec) -> list[Sample]:

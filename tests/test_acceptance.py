@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from uztranslit import dtree, pipeline
+from uztranslit import pipeline
 from uztranslit.aligner import align_word
 from uztranslit.alphabets import CYR2LAT, LAT2CYR, bundled_mapping_table
 from uztranslit.dtree import deserialize, predict, serialize, train
@@ -238,12 +238,13 @@ def test_criterion_8_gini_split_oracle():
         ]
         model = train(samples, WindowSpec(0, width - 1))
         oracle = _oracle_best_decrease(samples)
-        root = model.root
-        if isinstance(root, dtree.Leaf):
+        nodes = model.nodes
+        if len(nodes[0]) == 2:  # the root is a leaf
             assert oracle <= 1e-12
             continue
-        eq = [s for s in samples if s.features[root.feature_index] == root.test_symbol]
-        ne = [s for s in samples if s.features[root.feature_index] != root.test_symbol]
+        f, symbol, eq_child, ne_child = nodes[0]
+        eq = [s for s in samples if s.features[f] == symbol]
+        ne = [s for s in samples if s.features[f] != symbol]
         n = len(samples)
         chosen = (
             _gini_of(samples)
@@ -254,13 +255,14 @@ def test_criterion_8_gini_split_oracle():
         splits_checked += 1
         # every internal node below the root, on the samples routed to it:
         # these are the nodes whose histograms come from subtraction
-        stack = [(root.eq, eq), (root.ne, ne)]
+        stack = [(eq_child, eq), (ne_child, ne)]
         while stack:
-            node, part = stack.pop()
-            if isinstance(node, dtree.Leaf):
+            index, part = stack.pop()
+            if len(nodes[index]) == 2:
                 continue
-            node_eq = [s for s in part if s.features[node.feature_index] == node.test_symbol]
-            node_ne = [s for s in part if s.features[node.feature_index] != node.test_symbol]
+            f, symbol, eq_child, ne_child = nodes[index]
+            node_eq = [s for s in part if s.features[f] == symbol]
+            node_ne = [s for s in part if s.features[f] != symbol]
             m = len(part)
             node_chosen = (
                 _gini_of(part)
@@ -269,7 +271,7 @@ def test_criterion_8_gini_split_oracle():
             )
             assert abs(node_chosen - _oracle_best_decrease(part)) < 1e-12
             nodes_checked += 1
-            stack += [(node.eq, node_eq), (node.ne, node_ne)]
+            stack += [(eq_child, node_eq), (ne_child, node_ne)]
     assert splits_checked >= 80
     assert nodes_checked > splits_checked
     print(

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from uztranslit import alphabets
+from uztranslit.aligner import align_corpus
 from uztranslit.alphabets import (
     CYR2LAT,
     LAT2CYR,
@@ -9,7 +10,6 @@ from uztranslit.alphabets import (
     NormalizationPolicy,
     TableParseError,
     bundled_script_spec,
-    discover_unmapped,
     format_script_spec,
     load_mapping_table,
     load_script_spec,
@@ -135,19 +135,19 @@ def test_discover_unmapped_truncated_table(cyr2lat_table):
     entries = dict(cyr2lat_table.entries)
     entries["ц"] = ("ts",)  # drop the ц -> s rule
     truncated = MappingTable(CYR2LAT, entries)
-    report = discover_unmapped([("цирк", "sirk")], truncated)
+    report = align_corpus([("цирк", "sirk")], truncated)[1]
     assert len(report) == 1
     assert (report[0].source, report[0].target, report[0].position) == ("цирк", "sirk", 0)
 
 
 def test_discover_unmapped_covered_and_empty(cyr2lat_table):
-    assert discover_unmapped([("бола", "bola")], cyr2lat_table) == []
-    assert discover_unmapped([], cyr2lat_table) == []
+    assert align_corpus([("бола", "bola")], cyr2lat_table)[1] == []
+    assert align_corpus([], cyr2lat_table)[1] == []
 
 
 def test_discover_unmapped_empty_on_bundled_lexicon(lexicon, cyr2lat_table, lat2cyr_table):
-    assert discover_unmapped(lexicon.oriented(CYR2LAT), cyr2lat_table) == []
-    assert discover_unmapped(lexicon.oriented(LAT2CYR), lat2cyr_table) == []
+    assert align_corpus(lexicon.oriented(CYR2LAT), cyr2lat_table)[1] == []
+    assert align_corpus(lexicon.oriented(LAT2CYR), lat2cyr_table)[1] == []
 
 
 def test_parse_direction():

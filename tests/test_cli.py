@@ -4,13 +4,12 @@ import os
 import pytest
 
 from uztranslit import dtree
+from uztranslit.alphabets import _data_path
 from uztranslit.cli import main
 
 
 @pytest.fixture()
 def lexicon_path():
-    from uztranslit.alphabets import _data_path
-
     return str(_data_path("lexicon.tsv"))
 
 
@@ -50,7 +49,7 @@ def test_out_of_range_feature_index_is_data_error(tmp_path, trained_model, capsy
     obj = json.loads(trained_model.read_bytes())
     width = obj["window"]["x"] + 1 + obj["window"]["y"]
     for bad_index in (width, -1):
-        obj["root"]["f"] = bad_index
+        obj["nodes"][0][0] = bad_index
         broken = tmp_path / f"broken{bad_index}.json"
         broken.write_text(json.dumps(obj, ensure_ascii=False), encoding="utf-8")
         code = main(["transliterate", "--model", str(broken), "--word", "цирк"])
@@ -58,6 +57,19 @@ def test_out_of_range_feature_index_is_data_error(tmp_path, trained_model, capsy
         assert f"feature index {bad_index} outside window width {width}" in (
             capsys.readouterr().err
         )
+
+
+def test_deeply_nested_model_is_data_error(tmp_path, capsys):
+    depth = 200_000
+    broken = tmp_path / "deep.json"
+    broken.write_text(
+        '{"format_version":2,"direction":["cyrillic","latin"],"table_fingerprint":"",'
+        '"window":{"x":0,"y":0},"nodes":' + "[" * depth + "]" * depth + "}",
+        encoding="utf-8",
+    )
+    code = main(["transliterate", "--model", str(broken), "--word", "цирк"])
+    assert code == 2
+    assert "nested too deeply" in capsys.readouterr().err
 
 
 def test_missing_corpus_is_usage_error(tmp_path):
@@ -148,17 +160,6 @@ def test_gen_corpus_size_zero_usage_error(tmp_path):
     assert main(["gen-corpus", "--size", "0", "--out", str(tmp_path / "x.tsv")]) == 1
 
 
-def test_env_seed_overrides_flag(tmp_path, monkeypatch):
-    flag = tmp_path / "flag.tsv"
-    env = tmp_path / "env.tsv"
-    assert main(["gen-corpus", "--size", "30", "--seed", "1", "--out", str(flag)]) == 0
-    monkeypatch.setenv("TRANSLIT_SEED", "1")
-    assert main(["gen-corpus", "--size", "30", "--seed", "999", "--out", str(env)]) == 0
-    assert env.read_text(encoding="utf-8").splitlines()[1:] == flag.read_text(
-        encoding="utf-8"
-    ).splitlines()[1:]
-
-
 def test_evaluate_json_and_tsv(tmp_path, trained_model, lexicon_path):
     out = tmp_path / "report.json"
     code = main(
@@ -177,6 +178,31 @@ def test_evaluate_json_and_tsv(tmp_path, trained_model, lexicon_path):
     )
     assert code == 0
     assert "char_f1\t1.0" in out_tsv.read_text(encoding="utf-8")
+
+
+def test_table_of_other_direction_is_data_error(tmp_path, trained_model, lexicon_path, capsys):
+    lat2cyr = str(_data_path("lat2cyr.tsv"))
+    code = main(
+        ["evaluate", "--model", str(trained_model), "--corpus", lexicon_path,
+         "--table", lat2cyr, "--out", str(tmp_path / "report.json")]
+    )
+    assert code == 2
+    assert "maps latin->cyrillic, not cyrillic->latin" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_evaluate_warns_on_table_drift(tmp_path, trained_model, lexicon_path, capsys):
+    report = str(tmp_path / "report.json")
+    args = ["evaluate", "--model", str(trained_model), "--corpus", lexicon_path, "--out", report]
+    assert main(args) == 0
+    assert "warning" not in capsys.readouterr().err
+    # the bundled table plus one row no lexicon word uses
+    table = tmp_path / "cyr2lat.tsv"
+    table.write_text(
+        _data_path("cyr2lat.tsv").read_text(encoding="utf-8") + "ѣ\te\n", encoding="utf-8"
+    )
+    assert main(args + ["--table", str(table)]) == 0
+    assert "warning: the mapping table differs" in capsys.readouterr().err
 
 
 def test_discover_empty_on_bundled_lexicon(tmp_path, lexicon_path, capsys):

@@ -11,12 +11,9 @@ from uztranslit.dtree import (
     EmptyCountsError,
     EmptyTrainingSetError,
     InconsistentFeatureWidthError,
-    Internal,
-    Leaf,
     ModelFormatError,
     ModelVersionError,
     TranslitModel,
-    TreeNode,
     WidthMismatchError,
     _majority_label,
     deserialize,
@@ -110,12 +107,15 @@ def test_unseen_symbols_follow_false_branch(cyr2lat_table):
 
 def test_internal_nodes_have_both_sides(cyr2lat_table):
     model = train(table7_samples(cyr2lat_table), WindowSpec(2, 1))
-    stack = [model.root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Internal):
-            assert node.eq is not None and node.ne is not None
-            stack.extend((node.eq, node.ne))
+    nodes = model.nodes
+    children = []
+    for i, node in enumerate(nodes):
+        if len(node) == 4:
+            # pre-order, eq subtree first: eq is the next node, ne follows it
+            assert node[2] == i + 1 < node[3] < len(nodes)
+            children += node[2:]
+    # every node but the root is the child of exactly one node
+    assert sorted(children) == list(range(1, len(nodes)))
 
 
 def test_training_deterministic(cyr2lat_table):
@@ -189,16 +189,17 @@ def _oracle_best_decrease(samples):
 
 
 def _chosen_decrease(samples, model):
-    root = model.root
-    if not isinstance(root, Internal):
+    root = model.nodes[0]
+    if len(root) != 4:
         return None
+    feature_index, test_symbol = root[:2]
     n = len(samples)
     totals = {}
     for s in samples:
         totals[s.label] = totals.get(s.label, 0) + 1
     parent = 1.0 - sum(c * c for c in totals.values()) / (n * n)
-    eq = [s for s in samples if s.features[root.feature_index] == root.test_symbol]
-    ne = [s for s in samples if s.features[root.feature_index] != root.test_symbol]
+    eq = [s for s in samples if s.features[feature_index] == test_symbol]
+    ne = [s for s in samples if s.features[feature_index] != test_symbol]
 
     def g(part):
         counts = {}
@@ -246,7 +247,7 @@ def test_serialized_pad_literal():
         Sample(("в", "а"), "y"),
     ]
     payload = serialize(train(samples, WindowSpec(1, 0)))
-    assert '"s":"∅-PAD"' in payload.decode("utf-8")
+    assert '[0,"∅-PAD",1,2]' in payload.decode("utf-8")
 
 
 def test_truncated_file_is_corruption(cyr2lat_table):
@@ -258,16 +259,22 @@ def test_truncated_file_is_corruption(cyr2lat_table):
 def test_future_version_rejected(cyr2lat_table):
     payload = serialize(train(table7_samples(cyr2lat_table), WindowSpec(2, 1)))
     obj = json.loads(payload)
-    obj["format_version"] = 99
-    with pytest.raises(ModelVersionError):
-        deserialize(json.dumps(obj).encode("utf-8"))
+    # version 1 stored a nested tree; such files must be retrained
+    for version in (99, 1):
+        obj["format_version"] = version
+        with pytest.raises(ModelVersionError, match="retrain"):
+            deserialize(json.dumps(obj).encode("utf-8"))
 
 
 def test_structural_corruption_rejected():
     with pytest.raises(ModelFormatError):
-        deserialize(b'{"format_version": 1, "direction": ["a","b"], '
+        deserialize(b'{"format_version": 2, "direction": ["a","b"], '
                     b'"window": {"x": 1, "y": 1}, "table_fingerprint": "", '
-                    b'"root": {"f": 0, "s": "x"}}')
+                    b'"nodes": [[0, "x", 1]]}')
+    with pytest.raises(ModelFormatError):
+        deserialize(b'{"format_version": 2, "direction": [1, 2], '
+                    b'"window": {"x": 0, "y": 0}, "table_fingerprint": "", '
+                    b'"nodes": [["a", {"a": 1}]]}')
 
 
 def test_save_load_model(tmp_path, cyr2lat_table):
@@ -278,19 +285,43 @@ def test_save_load_model(tmp_path, cyr2lat_table):
     assert serialize(clone) == serialize(model)
 
 
-@pytest.mark.parametrize("feature_index", [True, "0", 1.5, 2, -1])
-def test_bad_feature_index_rejected(feature_index):
+_LEAVES = [["a", {"a": 1}], ["b", {"b": 1}]]
+_SPLIT = [0, "x", 1, 2]
+
+
+@pytest.mark.parametrize(
+    "nodes",
+    [pytest.param([[f, "x", 1, 2], *_LEAVES], id=str(f)) for f in (True, "0", 1.5, 2, -1)]
+    + [
+        pytest.param([], id="no-nodes"),
+        pytest.param({"0": _LEAVES[0]}, id="nodes-not-list"),
+        pytest.param(["a", *_LEAVES], id="node-not-list"),
+        pytest.param([[0, "x", 1], *_LEAVES], id="node-of-3"),
+        pytest.param([[0, "x", 1, 2, 2], *_LEAVES], id="node-of-5"),
+        pytest.param([[0, 7, 1, 2], *_LEAVES], id="symbol-not-str"),
+        pytest.param([[0, "x", "leaf", 2], *_LEAVES], id="child-str"),
+        pytest.param([[0, "x", 1.0, 2], *_LEAVES], id="child-float"),
+        pytest.param([[0, "x", True, 2], *_LEAVES], id="child-bool"),
+        pytest.param([[0, "x", 0, 2], *_LEAVES], id="child-self"),
+        pytest.param([[0, "x", 1, 3], *_LEAVES], id="child-past-end"),
+        pytest.param([_SPLIT, [0, "x", 0, 2], _LEAVES[1]], id="child-backward"),
+        pytest.param([_SPLIT, [1, {"a": 1}], _LEAVES[1]], id="label-not-str"),
+        pytest.param([_SPLIT, ["a", {}], _LEAVES[1]], id="counts-empty"),
+        pytest.param([_SPLIT, ["a", [["a", 1]]], _LEAVES[1]], id="counts-not-map"),
+        pytest.param([_SPLIT, ["a", {"a": 0}], _LEAVES[1]], id="count-zero"),
+        pytest.param([_SPLIT, ["a", {"a": -1}], _LEAVES[1]], id="count-negative"),
+        pytest.param([_SPLIT, ["a", {"a": True}], _LEAVES[1]], id="count-bool"),
+        pytest.param([_SPLIT, ["a", {"a": 1.0}], _LEAVES[1]], id="count-float"),
+    ],
+)
+def test_bad_feature_index_rejected(nodes):
+    """Bad feature indices, and every other malformed node list."""
     obj = {
-        "format_version": 1,
+        "format_version": 2,
         "direction": ["a", "b"],
         "window": {"x": 1, "y": 0},
         "table_fingerprint": "",
-        "root": {
-            "f": feature_index,
-            "s": "x",
-            "t": {"leaf": "a", "counts": {"a": 1}},
-            "e": {"leaf": "b", "counts": {"b": 1}},
-        },
+        "nodes": nodes,
     }
     with pytest.raises(ModelFormatError):
         deserialize(json.dumps(obj).encode("utf-8"))
@@ -353,45 +384,39 @@ def _best_split(feats, labs, indices, counts, width):
     return p, symbol, eq_idx, ne_idx
 
 
-def _grow(feats, labs, width) -> TreeNode:
+def _grow(feats, labs, width) -> list[list]:
     # Iterative with an explicit stack; equality-split chains get deep
-    # enough to threaten the interpreter recursion limit.
-    placeholder = Leaf({}, "")
-    root_box: list[TreeNode] = [placeholder]
-
-    def attach(parent, side, node):
-        if parent is None:
-            root_box[0] = node
-        elif side == "eq":
-            parent.eq = node
-        else:
-            parent.ne = node
-
-    stack = [(None, "", list(range(len(labs))))]
+    # enough to threaten the interpreter recursion limit. Nodes are
+    # appended in pre-order, eq subtree first; a child's index goes into
+    # its parent's slot 2 (eq) or 3 (ne).
+    nodes: list[list] = []
+    stack = [(None, 0, list(range(len(labs))))]
     while stack:
-        parent, side, indices = stack.pop()
+        parent, slot, indices = stack.pop()
+        if parent is not None:
+            parent[slot] = len(nodes)
         counts: dict[str, int] = {}
         for i in indices:
             label = labs[i]
             counts[label] = counts.get(label, 0) + 1
         if len(counts) == 1 or len(indices) < 2:
-            attach(parent, side, Leaf(counts, _majority_label(counts)))
+            nodes.append([_majority_label(counts), counts])
             continue
         split = _best_split(feats, labs, indices, counts, width)
         if split is None:
-            attach(parent, side, Leaf(counts, _majority_label(counts)))
+            nodes.append([_majority_label(counts), counts])
             continue
         p, symbol, eq_idx, ne_idx = split
-        node = Internal(p, symbol, placeholder, placeholder)
-        attach(parent, side, node)
-        stack.append((node, "ne", ne_idx))
-        stack.append((node, "eq", eq_idx))
-    return root_box[0]
+        node = [p, symbol, 0, 0]
+        nodes.append(node)
+        stack.append((node, 3, ne_idx))
+        stack.append((node, 2, eq_idx))
+    return nodes
 
 
 def _reference_bytes(samples, window):
-    root = _grow([s.features for s in samples], [s.label for s in samples], window.width)
-    return serialize(TranslitModel(root=root, window=window, direction=("a", "b")))
+    nodes = _grow([s.features for s in samples], [s.label for s in samples], window.width)
+    return serialize(TranslitModel(nodes=nodes, window=window, direction=("a", "b")))
 
 
 _SYMBOLS = ["а", "б", "в", PAD]
@@ -440,7 +465,7 @@ def test_xor_block_matches_reference_grower():
     ]
     window = WindowSpec(1, 0)
     model = train(samples, window, direction=("a", "b"))
-    assert isinstance(model.root, Internal)
+    assert len(model.nodes[0]) == 4  # the root splits
     assert serialize(model) == _reference_bytes(samples, window)
     assert all(predict(model, s.features) == s.label for s in samples)
 
