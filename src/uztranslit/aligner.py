@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .alphabets import Direction, MappingTable
+from .alphabets import MappingTable
 
 
 class AlignmentError(Exception):
@@ -48,7 +48,6 @@ class AlignedPair:
 
     source_chars: tuple[str, ...]
     target_segments: tuple[str, ...]
-    direction: Direction
 
     def __post_init__(self):
         if len(self.source_chars) != len(self.target_segments):
@@ -125,11 +124,7 @@ def align_word(source: str, target: str, table: MappingTable) -> AlignedPair:
 
     if not success:
         raise NoAlignmentError(source, target, fail_position)
-    return AlignedPair(
-        source_chars=chars,
-        target_segments=tuple(segments),
-        direction=table.direction,
-    )
+    return AlignedPair(source_chars=chars, target_segments=tuple(segments))
 
 
 def align_corpus(pairs, table: MappingTable):

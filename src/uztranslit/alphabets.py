@@ -42,38 +42,22 @@ class TableParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class NormalizationPolicy:
-    """How raw words are canonicalized before any other processing."""
-
-    apostrophe_variants: frozenset[str] = APOSTROPHE_VARIANTS
-    case_folding: bool = True
-    unicode_form: str = "NFC"
-
-
-DEFAULT_POLICY = NormalizationPolicy()
-
-
-def normalize_word(word: str, policy: NormalizationPolicy = DEFAULT_POLICY) -> str:
+def normalize_word(word: str, fold_case: bool = True) -> str:
     """Return ``word`` in canonical form: NFC, one apostrophe code point,
-    and lowercase when the policy folds case. Idempotent and total."""
-    out = unicodedata.normalize(policy.unicode_form, word)
-    out = "".join(
-        CANONICAL_APOSTROPHE if ch in policy.apostrophe_variants else ch
-        for ch in out
-    )
-    if policy.case_folding:
+    and lowercase unless ``fold_case`` is off. Idempotent and total."""
+    out = unicodedata.normalize("NFC", word)
+    out = "".join(CANONICAL_APOSTROPHE if ch in APOSTROPHE_VARIANTS else ch for ch in out)
+    if fold_case:
         out = out.lower()
-    return unicodedata.normalize(policy.unicode_form, out)
+    return unicodedata.normalize("NFC", out)
 
 
 @dataclass(frozen=True)
 class ScriptSpec:
-    """An alphabet: ordered letters (1 or 2 code points each) with case pairs."""
+    """An alphabet: ordered lowercase letters (1 or 2 code points each)."""
 
     name: str
     letters: tuple[str, ...]
-    case_pairs: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
         if len(set(self.letters)) != len(self.letters):
@@ -181,9 +165,9 @@ def load_mapping_table(path, direction: Direction | None = None) -> MappingTable
 
 
 def load_script_spec(path, name: str) -> ScriptSpec:
-    """Parse a script-spec file: one letter per line, ``upper<TAB>lower``."""
+    """Parse a script-spec file: one letter per line, ``upper<TAB>lower``.
+    Only the lowercase column is kept; words are lowercased before use."""
     letters = []
-    case_pairs = []
     with open(path, encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n")
@@ -191,14 +175,8 @@ def load_script_spec(path, name: str) -> ScriptSpec:
                 continue
             if "\t" not in line:
                 raise TableParseError(path, line_no, "expected <upper><TAB><lower>")
-            upper, _, lower = line.partition("\t")
-            letters.append(lower)
-            case_pairs.append((upper, lower))
-    return ScriptSpec(name=name, letters=tuple(letters), case_pairs=tuple(case_pairs))
-
-
-def format_script_spec(spec: ScriptSpec) -> str:
-    return "".join(f"{upper}\t{lower}\n" for upper, lower in spec.case_pairs)
+            letters.append(line.partition("\t")[2])
+    return ScriptSpec(name=name, letters=tuple(letters))
 
 
 def _data_path(filename: str):

@@ -23,7 +23,6 @@ from .alphabets import (
     load_mapping_table,
     normalize_word,
     parse_direction,
-    NormalizationPolicy,
 )
 from .aligner import align_corpus, format_failure_report
 from .featurizer import WindowSpec
@@ -31,10 +30,6 @@ from .pipeline import AllPairsUnalignableError, SplitConfig
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
-
-# Normalizes apostrophes and Unicode form but keeps case, so the case
-# pattern of CLI input can be restored on output.
-_CASE_KEEPING = NormalizationPolicy(case_folding=False)
 
 
 class UsageError(Exception):
@@ -160,7 +155,8 @@ def cmd_transliterate(args) -> int:
     _require_file(args.model)
     model = dtree.load_model(args.model)
     for raw in args.word:
-        shaped = normalize_word(raw, _CASE_KEEPING)
+        # Case is kept here so its pattern can be restored on output.
+        shaped = normalize_word(raw, fold_case=False)
         lowered = shaped.lower()
         result = pipeline.transliterate_word(model, lowered)
         print(pipeline.apply_case_pattern(shaped, result))
@@ -201,7 +197,7 @@ def cmd_grid_search(args) -> int:
     corpus = _load_corpus(args)
     train_part, val_part, test_part = pipeline.split_corpus(corpus, config)
     try:
-        best, cells = pipeline.grid_search(
+        model, cells = pipeline.grid_search(
             train_part,
             val_part,
             table,
@@ -217,9 +213,9 @@ def cmd_grid_search(args) -> int:
     else:
         sys.stdout.write(grid_text)
     best_f1 = max(c.validation_f1 for c in cells)
+    best = model.window
     print(f"best window: x={best.x} y={best.y} (validation F1 {best_f1:.6f})", file=sys.stderr)
     if args.best_model:
-        model = pipeline.train_direction(train_part, best, table, direction)
         atomic_write(args.best_model, dtree.serialize(model))
         test_report = pipeline.evaluate(model, test_part, table)
         print(
@@ -296,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--fractions", default="0.7,0.15,0.15")
     p.add_argument("--out", help="grid TSV path (default: stdout)")
-    p.add_argument("--best-model", help="also train and save the best model")
+    p.add_argument("--best-model", help="also save the best cell's model")
 
     p = add("gen-corpus", cmd_gen_corpus, help="generate a synthetic rule corpus")
     p.add_argument("--size", type=int, required=True)

@@ -82,7 +82,6 @@ class TranslitModel:
     window: WindowSpec
     direction: Direction
     table_fingerprint: str = ""
-    format_version: int = FORMAT_VERSION
 
 
 def gini(class_counts: dict[str, int]) -> float:
@@ -338,7 +337,7 @@ def _check_nodes(nodes, width: int) -> None:
 def serialize(model: TranslitModel) -> bytes:
     """Versioned JSON; PAD appears as the literal string "∅-PAD"."""
     obj = {
-        "format_version": model.format_version,
+        "format_version": FORMAT_VERSION,
         "direction": list(model.direction),
         "window": {"x": model.window.x, "y": model.window.y},
         "table_fingerprint": model.table_fingerprint,
@@ -364,29 +363,28 @@ def deserialize(data: bytes) -> TranslitModel:
             f" {FORMAT_VERSION}, so retrain the model"
         )
     try:
-        window = WindowSpec(x=obj["window"]["x"], y=obj["window"]["y"])
-        direction = tuple(obj["direction"])
+        x, y = obj["window"]["x"], obj["window"]["y"]
+        direction = obj["direction"]
         fingerprint = obj["table_fingerprint"]
         nodes = obj["nodes"]
     except (KeyError, TypeError) as err:
         raise ModelFormatError(f"model file missing fields: {err}") from err
-    if not isinstance(fingerprint, str) or len(direction) != 2 or not all(
-        isinstance(d, str) for d in direction
+    if type(x) is not int or type(y) is not int:
+        raise ModelFormatError(f"window bounds are not ints: x={x!r}, y={y!r}")
+    window = WindowSpec(x=x, y=y)
+    if not isinstance(fingerprint, str) or not (
+        isinstance(direction, list)
+        and len(direction) == 2
+        and all(isinstance(d, str) for d in direction)
     ):
         raise ModelFormatError("malformed direction or fingerprint")
     _check_nodes(nodes, window.width)
     return TranslitModel(
         nodes=nodes,
         window=window,
-        direction=direction,  # type: ignore[arg-type]
+        direction=tuple(direction),  # type: ignore[arg-type]
         table_fingerprint=fingerprint,
-        format_version=version,
     )
-
-
-def save_model(model: TranslitModel, path) -> None:
-    with open(path, "wb") as handle:
-        handle.write(serialize(model))
 
 
 def load_model(path) -> TranslitModel:

@@ -20,11 +20,9 @@ from dataclasses import dataclass, field
 
 from . import dtree
 from .alphabets import (
-    DEFAULT_POLICY,
     CYRILLIC,
     Direction,
     MappingTable,
-    NormalizationPolicy,
     bundled_script_spec,
     normalize_word,
 )
@@ -128,7 +126,7 @@ def _entry_ok(word: str) -> bool:
     return True
 
 
-def load_corpus(path, policy: NormalizationPolicy = DEFAULT_POLICY) -> Corpus:
+def load_corpus(path) -> Corpus:
     """Read a ``cyrillic<TAB>latin`` TSV, normalize both sides, and drop
     multi-word or punctuation-bearing entries (hyphen and apostrophe stay)."""
     pairs = []
@@ -139,8 +137,8 @@ def load_corpus(path, policy: NormalizationPolicy = DEFAULT_POLICY) -> Corpus:
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
             cyr, _, lat = line.partition("\t")
-            cyr = normalize_word(cyr.strip(), policy)
-            lat = normalize_word(lat.strip(), policy)
+            cyr = normalize_word(cyr.strip())
+            lat = normalize_word(lat.strip())
             if _entry_ok(cyr) and _entry_ok(lat):
                 pairs.append((cyr, lat))
             else:
@@ -195,21 +193,9 @@ def split_corpus(corpus: Corpus, config: SplitConfig) -> tuple[Corpus, Corpus, C
     )
 
 
-def _samples_from_alignments(alignments, window: WindowSpec):
-    samples = []
-    for pair in alignments:
-        samples.extend(extract_samples(pair, window))
-    return dedup_samples(samples)
-
-
-def train_direction(
-    train_part: Corpus,
-    window: WindowSpec,
-    table: MappingTable,
-    direction: Direction,
-) -> TranslitModel:
-    """align -> extract -> dedup -> train, stamping the model with the
-    window, direction, and table fingerprint."""
+def _align_training(train_part: Corpus, table: MappingTable, direction: Direction):
+    """Align the training part. Unalignable pairs are logged and left
+    out; a part with no alignable pair at all is an error."""
     alignments, failures = align_corpus(train_part.oriented(direction), table)
     if failures:
         log.warning(
@@ -221,10 +207,34 @@ def train_direction(
         raise AllPairsUnalignableError(
             "no training pair could be aligned under the mapping table"
         )
-    samples = _samples_from_alignments(alignments, window)
+    return alignments
+
+
+def _train_window(
+    alignments, window: WindowSpec, table: MappingTable, direction: Direction
+) -> TranslitModel:
+    """extract -> dedup -> train, stamping the model with the window,
+    direction, and table fingerprint."""
+    samples = []
+    for pair in alignments:
+        samples.extend(extract_samples(pair, window))
     return dtree.train(
-        samples, window, direction=direction, table_fingerprint=table.fingerprint()
+        dedup_samples(samples),
+        window,
+        direction=direction,
+        table_fingerprint=table.fingerprint(),
     )
+
+
+def train_direction(
+    train_part: Corpus,
+    window: WindowSpec,
+    table: MappingTable,
+    direction: Direction,
+) -> TranslitModel:
+    """align -> extract -> dedup -> train at one window."""
+    alignments = _align_training(train_part, table, direction)
+    return _train_window(alignments, window, table, direction)
 
 
 @functools.lru_cache(maxsize=None)
@@ -312,43 +322,28 @@ def grid_search(
     direction: Direction,
     x_values=range(0, 11),
     y_values=range(0, 11),
-) -> tuple[WindowSpec, list[GridCell]]:
-    """Train one model per (x, y) cell and pick the best validation F1;
-    ties go to the smallest x+y, then the smallest x."""
-    train_alignments, train_failures = align_corpus(train_part.oriented(direction), table)
-    if not train_alignments:
-        raise AllPairsUnalignableError("no training pair could be aligned")
-    if train_failures:
-        log.warning("grid search: %d training pairs not alignable", len(train_failures))
+) -> tuple[TranslitModel, list[GridCell]]:
+    """Train one model per (x, y) cell; return the model of the cell with
+    the best validation F1 (ties go to the smallest x+y, then the
+    smallest x) and every cell's score."""
+    train_alignments = _align_training(train_part, table, direction)
     val_alignments, val_failures = align_corpus(
         validation_part.oriented(direction), table
     )
     val_unalignable = [(f.source, f.target) for f in val_failures]
-    fingerprint = table.fingerprint()
 
     cells: list[GridCell] = []
-    best: GridCell | None = None
+    best_key = best_model = None
     for x in x_values:
         for y in y_values:
-            window = WindowSpec(x=x, y=y)
-            samples = _samples_from_alignments(train_alignments, window)
-            model = dtree.train(
-                samples, window, direction=direction, table_fingerprint=fingerprint
-            )
+            model = _train_window(train_alignments, WindowSpec(x, y), table, direction)
             report = _report_from_alignments(model, val_alignments, val_unalignable)
-            cell = GridCell(x=x, y=y, validation_f1=report.char_f1)
-            cells.append(cell)
-            if (
-                best is None
-                or cell.validation_f1 > best.validation_f1
-                or (
-                    cell.validation_f1 == best.validation_f1
-                    and (cell.x + cell.y, cell.x) < (best.x + best.y, best.x)
-                )
-            ):
-                best = cell
-    assert best is not None
-    return WindowSpec(x=best.x, y=best.y), cells
+            cells.append(GridCell(x=x, y=y, validation_f1=report.char_f1))
+            key = (-report.char_f1, x + y, x)
+            if best_model is None or key < best_key:
+                best_key, best_model = key, model
+    assert best_model is not None
+    return best_model, cells
 
 
 def format_grid_tsv(cells) -> str:

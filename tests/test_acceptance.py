@@ -148,7 +148,7 @@ def test_criterion_5_generalization_at_desk_scale(synthetic_5000):
         750,
         750,
     )
-    best, cells = grid_search(
+    model, cells = grid_search(
         train_part,
         val_part,
         CYR2LAT_TABLE,
@@ -160,7 +160,7 @@ def test_criterion_5_generalization_at_desk_scale(synthetic_5000):
     best_f1 = max(c.validation_f1 for c in cells)
     assert best_f1 >= 0.999, f"best validation F1 {best_f1}"
 
-    model = train_direction(train_part, best, CYR2LAT_TABLE, CYR2LAT)
+    best = model.window
     test_report = _eval(model, test_part, CYR2LAT_TABLE)
     assert abs(test_report.char_f1 - best_f1) <= 0.002, (
         f"test F1 {test_report.char_f1} vs validation {best_f1}"

@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uztranslit.alphabets import CYR2LAT, LAT2CYR, MappingTable
 from uztranslit.aligner import (
     AlignedPair,
     AlignmentFailure,
@@ -65,7 +64,7 @@ def test_empty_source_rejected(cyr2lat_table):
 
 def test_aligned_pair_length_invariant():
     with pytest.raises(ValueError):
-        AlignedPair(("а",), ("a", "b"), CYR2LAT)
+        AlignedPair(("а",), ("a", "b"))
 
 
 def test_align_corpus_mixed(cyr2lat_table):

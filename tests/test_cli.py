@@ -59,6 +59,16 @@ def test_out_of_range_feature_index_is_data_error(tmp_path, trained_model, capsy
         )
 
 
+def test_float_window_bound_is_data_error(tmp_path, trained_model, capsys):
+    obj = json.loads(trained_model.read_bytes())
+    obj["window"]["x"] = float(obj["window"]["x"])
+    broken = tmp_path / "float-x.json"
+    broken.write_text(json.dumps(obj, ensure_ascii=False), encoding="utf-8")
+    code = main(["transliterate", "--model", str(broken), "--word", "цирк"])
+    assert code == 2
+    assert "window bounds are not ints" in capsys.readouterr().err
+
+
 def test_deeply_nested_model_is_data_error(tmp_path, capsys):
     depth = 200_000
     broken = tmp_path / "deep.json"
@@ -214,7 +224,7 @@ def test_discover_empty_on_bundled_lexicon(tmp_path, lexicon_path, capsys):
     assert out.read_text(encoding="utf-8") == ""
 
 
-def test_grid_search_small(tmp_path):
+def test_grid_search_small(tmp_path, capsys):
     corpus_path = tmp_path / "c.tsv"
     assert main(["gen-corpus", "--size", "220", "--seed", "5", "--out", str(corpus_path)]) == 0
     grid = tmp_path / "grid.tsv"
@@ -231,6 +241,8 @@ def test_grid_search_small(tmp_path):
     assert model.exists()
     loaded = dtree.load_model(model)
     assert loaded.direction == ("cyrillic", "latin")
+    x, y = loaded.window.x, loaded.window.y
+    assert f"best window: x={x} y={y} " in capsys.readouterr().err
 
 
 def test_no_stray_temp_files(tmp_path, lexicon_path):

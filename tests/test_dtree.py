@@ -280,7 +280,7 @@ def test_structural_corruption_rejected():
 def test_save_load_model(tmp_path, cyr2lat_table):
     model = train(table7_samples(cyr2lat_table), WindowSpec(2, 1))
     path = tmp_path / "m.json"
-    dtree.save_model(model, path)
+    path.write_bytes(serialize(model))
     clone = dtree.load_model(path)
     assert serialize(clone) == serialize(model)
 
@@ -290,39 +290,52 @@ _SPLIT = [0, "x", 1, 2]
 
 
 @pytest.mark.parametrize(
-    "nodes",
-    [pytest.param([[f, "x", 1, 2], *_LEAVES], id=str(f)) for f in (True, "0", 1.5, 2, -1)]
+    ("field", "value"),
+    [
+        pytest.param("nodes", [[f, "x", 1, 2], *_LEAVES], id=str(f))
+        for f in (True, "0", 1.5, 2, -1)
+    ]
     + [
-        pytest.param([], id="no-nodes"),
-        pytest.param({"0": _LEAVES[0]}, id="nodes-not-list"),
-        pytest.param(["a", *_LEAVES], id="node-not-list"),
-        pytest.param([[0, "x", 1], *_LEAVES], id="node-of-3"),
-        pytest.param([[0, "x", 1, 2, 2], *_LEAVES], id="node-of-5"),
-        pytest.param([[0, 7, 1, 2], *_LEAVES], id="symbol-not-str"),
-        pytest.param([[0, "x", "leaf", 2], *_LEAVES], id="child-str"),
-        pytest.param([[0, "x", 1.0, 2], *_LEAVES], id="child-float"),
-        pytest.param([[0, "x", True, 2], *_LEAVES], id="child-bool"),
-        pytest.param([[0, "x", 0, 2], *_LEAVES], id="child-self"),
-        pytest.param([[0, "x", 1, 3], *_LEAVES], id="child-past-end"),
-        pytest.param([_SPLIT, [0, "x", 0, 2], _LEAVES[1]], id="child-backward"),
-        pytest.param([_SPLIT, [1, {"a": 1}], _LEAVES[1]], id="label-not-str"),
-        pytest.param([_SPLIT, ["a", {}], _LEAVES[1]], id="counts-empty"),
-        pytest.param([_SPLIT, ["a", [["a", 1]]], _LEAVES[1]], id="counts-not-map"),
-        pytest.param([_SPLIT, ["a", {"a": 0}], _LEAVES[1]], id="count-zero"),
-        pytest.param([_SPLIT, ["a", {"a": -1}], _LEAVES[1]], id="count-negative"),
-        pytest.param([_SPLIT, ["a", {"a": True}], _LEAVES[1]], id="count-bool"),
-        pytest.param([_SPLIT, ["a", {"a": 1.0}], _LEAVES[1]], id="count-float"),
+        pytest.param("nodes", [], id="no-nodes"),
+        pytest.param("nodes", {"0": _LEAVES[0]}, id="nodes-not-list"),
+        pytest.param("nodes", ["a", *_LEAVES], id="node-not-list"),
+        pytest.param("nodes", [[0, "x", 1], *_LEAVES], id="node-of-3"),
+        pytest.param("nodes", [[0, "x", 1, 2, 2], *_LEAVES], id="node-of-5"),
+        pytest.param("nodes", [[0, 7, 1, 2], *_LEAVES], id="symbol-not-str"),
+        pytest.param("nodes", [[0, "x", "leaf", 2], *_LEAVES], id="child-str"),
+        pytest.param("nodes", [[0, "x", 1.0, 2], *_LEAVES], id="child-float"),
+        pytest.param("nodes", [[0, "x", True, 2], *_LEAVES], id="child-bool"),
+        pytest.param("nodes", [[0, "x", 0, 2], *_LEAVES], id="child-self"),
+        pytest.param("nodes", [[0, "x", 1, 3], *_LEAVES], id="child-past-end"),
+        pytest.param("nodes", [_SPLIT, [0, "x", 0, 2], _LEAVES[1]], id="child-backward"),
+        pytest.param("nodes", [_SPLIT, [1, {"a": 1}], _LEAVES[1]], id="label-not-str"),
+        pytest.param("nodes", [_SPLIT, ["a", {}], _LEAVES[1]], id="counts-empty"),
+        pytest.param("nodes", [_SPLIT, ["a", [["a", 1]]], _LEAVES[1]], id="counts-not-map"),
+        pytest.param("nodes", [_SPLIT, ["a", {"a": 0}], _LEAVES[1]], id="count-zero"),
+        pytest.param("nodes", [_SPLIT, ["a", {"a": -1}], _LEAVES[1]], id="count-negative"),
+        pytest.param("nodes", [_SPLIT, ["a", {"a": True}], _LEAVES[1]], id="count-bool"),
+        pytest.param("nodes", [_SPLIT, ["a", {"a": 1.0}], _LEAVES[1]], id="count-float"),
+        pytest.param("window", {"x": 1.0, "y": 0}, id="x-float"),
+        pytest.param("window", {"x": True, "y": 0}, id="x-bool"),
+        pytest.param("window", {"x": 1, "y": 0.0}, id="y-float"),
+        pytest.param("window", {"x": 1, "y": "0"}, id="y-str"),
+        pytest.param("direction", "ab", id="direction-str"),
+        pytest.param("direction", ["a", "b", "c"], id="direction-of-3"),
+        pytest.param("direction", ["a", 2], id="direction-not-str"),
     ],
 )
-def test_bad_feature_index_rejected(nodes):
-    """Bad feature indices, and every other malformed node list."""
+def test_bad_feature_index_rejected(field, value):
+    """Bad feature indices, every other malformed node list, and
+    malformed windows and directions."""
     obj = {
         "format_version": 2,
         "direction": ["a", "b"],
         "window": {"x": 1, "y": 0},
         "table_fingerprint": "",
-        "nodes": nodes,
+        "nodes": [_SPLIT, *_LEAVES],
     }
+    assert deserialize(json.dumps(obj).encode("utf-8")).nodes == obj["nodes"]
+    obj[field] = value
     with pytest.raises(ModelFormatError):
         deserialize(json.dumps(obj).encode("utf-8"))
 

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from uztranslit.aligner import AlignedPair, align_word
-from uztranslit.alphabets import CYR2LAT
 from uztranslit.featurizer import (
     PAD,
     Sample,
@@ -35,13 +34,13 @@ def test_table7_reproduced_exactly(cyr2lat_table):
 
 
 def test_single_letter_word_padded_both_sides():
-    pair = AlignedPair(("а",), ("a",), CYR2LAT)
+    pair = AlignedPair(("а",), ("a",))
     samples = extract_samples(pair, WindowSpec(x=2, y=1))
     assert samples == [Sample((PAD, PAD, "а", PAD), "a")]
 
 
 def test_degenerate_window_is_focus_only():
-    pair = AlignedPair(tuple("бола"), ("b", "o", "l", "a"), CYR2LAT)
+    pair = AlignedPair(tuple("бола"), ("b", "o", "l", "a"))
     samples = extract_samples(pair, WindowSpec(x=0, y=0))
     assert [s.features for s in samples] == [("б",), ("о",), ("л",), ("а",)]
 
@@ -57,7 +56,7 @@ def test_sample_count_equals_char_count(cyr2lat_table):
 
 
 def test_pad_never_interior():
-    pair = AlignedPair(tuple("бола"), ("b", "o", "l", "a"), CYR2LAT)
+    pair = AlignedPair(tuple("бола"), ("b", "o", "l", "a"))
     for sample in extract_samples(pair, WindowSpec(3, 3)):
         feats = sample.features
         left = feats[:3]
@@ -75,7 +74,7 @@ def test_pad_never_interior():
 def test_extracted_windows_equal_window_features(word, x, y):
     chars = tuple(word)
     window = WindowSpec(x, y)
-    samples = extract_samples(AlignedPair(chars, chars, CYR2LAT), window)
+    samples = extract_samples(AlignedPair(chars, chars), window)
     assert [s.features for s in samples] == [
         window_features(chars, i, window) for i in range(len(chars))
     ]

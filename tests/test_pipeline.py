@@ -208,11 +208,13 @@ def test_micro_identity_property(seed, x, y, cyr2lat_table):
 def test_grid_search_single_cell(synthetic_small, cyr2lat_table):
     config = SplitConfig(0.7, 0.15, 0.15, seed=1)
     train_part, val_part, _ = split_corpus(synthetic_small, config)
-    best, cells = grid_search(
+    model, cells = grid_search(
         train_part, val_part, cyr2lat_table, CYR2LAT, x_values=[2], y_values=[3]
     )
-    assert best == WindowSpec(2, 3)
+    assert model.window == WindowSpec(2, 3)
     assert len(cells) == 1
+    retrained = train_direction(train_part, model.window, cyr2lat_table, CYR2LAT)
+    assert dtree.serialize(model) == dtree.serialize(retrained)
 
 
 def test_grid_search_tiebreak_prefers_smallest_window(cyr2lat_table):
@@ -221,23 +223,26 @@ def test_grid_search_tiebreak_prefers_smallest_window(cyr2lat_table):
              ("гул", "gul"), ("зар", "zar"), ("мард", "mard"), ("дон", "don")]
     train_part = Corpus(pairs)
     val_part = Corpus(pairs[:4])
-    best, cells = grid_search(
+    model, cells = grid_search(
         train_part, val_part, cyr2lat_table, CYR2LAT,
         x_values=range(0, 3), y_values=range(0, 3),
     )
-    assert best == WindowSpec(0, 0)
+    assert model.window == WindowSpec(0, 0)
     assert all(c.validation_f1 <= 1.0 for c in cells)
 
 
 def test_grid_search_dominance(synthetic_small, cyr2lat_table):
     config = SplitConfig(0.7, 0.15, 0.15, seed=5)
     train_part, val_part, _ = split_corpus(synthetic_small, config)
-    best, cells = grid_search(
+    model, cells = grid_search(
         train_part, val_part, cyr2lat_table, CYR2LAT,
         x_values=range(0, 3), y_values=range(0, 3),
     )
+    best = model.window
     best_cell = [c for c in cells if (c.x, c.y) == (best.x, best.y)][0]
     assert all(best_cell.validation_f1 >= c.validation_f1 for c in cells)
+    retrained = train_direction(train_part, best, cyr2lat_table, CYR2LAT)
+    assert dtree.serialize(model) == dtree.serialize(retrained)
 
 
 def test_round_trip_synthetic(cyr2lat_table, lat2cyr_table, synthetic_small):
