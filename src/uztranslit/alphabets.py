@@ -1,10 +1,14 @@
-"""Alphabet definitions, Unicode normalization, and character mapping tables.
+"""Alphabets, Unicode normalization, and character mapping tables.
 
 The toolkit converts between the two scripts of Uzbek: Cyrillic
 (35 letters) and Latin (30 letters, counting the digraphs o', g', sh,
 ch, ng and the apostrophe). A MappingTable lists, for every single
 source-script character, the candidate target strings it may align
 with, including the empty string (written ``∅`` in table files).
+
+The keys of the bundled table are the only alphabet: 36 Cyrillic code
+points (35 letters and the hyphen) and 27 Latin ones (25 letters, the
+apostrophe and the hyphen; digraphs are spelled with these).
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ LAT2CYR: Direction = (LATIN, CYRILLIC)
 
 
 class TableParseError(ValueError):
-    """Raised when a mapping-table or script-spec file is malformed."""
+    """Raised when a mapping-table file is malformed."""
 
     def __init__(self, path, line_no: int, message: str):
         super().__init__(f"{path}:{line_no}: {message}")
@@ -50,26 +54,6 @@ def normalize_word(word: str, fold_case: bool = True) -> str:
     if fold_case:
         out = out.lower()
     return unicodedata.normalize("NFC", out)
-
-
-@dataclass(frozen=True)
-class ScriptSpec:
-    """An alphabet: ordered lowercase letters (1 or 2 code points each)."""
-
-    name: str
-    letters: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(set(self.letters)) != len(self.letters):
-            raise ValueError(f"duplicate letters in script {self.name!r}")
-        for letter in self.letters:
-            if not 1 <= len(letter) <= 2:
-                raise ValueError(f"letter {letter!r} must be 1 or 2 code points")
-
-    @property
-    def code_points(self) -> frozenset[str]:
-        """Single code points occurring in any letter (digraphs contribute both)."""
-        return frozenset(ch for letter in self.letters for ch in letter)
 
 
 def _canonical_candidates(candidates: Iterable[str]) -> tuple[str, ...]:
@@ -126,12 +110,12 @@ def _guess_direction(keys: Iterable[str]) -> Direction:
     return LAT2CYR
 
 
-def load_mapping_table(path, direction: Direction | None = None) -> MappingTable:
+def load_mapping_table(path) -> MappingTable:
     """Parse a mapping-table file.
 
     One entry per line: ``<source-char><TAB><candidate>{,<candidate>}``,
-    ``∅`` denoting the empty string, ``#`` starting a comment. When
-    ``direction`` is omitted it is inferred from the script of the keys.
+    ``∅`` denoting the empty string, ``#`` starting a comment. The
+    direction is inferred from the script of the keys.
     """
     entries: dict[str, tuple[str, ...]] = {}
     with open(path, encoding="utf-8") as handle:
@@ -159,44 +143,29 @@ def load_mapping_table(path, direction: Direction | None = None) -> MappingTable
             entries[key] = tuple(candidates)
     if not entries:
         raise TableParseError(path, 0, "table file has no entries")
-    if direction is None:
-        direction = _guess_direction(entries)
-    return MappingTable(direction=direction, entries=entries)
-
-
-def load_script_spec(path, name: str) -> ScriptSpec:
-    """Parse a script-spec file: one letter per line, ``upper<TAB>lower``.
-    Only the lowercase column is kept; words are lowercased before use."""
-    letters = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            if "\t" not in line:
-                raise TableParseError(path, line_no, "expected <upper><TAB><lower>")
-            letters.append(line.partition("\t")[2])
-    return ScriptSpec(name=name, letters=tuple(letters))
+    return MappingTable(direction=_guess_direction(entries), entries=entries)
 
 
 def _data_path(filename: str):
     return resources.files(__package__).joinpath("data", filename)
 
 
-def bundled_script_spec(script: str) -> ScriptSpec:
-    if script == CYRILLIC:
-        return load_script_spec(_data_path("cyrillic.tsv"), CYRILLIC)
-    if script == LATIN:
-        return load_script_spec(_data_path("latin.tsv"), LATIN)
-    raise ValueError(f"unknown script {script!r}")
-
-
 def bundled_mapping_table(direction: Direction) -> MappingTable:
     if direction == CYR2LAT:
-        return load_mapping_table(_data_path("cyr2lat.tsv"), CYR2LAT)
+        return load_mapping_table(_data_path("cyr2lat.tsv"))
     if direction == LAT2CYR:
-        return load_mapping_table(_data_path("lat2cyr.tsv"), LAT2CYR)
+        return load_mapping_table(_data_path("lat2cyr.tsv"))
     raise ValueError(f"unknown direction {direction!r}")
+
+
+def bundled_script_spec(script: str) -> frozenset[str]:
+    """The alphabet of ``script``: the source characters of the bundled
+    table that maps from it. A model transliterates these characters and
+    passes every other character through."""
+    for direction in (CYR2LAT, LAT2CYR):
+        if direction[0] == script:
+            return frozenset(bundled_mapping_table(direction).entries)
+    raise ValueError(f"unknown script {script!r}")
 
 
 def parse_direction(text: str) -> Direction:

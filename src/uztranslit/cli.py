@@ -50,8 +50,12 @@ class _Parser(argparse.ArgumentParser):
 def atomic_write(path, data) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     mode = "wb" if isinstance(data, bytes) else "w"
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-translit-")
     try:
+        # mkstemp creates the file 0600; give it the mode open(path, "w") would
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, mode, encoding=None if isinstance(data, bytes) else "utf-8") as handle:
             handle.write(data)
         os.replace(tmp_path, path)
@@ -191,6 +195,10 @@ def cmd_grid_search(args) -> int:
         config = SplitConfig(*fractions, seed=args.seed)
         WindowSpec(x=args.x_min, y=args.y_min)
         WindowSpec(x=args.x_max, y=args.y_max)
+        if args.x_min > args.x_max or args.y_min > args.y_max:
+            raise ValueError(
+                f"empty window range: x {args.x_min}..{args.x_max}, y {args.y_min}..{args.y_max}"
+            )
     except ValueError as err:
         raise UsageError(str(err))
     table = _load_table(args, direction)

@@ -46,7 +46,7 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .alphabets import Direction
+from .alphabets import CYR2LAT, LAT2CYR, Direction
 from .featurizer import Sample, WindowSpec
 
 FORMAT_VERSION = 2
@@ -372,12 +372,10 @@ def deserialize(data: bytes) -> TranslitModel:
     if type(x) is not int or type(y) is not int:
         raise ModelFormatError(f"window bounds are not ints: x={x!r}, y={y!r}")
     window = WindowSpec(x=x, y=y)
-    if not isinstance(fingerprint, str) or not (
-        isinstance(direction, list)
-        and len(direction) == 2
-        and all(isinstance(d, str) for d in direction)
-    ):
-        raise ModelFormatError("malformed direction or fingerprint")
+    if direction not in ([*CYR2LAT], [*LAT2CYR]):
+        raise ModelFormatError(f"direction {direction!r} is neither cyr2lat nor lat2cyr")
+    if not isinstance(fingerprint, str):
+        raise ModelFormatError("table fingerprint is not a string")
     _check_nodes(nodes, window.width)
     return TranslitModel(
         nodes=nodes,

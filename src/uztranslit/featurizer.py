@@ -5,9 +5,12 @@ the character itself, and the y characters after it, padded with a
 sentinel where the word runs out. The label is the aligned target
 segment, possibly the empty string (a deletion).
 
+Training and reading build windows the same way: ``window_features``
+pads the word once and slices one window per character.
+
 The padding sentinel is deliberately not "∅": the empty-string class
 and out-of-word padding are different roles and must stay distinct in
-the feature space. PAD renders as ∅ only in debug dumps.
+the feature space.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ from typing import NamedTuple
 from .aligner import AlignedPair
 
 PAD = "∅-PAD"
-
-_DISPLAY_EMPTY = "∅"
 
 
 @dataclass(frozen=True)
@@ -44,26 +45,17 @@ class Sample(NamedTuple):
     label: str
 
 
-def window_features(chars, index: int, window: WindowSpec) -> tuple[str, ...]:
-    """The window around ``chars[index]``, PAD where the word is exhausted.
-    ``index`` must be a position of ``chars``."""
-    lo = index - window.x
-    hi = index + window.y + 1
-    right_pad = (PAD,) * (hi - len(chars))  # empty unless the word ends before hi
-    if lo < 0:
-        return (PAD,) * -lo + tuple(chars[:hi]) + right_pad
-    return tuple(chars[lo:hi]) + right_pad
+def window_features(chars, window: WindowSpec) -> list[tuple[str, ...]]:
+    """The window of every character of ``chars``, in order: the word is
+    padded once and each window is a slice of it."""
+    padded = (PAD,) * window.x + tuple(chars) + (PAD,) * window.y
+    width = window.width
+    return [padded[i : i + width] for i in range(len(chars))]
 
 
 def extract_samples(pair: AlignedPair, window: WindowSpec) -> list[Sample]:
-    """One sample per source character, in word order: the word is padded
-    once and each window is a slice of it, equal to ``window_features``."""
-    padded = (PAD,) * window.x + tuple(pair.source_chars) + (PAD,) * window.y
-    width = window.width
-    return [
-        Sample(padded[i : i + width], label)
-        for i, label in enumerate(pair.target_segments)
-    ]
+    """One sample per source character, in word order."""
+    return list(map(Sample, window_features(pair.source_chars, window), pair.target_segments))
 
 
 def dedup_samples(samples) -> list[Sample]:
@@ -73,14 +65,3 @@ def dedup_samples(samples) -> list[Sample]:
     silently dropping one side would bias the classifier.
     """
     return list(dict.fromkeys(samples))
-
-
-def dump_samples_tsv(samples) -> str:
-    """Debug dump: features joined by ``|``, TAB, label; ∅ for PAD and
-    for the empty label."""
-    lines = []
-    for sample in samples:
-        feats = "|".join(_DISPLAY_EMPTY if f == PAD else f for f in sample.features)
-        label = sample.label if sample.label else _DISPLAY_EMPTY
-        lines.append(f"{feats}\t{label}\n")
-    return "".join(lines)

@@ -7,6 +7,11 @@ decision, so summed TP/FP/FN give precision = recall = F1 exactly.
 Word pairs the table cannot align are not dropped from evaluation; they
 count as whole-word errors with every character wrong, because dropping
 them would inflate scores invisibly.
+
+Transliteration classifies each character that has a row in the bundled
+mapping table, from the same windows training extracts, and passes
+every other character through unchanged. A training table may add
+candidates to those rows but no new source characters.
 """
 
 from __future__ import annotations
@@ -194,8 +199,16 @@ def split_corpus(corpus: Corpus, config: SplitConfig) -> tuple[Corpus, Corpus, C
 
 
 def _align_training(train_part: Corpus, table: MappingTable, direction: Direction):
-    """Align the training part. Unalignable pairs are logged and left
-    out; a part with no alignable pair at all is an error."""
+    """Align the training part. A table with source characters outside
+    the bundled alphabet is an error: the read path would pass them
+    through untransliterated. Unalignable pairs are logged and left out;
+    a part with no alignable pair at all is an error."""
+    extra = set(table.entries) - _source_code_points(direction)
+    if extra:
+        raise ValueError(
+            f"mapping table has source characters outside the bundled {direction[0]}"
+            f" alphabet, which transliteration would pass through: {', '.join(sorted(extra))}"
+        )
     alignments, failures = align_corpus(train_part.oriented(direction), table)
     if failures:
         log.warning(
@@ -239,23 +252,17 @@ def train_direction(
 
 @functools.lru_cache(maxsize=None)
 def _source_code_points(direction: Direction) -> frozenset[str]:
-    # Hyphen is classified (it has table rows); everything else outside
-    # the source alphabet passes through.
-    return bundled_script_spec(direction[0]).code_points | {"-"}
+    return bundled_script_spec(direction[0])
 
 
 def predict_segments(model: TranslitModel, word: str) -> list[str]:
-    """Per-character predicted target segments; characters outside the
-    source alphabet contribute themselves unchanged."""
-    chars = tuple(word)
+    """Per-character predicted target segments; characters without a row
+    in the bundled table contribute themselves unchanged."""
     alphabet = _source_code_points(model.direction)
-    out = []
-    for i, ch in enumerate(chars):
-        if ch in alphabet:
-            out.append(predict(model, window_features(chars, i, model.window)))
-        else:
-            out.append(ch)
-    return out
+    return [
+        predict(model, features) if ch in alphabet else ch
+        for ch, features in zip(word, window_features(word, model.window))
+    ]
 
 
 def transliterate_word(model: TranslitModel, word: str) -> str:
@@ -325,7 +332,10 @@ def grid_search(
 ) -> tuple[TranslitModel, list[GridCell]]:
     """Train one model per (x, y) cell; return the model of the cell with
     the best validation F1 (ties go to the smallest x+y, then the
-    smallest x) and every cell's score."""
+    smallest x) and every cell's score. An empty grid is a ValueError."""
+    grid = [(x, y) for x in x_values for y in y_values]
+    if not grid:
+        raise ValueError("the window grid is empty")
     train_alignments = _align_training(train_part, table, direction)
     val_alignments, val_failures = align_corpus(
         validation_part.oriented(direction), table
@@ -334,15 +344,13 @@ def grid_search(
 
     cells: list[GridCell] = []
     best_key = best_model = None
-    for x in x_values:
-        for y in y_values:
-            model = _train_window(train_alignments, WindowSpec(x, y), table, direction)
-            report = _report_from_alignments(model, val_alignments, val_unalignable)
-            cells.append(GridCell(x=x, y=y, validation_f1=report.char_f1))
-            key = (-report.char_f1, x + y, x)
-            if best_model is None or key < best_key:
-                best_key, best_model = key, model
-    assert best_model is not None
+    for x, y in grid:
+        model = _train_window(train_alignments, WindowSpec(x, y), table, direction)
+        report = _report_from_alignments(model, val_alignments, val_unalignable)
+        cells.append(GridCell(x=x, y=y, validation_f1=report.char_f1))
+        key = (-report.char_f1, x + y, x)
+        if best_model is None or key < best_key:
+            best_key, best_model = key, model
     return best_model, cells
 
 

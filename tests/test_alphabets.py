@@ -5,13 +5,17 @@ from uztranslit import alphabets
 from uztranslit.aligner import align_corpus
 from uztranslit.alphabets import (
     CYR2LAT,
+    CYRILLIC,
     LAT2CYR,
+    LATIN,
     MappingTable,
     TableParseError,
     bundled_script_spec,
     load_mapping_table,
     normalize_word,
 )
+from uztranslit.featurizer import WindowSpec
+from uztranslit.pipeline import predict_segments, train_direction
 
 
 @pytest.mark.parametrize(
@@ -38,18 +42,22 @@ def test_normalize_idempotent(word):
     assert normalize_word(once) == once
 
 
-def test_bundled_alphabet_sizes():
-    cyr = bundled_script_spec("cyrillic")
-    lat = bundled_script_spec("latin")
-    assert len(cyr.letters) == 35
-    assert len(lat.letters) == 30
-    assert "қ" in cyr.letters and "ҳ" in cyr.letters
-    assert "o'" in lat.letters and "ng" in lat.letters and "'" in lat.letters
-
-
-def test_duplicate_letter_rejected():
-    with pytest.raises(ValueError, match="duplicate"):
-        alphabets.ScriptSpec("x", ("а", "а"))
+def test_bundled_alphabet_sizes(lexicon, cyr2lat_table, lat2cyr_table):
+    """The alphabet is the bundled table's keys; a model classifies those
+    and passes every other character through."""
+    for script, table, size, outside in (
+        (CYRILLIC, cyr2lat_table, 36, "Бwѣ§1 "),
+        (LATIN, lat2cyr_table, 27, "Bwш§1 "),
+    ):
+        alphabet = bundled_script_spec(script)
+        assert alphabet == frozenset(table.entries)
+        assert len(alphabet) == size and "-" in alphabet
+        model = train_direction(lexicon, WindowSpec(0, 0), table, table.direction)
+        letters = sorted(alphabet - {"-", "'"})
+        segments = predict_segments(model, "".join(letters) + outside)
+        # every letter becomes the other script (or nothing), never itself
+        assert all(seg != ch for ch, seg in zip(letters, segments))
+        assert segments[len(letters) :] == list(outside)
 
 
 def test_load_table_rows(tmp_path, cyr2lat_table):
@@ -105,7 +113,8 @@ def test_bundled_tables_roundtrip_format(tmp_path, cyr2lat_table, lat2cyr_table)
     for table in (cyr2lat_table, lat2cyr_table):
         path = tmp_path / "dump.tsv"
         path.write_text(table.format(), encoding="utf-8")
-        again = load_mapping_table(path, table.direction)
+        again = load_mapping_table(path)
+        assert again.direction == table.direction
         assert again.entries == table.entries
         assert again.fingerprint() == table.fingerprint()
 

@@ -1,9 +1,10 @@
 import json
 import os
+import stat
 
 import pytest
 
-from uztranslit import dtree
+from uztranslit import dtree, pipeline
 from uztranslit.alphabets import _data_path
 from uztranslit.cli import main
 
@@ -67,6 +68,18 @@ def test_float_window_bound_is_data_error(tmp_path, trained_model, capsys):
     code = main(["transliterate", "--model", str(broken), "--word", "цирк"])
     assert code == 2
     assert "window bounds are not ints" in capsys.readouterr().err
+
+
+def test_unknown_model_direction_is_data_error(tmp_path, trained_model, capsys):
+    obj = json.loads(trained_model.read_bytes())
+    obj["direction"] = ["latin", "latin"]
+    broken = tmp_path / "latin-latin.json"
+    broken.write_text(json.dumps(obj, ensure_ascii=False), encoding="utf-8")
+    code = main(["transliterate", "--model", str(broken), "--word", "abc"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "neither cyr2lat nor lat2cyr" in captured.err
 
 
 def test_deeply_nested_model_is_data_error(tmp_path, capsys):
@@ -215,6 +228,46 @@ def test_evaluate_warns_on_table_drift(tmp_path, trained_model, lexicon_path, ca
     assert "warning: the mapping table differs" in capsys.readouterr().err
 
 
+def _lat2cyr_table(tmp_path, old_row, new_row):
+    text = _data_path("lat2cyr.tsv").read_text(encoding="utf-8")
+    assert old_row in text
+    table = tmp_path / "lat2cyr.tsv"
+    table.write_text(text.replace(old_row, new_row), encoding="utf-8")
+    return str(table)
+
+
+_W_CORPUS = "вена\twena\nбола\tbola\nнон\tnon\nтил\ttil\n" * 2
+
+
+@pytest.mark.parametrize("subcommand", ["train", "grid-search"])
+def test_table_with_extra_source_character_is_data_error(tmp_path, capsys, subcommand):
+    # "w" has no row in the bundled table, so a model would pass it through
+    table = _lat2cyr_table(tmp_path, "x\tх\n", "x\tх\nw\tв\n")
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text(_W_CORPUS, encoding="utf-8")
+    out = tmp_path / "out"
+    args = {
+        "train": ["train", "--out", str(out)],
+        "grid-search": ["grid-search", "--x-max", "1", "--y-max", "1", "--out", str(out)],
+    }[subcommand]
+    code = main(args + ["--dir", "lat2cyr", "--corpus", str(corpus), "--table", table])
+    assert code == 2
+    assert "bundled latin alphabet" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_table_with_extra_candidate_trains(tmp_path, capsys):
+    table = _lat2cyr_table(tmp_path, "b\tб\n", "b\tб,п\n")
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text(_W_CORPUS.replace("в", "б").replace("w", "b"), encoding="utf-8")
+    model = tmp_path / "m.json"
+    code = main(["train", "--dir", "lat2cyr", "-x", "1", "-y", "1", "--corpus", str(corpus),
+                 "--table", table, "--out", str(model)])
+    assert code == 0
+    assert main(["transliterate", "--model", str(model), "--word", "bena"]) == 0
+    assert capsys.readouterr().out == "бена\n"
+
+
 def test_discover_empty_on_bundled_lexicon(tmp_path, lexicon_path, capsys):
     out = tmp_path / "report.tsv"
     code = main(
@@ -243,6 +296,29 @@ def test_grid_search_small(tmp_path, capsys):
     assert loaded.direction == ("cyrillic", "latin")
     x, y = loaded.window.x, loaded.window.y
     assert f"best window: x={x} y={y} " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bounds", [["--x-min", "3", "--x-max", "1"], ["--y-min", "2", "--y-max", "0"]]
+)
+def test_empty_grid_range_is_usage_error(tmp_path, lexicon_path, monkeypatch, capsys, bounds):
+    monkeypatch.setattr(pipeline, "align_corpus", lambda *args: pytest.fail("aligned"))
+    grid = tmp_path / "grid.tsv"
+    code = main(["grid-search", "--dir", "cyr2lat", "--corpus", lexicon_path, *bounds,
+                 "--out", str(grid)])
+    assert code == 1
+    assert "empty window range" in capsys.readouterr().err
+    assert not grid.exists()
+
+
+def test_output_files_get_the_umask_mode(tmp_path):
+    old_umask = os.umask(0o022)
+    try:
+        out = tmp_path / "c.tsv"
+        assert main(["gen-corpus", "--size", "5", "--out", str(out)]) == 0
+        assert stat.S_IMODE(os.stat(out).st_mode) == 0o644
+    finally:
+        os.umask(old_umask)
 
 
 def test_no_stray_temp_files(tmp_path, lexicon_path):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from uztranslit import dtree
 from uztranslit.aligner import align_word
+from uztranslit.alphabets import CYR2LAT
 from uztranslit.dtree import (
     EmptyCountsError,
     EmptyTrainingSetError,
@@ -251,13 +252,13 @@ def test_serialized_pad_literal():
 
 
 def test_truncated_file_is_corruption(cyr2lat_table):
-    payload = serialize(train(table7_samples(cyr2lat_table), WindowSpec(2, 1)))
+    payload = serialize(train(table7_samples(cyr2lat_table), WindowSpec(2, 1), CYR2LAT))
     with pytest.raises(ModelFormatError):
         deserialize(payload[: len(payload) // 2])
 
 
 def test_future_version_rejected(cyr2lat_table):
-    payload = serialize(train(table7_samples(cyr2lat_table), WindowSpec(2, 1)))
+    payload = serialize(train(table7_samples(cyr2lat_table), WindowSpec(2, 1), CYR2LAT))
     obj = json.loads(payload)
     # version 1 stored a nested tree; such files must be retrained
     for version in (99, 1):
@@ -268,7 +269,7 @@ def test_future_version_rejected(cyr2lat_table):
 
 def test_structural_corruption_rejected():
     with pytest.raises(ModelFormatError):
-        deserialize(b'{"format_version": 2, "direction": ["a","b"], '
+        deserialize(b'{"format_version": 2, "direction": ["cyrillic","latin"], '
                     b'"window": {"x": 1, "y": 1}, "table_fingerprint": "", '
                     b'"nodes": [[0, "x", 1]]}')
     with pytest.raises(ModelFormatError):
@@ -278,7 +279,7 @@ def test_structural_corruption_rejected():
 
 
 def test_save_load_model(tmp_path, cyr2lat_table):
-    model = train(table7_samples(cyr2lat_table), WindowSpec(2, 1))
+    model = train(table7_samples(cyr2lat_table), WindowSpec(2, 1), CYR2LAT)
     path = tmp_path / "m.json"
     path.write_bytes(serialize(model))
     clone = dtree.load_model(path)
@@ -322,14 +323,16 @@ _SPLIT = [0, "x", 1, 2]
         pytest.param("direction", "ab", id="direction-str"),
         pytest.param("direction", ["a", "b", "c"], id="direction-of-3"),
         pytest.param("direction", ["a", 2], id="direction-not-str"),
+        pytest.param("direction", ["latin", "latin"], id="direction-unknown"),
+        pytest.param("direction", ["a", "b"], id="direction-not-a-script"),
     ],
 )
 def test_bad_feature_index_rejected(field, value):
     """Bad feature indices, every other malformed node list, and
-    malformed windows and directions."""
+    malformed windows and directions, from a base object that loads."""
     obj = {
         "format_version": 2,
-        "direction": ["a", "b"],
+        "direction": ["latin", "cyrillic"],
         "window": {"x": 1, "y": 0},
         "table_fingerprint": "",
         "nodes": [_SPLIT, *_LEAVES],

@@ -7,7 +7,6 @@ from uztranslit.featurizer import (
     Sample,
     WindowSpec,
     dedup_samples,
-    dump_samples_tsv,
     extract_samples,
     window_features,
 )
@@ -66,19 +65,28 @@ def test_pad_never_interior():
         assert list(right) == sorted(right, key=lambda s: s == PAD)
 
 
+def _window_at(chars, index, window):
+    """Per-index oracle: the characters from index - x to index + y, PAD
+    wherever that range leaves the word."""
+    return tuple(
+        chars[j] if 0 <= j < len(chars) else PAD
+        for j in range(index - window.x, index + window.y + 1)
+    )
+
+
 @given(
-    word=st.text(alphabet="абв", min_size=1, max_size=8),
+    word=st.text(alphabet="абв", max_size=8),
     x=st.integers(0, 10),
     y=st.integers(0, 10),
 )
 def test_extracted_windows_equal_window_features(word, x, y):
-    chars = tuple(word)
     window = WindowSpec(x, y)
-    samples = extract_samples(AlignedPair(chars, chars), window)
-    assert [s.features for s in samples] == [
-        window_features(chars, i, window) for i in range(len(chars))
-    ]
-    assert [s.label for s in samples] == list(chars)
+    expected = [_window_at(word, i, window) for i in range(len(word))]
+    assert window_features(word, window) == expected  # a str, as the read path passes
+    assert window_features(tuple(word), window) == expected
+    labels = tuple(str(i) for i in range(len(word)))
+    samples = extract_samples(AlignedPair(tuple(word), labels), window)
+    assert samples == [Sample(f, label) for f, label in zip(expected, labels)]
 
 
 def test_dedup_keeps_first_occurrence_order():
@@ -115,12 +123,6 @@ def test_dedup_idempotent(raw):
     samples = [Sample(features, label) for features, label in raw]
     once = dedup_samples(samples)
     assert dedup_samples(once) == once
-
-
-def test_dump_renders_pad_and_empty_label():
-    samples = [Sample((PAD, "а", "б"), ""), Sample(("а", "б", PAD), "ch")]
-    dump = dump_samples_tsv(samples)
-    assert dump == "∅|а|б\t∅\nа|б|∅\tch\n"
 
 
 def test_pad_distinct_from_alphabet_and_empty():

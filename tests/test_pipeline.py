@@ -231,6 +231,12 @@ def test_grid_search_tiebreak_prefers_smallest_window(cyr2lat_table):
     assert all(c.validation_f1 <= 1.0 for c in cells)
 
 
+def test_grid_search_empty_grid_rejected(cyr2lat_table):
+    pairs = Corpus([("бола", "bola")])
+    with pytest.raises(ValueError, match="grid is empty"):
+        grid_search(pairs, pairs, cyr2lat_table, CYR2LAT, x_values=range(3, 1), y_values=[0])
+
+
 def test_grid_search_dominance(synthetic_small, cyr2lat_table):
     config = SplitConfig(0.7, 0.15, 0.15, seed=5)
     train_part, val_part, _ = split_corpus(synthetic_small, config)
