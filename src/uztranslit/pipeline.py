@@ -10,8 +10,8 @@ them would inflate scores invisibly.
 
 Transliteration classifies each character that has a row in the bundled
 mapping table, from the same windows training extracts, and passes
-every other character through unchanged. A training table may add
-candidates to those rows but no new source characters.
+every other character through unchanged. A table used to train or to
+evaluate may add candidates to those rows but no new source characters.
 """
 
 from __future__ import annotations
@@ -198,17 +198,22 @@ def split_corpus(corpus: Corpus, config: SplitConfig) -> tuple[Corpus, Corpus, C
     )
 
 
-def _align_training(train_part: Corpus, table: MappingTable, direction: Direction):
-    """Align the training part. A table with source characters outside
-    the bundled alphabet is an error: the read path would pass them
-    through untransliterated. Unalignable pairs are logged and left out;
-    a part with no alignable pair at all is an error."""
+def _check_table_alphabet(table: MappingTable, direction: Direction) -> None:
+    """A table with source characters outside the bundled alphabet is a
+    ValueError: the read path would pass them through untransliterated."""
     extra = set(table.entries) - _source_code_points(direction)
     if extra:
         raise ValueError(
             f"mapping table has source characters outside the bundled {direction[0]}"
             f" alphabet, which transliteration would pass through: {', '.join(sorted(extra))}"
         )
+
+
+def _align_training(train_part: Corpus, table: MappingTable, direction: Direction):
+    """Align the training part under a table _check_table_alphabet
+    accepts. Unalignable pairs are logged and left out; a part with no
+    alignable pair at all is an error."""
+    _check_table_alphabet(table, direction)
     alignments, failures = align_corpus(train_part.oriented(direction), table)
     if failures:
         log.warning(
@@ -315,7 +320,9 @@ def _report_from_alignments(model, alignments, unalignable) -> EvalReport:
 
 
 def evaluate(model: TranslitModel, heldout: Corpus, table: MappingTable) -> EvalReport:
-    """Character-level micro-averaged scores plus exact-word accuracy."""
+    """Character-level micro-averaged scores plus exact-word accuracy,
+    under a table _check_table_alphabet accepts."""
+    _check_table_alphabet(table, model.direction)
     oriented = heldout.oriented(model.direction)
     alignments, failures = align_corpus(oriented, table)
     unalignable = [(f.source, f.target) for f in failures]

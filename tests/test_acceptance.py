@@ -134,7 +134,7 @@ def test_criterion_4_pure_fit(lexicon, synthetic_5000):
             features = tuple(rng.choice(symbols) for _ in range(3))
             kept.setdefault(features, Sample(features, rng.choice(["", "a", "b", "ch"])))
         samples = list(kept.values())
-        model3 = train(samples, WindowSpec(1, 1))
+        model3 = train(samples, WindowSpec(1, 1), CYR2LAT)
         assert all(predict(model3, s.features) == s.label for s in samples)
     print("ACCEPTANCE 4: pure fit on conflict-free samples: PASS")
 
@@ -236,7 +236,7 @@ def test_criterion_8_gini_split_oracle():
             Sample(tuple(rng.choice(symbols) for _ in range(width)), rng.choice(labels))
             for _ in range(rng.randint(2, 50))
         ]
-        model = train(samples, WindowSpec(0, width - 1))
+        model = train(samples, WindowSpec(0, width - 1), CYR2LAT)
         oracle = _oracle_best_decrease(samples)
         nodes = model.nodes
         if len(nodes[0]) == 2:  # the root is a leaf

@@ -82,6 +82,23 @@ def test_unknown_model_direction_is_data_error(tmp_path, trained_model, capsys):
     assert "neither cyr2lat nor lat2cyr" in captured.err
 
 
+def test_model_with_shared_child_is_data_error(tmp_path, capsys):
+    # nodes 0 and 1 both point at leaf 2: a DAG, not a tree
+    nodes = [[0, "ц", 1, 2], [0, "и", 2, 3], ["s", {"s": 1}], ["i", {"i": 1}]]
+    broken = tmp_path / "shared.json"
+    broken.write_text(
+        json.dumps({"format_version": 2, "direction": ["cyrillic", "latin"],
+                    "table_fingerprint": "", "window": {"x": 0, "y": 0}, "nodes": nodes},
+                   ensure_ascii=False),
+        encoding="utf-8",
+    )
+    code = main(["transliterate", "--model", str(broken), "--word", "цирк"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "node 2 has more than one parent" in captured.err
+
+
 def test_deeply_nested_model_is_data_error(tmp_path, capsys):
     depth = 200_000
     broken = tmp_path / "deep.json"
@@ -219,11 +236,11 @@ def test_evaluate_warns_on_table_drift(tmp_path, trained_model, lexicon_path, ca
     args = ["evaluate", "--model", str(trained_model), "--corpus", lexicon_path, "--out", report]
     assert main(args) == 0
     assert "warning" not in capsys.readouterr().err
-    # the bundled table plus one row no lexicon word uses
+    # the bundled table plus one candidate no lexicon word uses
+    text = _data_path("cyr2lat.tsv").read_text(encoding="utf-8")
+    assert "ф\tf\n" in text
     table = tmp_path / "cyr2lat.tsv"
-    table.write_text(
-        _data_path("cyr2lat.tsv").read_text(encoding="utf-8") + "ѣ\te\n", encoding="utf-8"
-    )
+    table.write_text(text.replace("ф\tf\n", "ф\tf,ph\n"), encoding="utf-8")
     assert main(args + ["--table", str(table)]) == 0
     assert "warning: the mapping table differs" in capsys.readouterr().err
 
@@ -251,6 +268,21 @@ def test_table_with_extra_source_character_is_data_error(tmp_path, capsys, subco
         "grid-search": ["grid-search", "--x-max", "1", "--y-max", "1", "--out", str(out)],
     }[subcommand]
     code = main(args + ["--dir", "lat2cyr", "--corpus", str(corpus), "--table", table])
+    assert code == 2
+    assert "bundled latin alphabet" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_table_with_extra_source_character_is_data_error(tmp_path, capsys):
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text(_W_CORPUS, encoding="utf-8")
+    model = tmp_path / "m.json"
+    assert main(["train", "--dir", "lat2cyr", "-x", "1", "-y", "1",
+                 "--corpus", str(corpus), "--out", str(model)]) == 0
+    table = _lat2cyr_table(tmp_path, "x\tх\n", "x\tх\nw\tв\n")
+    out = tmp_path / "report.json"
+    code = main(["evaluate", "--model", str(model), "--corpus", str(corpus),
+                 "--table", table, "--out", str(out)])
     assert code == 2
     assert "bundled latin alphabet" in capsys.readouterr().err
     assert not out.exists()

@@ -1,13 +1,15 @@
+import itertools
 import json
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from uztranslit import dtree
 from uztranslit.aligner import align_word
-from uztranslit.alphabets import CYR2LAT
+from uztranslit.alphabets import CYR2LAT, LAT2CYR, bundled_mapping_table
 from uztranslit.dtree import (
     EmptyCountsError,
     EmptyTrainingSetError,
@@ -29,7 +31,10 @@ from uztranslit.featurizer import (
     WindowSpec,
     dedup_samples,
     extract_samples,
+    window_features,
 )
+from uztranslit.gencorpus import gen_corpus
+from uztranslit.pipeline import SplitConfig, split_corpus, train_direction
 
 
 def table7_samples(cyr2lat_table):
@@ -56,7 +61,7 @@ def test_gini_empty_counts():
 
 def test_pure_fit_on_table7(cyr2lat_table):
     samples = table7_samples(cyr2lat_table)
-    model = train(samples, WindowSpec(2, 1))
+    model = train(samples, WindowSpec(2, 1), CYR2LAT)
     for sample in samples:
         assert predict(model, sample.features) == sample.label
     # the spotlighted row: [қ, ў, з, и] -> z
@@ -64,7 +69,7 @@ def test_pure_fit_on_table7(cyr2lat_table):
 
 
 def test_single_sample_single_leaf():
-    model = train([Sample(("ф",), "b")], WindowSpec(0, 0))
+    model = train([Sample(("ф",), "b")], WindowSpec(0, 0), CYR2LAT)
     assert predict(model, ("ф",)) == "b"
     assert predict(model, ("ю",)) == "b"  # sole leaf catches everything
 
@@ -72,42 +77,42 @@ def test_single_sample_single_leaf():
 def test_unsplittable_node_majority_vote():
     f = ("х", "у")
     samples = [Sample(f, "a"), Sample(f, "a"), Sample(f, "b")]
-    model = train(samples, WindowSpec(1, 0))
+    model = train(samples, WindowSpec(1, 0), CYR2LAT)
     assert predict(model, f) == "a"
 
 
 def test_majority_tie_breaks_lexicographically():
     f = ("х",)
-    model = train([Sample(f, "b"), Sample(f, "a")], WindowSpec(0, 0))
+    model = train([Sample(f, "b"), Sample(f, "a")], WindowSpec(0, 0), CYR2LAT)
     assert predict(model, f) == "a"
 
 
 def test_empty_training_set():
     with pytest.raises(EmptyTrainingSetError):
-        train([], WindowSpec(1, 1))
+        train([], WindowSpec(1, 1), CYR2LAT)
 
 
 def test_inconsistent_width_rejected():
     samples = [Sample(("а", "б", "в"), "x"), Sample(("а", "б"), "y")]
     with pytest.raises(InconsistentFeatureWidthError):
-        train(samples, WindowSpec(1, 1))
+        train(samples, WindowSpec(1, 1), CYR2LAT)
 
 
 def test_predict_width_mismatch(cyr2lat_table):
-    model = train(table7_samples(cyr2lat_table), WindowSpec(2, 1))
+    model = train(table7_samples(cyr2lat_table), WindowSpec(2, 1), CYR2LAT)
     with pytest.raises(WidthMismatchError):
         predict(model, ("қ", "ў"))
 
 
 def test_unseen_symbols_follow_false_branch(cyr2lat_table):
-    model = train(table7_samples(cyr2lat_table), WindowSpec(2, 1))
+    model = train(table7_samples(cyr2lat_table), WindowSpec(2, 1), CYR2LAT)
     # '9' was never in training; prediction still lands on some leaf
     label = predict(model, ("9", "9", "9", "9"))
     assert isinstance(label, str)
 
 
 def test_internal_nodes_have_both_sides(cyr2lat_table):
-    model = train(table7_samples(cyr2lat_table), WindowSpec(2, 1))
+    model = train(table7_samples(cyr2lat_table), WindowSpec(2, 1), CYR2LAT)
     nodes = model.nodes
     children = []
     for i, node in enumerate(nodes):
@@ -157,7 +162,7 @@ def test_pure_fit_property(seed, n):
         kept.setdefault(s.features, s)
     samples = list(kept.values())
     assert _conflict_free(samples)
-    model = train(samples, WindowSpec(1, 1))
+    model = train(samples, WindowSpec(1, 1), CYR2LAT)
     assert all(predict(model, s.features) == s.label for s in samples)
 
 
@@ -217,7 +222,7 @@ def test_split_matches_bruteforce_oracle():
     checked = 0
     for _ in range(100):
         samples = _random_samples(rng, rng.randint(2, 50), width=rng.randint(1, 4))
-        model = train(samples, WindowSpec(0, len(samples[0].features) - 1))
+        model = train(samples, WindowSpec(0, len(samples[0].features) - 1), CYR2LAT)
         oracle = _oracle_best_decrease(samples)
         chosen = _chosen_decrease(samples, model)
         if chosen is None:
@@ -247,7 +252,7 @@ def test_serialized_pad_literal():
         Sample(("б", "а"), "y"),
         Sample(("в", "а"), "y"),
     ]
-    payload = serialize(train(samples, WindowSpec(1, 0)))
+    payload = serialize(train(samples, WindowSpec(1, 0), CYR2LAT))
     assert '[0,"∅-PAD",1,2]' in payload.decode("utf-8")
 
 
@@ -309,6 +314,9 @@ _SPLIT = [0, "x", 1, 2]
         pytest.param("nodes", [[0, "x", 0, 2], *_LEAVES], id="child-self"),
         pytest.param("nodes", [[0, "x", 1, 3], *_LEAVES], id="child-past-end"),
         pytest.param("nodes", [_SPLIT, [0, "x", 0, 2], _LEAVES[1]], id="child-backward"),
+        pytest.param("nodes", [[0, "x", 1, 1], *_LEAVES], id="child-twice"),
+        pytest.param("nodes", [[0, "x", 1, 2], [0, "y", 2, 3], *_LEAVES], id="leaf-shared"),
+        pytest.param("nodes", [_SPLIT, *_LEAVES, _LEAVES[0]], id="node-orphaned"),
         pytest.param("nodes", [_SPLIT, [1, {"a": 1}], _LEAVES[1]], id="label-not-str"),
         pytest.param("nodes", [_SPLIT, ["a", {}], _LEAVES[1]], id="counts-empty"),
         pytest.param("nodes", [_SPLIT, ["a", [["a", 1]]], _LEAVES[1]], id="counts-not-map"),
@@ -497,3 +505,158 @@ def test_matches_reference_grower_on_synthetic(synthetic_small, cyr2lat_table, x
     )
     got = serialize(train(samples, window, direction=("a", "b")))
     assert got == _reference_bytes(samples, window)
+
+
+# Reference walk: the binary index walk that the compiled switches
+# replaced. predict must return the same label for every valid file and
+# every feature vector.
+
+def _reference_predict(model, features):
+    nodes = model.nodes
+    node = nodes[0]
+    while len(node) == 4:
+        f, s, eq, ne = node
+        node = nodes[eq if features[f] == s else ne]
+    return node[0]
+
+
+def _leaf(label):
+    return [label, {label: 1}]
+
+
+def _model_file(nodes, window=WindowSpec(1, 0)):
+    obj = {
+        "format_version": 2,
+        "direction": list(CYR2LAT),
+        "window": {"x": window.x, "y": window.y},
+        "table_fingerprint": "",
+        "nodes": nodes,
+    }
+    return json.dumps(obj, ensure_ascii=False).encode("utf-8")
+
+
+def test_chain_compiles_to_one_switch_where_the_earlier_test_wins():
+    # position 0 is tested for "а" twice; the second test is unreachable
+    nodes = [[0, "а", 1, 2], _leaf("x"), [0, "а", 3, 4], _leaf("z"),
+             [0, "б", 5, 6], _leaf("w"), _leaf("d")]
+    model = deserialize(_model_file(nodes, WindowSpec(0, 0)))
+    assert model.switches == (0, {"а": "x", "б": "w"}, "d")
+    for symbol in ("а", "б", "в"):
+        assert predict(model, (symbol,)) == _reference_predict(model, (symbol,))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_sample_sets())
+def test_compiled_walk_matches_reference_on_trained_trees(case):
+    width, samples = case
+    model = train(samples, WindowSpec(0, width - 1), CYR2LAT)
+    # every vector over the training symbols and one unseen symbol
+    for features in itertools.product([*_SYMBOLS, "г"], repeat=width):
+        assert predict(model, features) == _reference_predict(model, features)
+
+
+def _chain(links, default):
+    """Nest ``(f, s, eq subtree)`` links into an ne chain ending in default."""
+    tree = default
+    for f, s, eq in reversed(links):
+        tree = (f, s, eq, tree)
+    return tree
+
+
+def _flatten(tree) -> list[list]:
+    """Nested ``(f, s, eq, ne)`` tuples and leaf lists to the pre-order
+    node list, eq subtree first."""
+    nodes: list[list] = []
+    stack = [(tree, None, 0)]
+    while stack:
+        sub, parent, slot = stack.pop()
+        if parent is not None:
+            parent[slot] = len(nodes)
+        if isinstance(sub, list):
+            nodes.append(_leaf(sub[0]))
+            continue
+        f, s, eq, ne = sub
+        node = [f, s, 0, 0]
+        nodes.append(node)
+        stack.append((ne, node, 3))
+        stack.append((eq, node, 2))
+    return nodes
+
+
+# Chains of one to six links over two positions and three symbols, so a
+# chain often repeats a symbol or alternates positions, and an eq subtree
+# is often a chain itself.
+_hand_made_trees = st.recursive(
+    st.sampled_from(_LABELS).map(_leaf),
+    lambda sub: st.builds(
+        _chain,
+        st.lists(
+            st.tuples(st.integers(0, 1), st.sampled_from(["а", "б", PAD]), sub),
+            min_size=1,
+            max_size=6,
+        ),
+        sub,
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree=_hand_made_trees)
+def test_compiled_walk_matches_reference_on_hand_made_files(tree):
+    model = deserialize(_model_file(_flatten(tree)))
+    for features in itertools.product(["а", "б", PAD, "в"], repeat=2):
+        assert predict(model, features) == _reference_predict(model, features)
+
+
+@pytest.mark.parametrize("positions", [1, 2], ids=["one-position", "alternating"])
+def test_long_chain_file_compiles_in_one_pass(positions):
+    """A 100,001-node ne chain loads and predicts with the interpreter's
+    recursion limit barely above the current stack depth. On one position
+    it is one switch; alternating positions leave 50,000 nested switches,
+    which the walk still follows in a loop."""
+    links = 50_000
+    nodes: list[list] = []
+    for k in range(links):
+        i = len(nodes)
+        nodes += [[k % positions, str(k), i + 1, i + 2], _leaf(f"l{k}")]
+    nodes.append(_leaf("default"))
+    payload = _model_file(nodes)
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 30)
+    try:
+        model = deserialize(payload)
+        got = [predict(model, (str(k), str(k))) for k in (0, 1, 25_000, links - 1)]
+        unseen = predict(model, ("x", "x"))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == ["l0", "l1", "l25000", f"l{links - 1}"]
+    assert unseen == "default"
+    if positions == 1:
+        f, cases, default = model.switches
+        assert (f, len(cases), default) == (0, links, "default")
+
+
+@pytest.mark.parametrize(("direction", "x", "y"), [(CYR2LAT, 2, 3), (LAT2CYR, 4, 3)])
+def test_lexicon_models_match_reference_walk(lexicon, direction, x, y):
+    """The README-default windows, trained on the 70% seed-42 lexicon split,
+    on every window of 2,000 synthetic words."""
+    train_part, _, _ = split_corpus(lexicon, SplitConfig(0.7, 0.15, 0.15, seed=42))
+    model = train_direction(
+        train_part, WindowSpec(x, y), bundled_mapping_table(direction), direction
+    )
+    windows = [
+        features
+        for source, _ in gen_corpus(2000, 42).oriented(direction)
+        for features in window_features(source, model.window)
+    ]
+    assert len(windows) > 10_000
+    mismatched = [
+        f for f in windows if predict(model, f) != _reference_predict(model, f)
+    ]
+    assert mismatched == []
