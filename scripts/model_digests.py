@@ -6,8 +6,9 @@ The models are trained on the 70% part of the 70/15/15 seed-42 split of
 a synthetic corpus (``--synthetic SIZE SEED``) or of the bundled lexicon
 (``--lexicon``). Two checkouts that print the same lines train
 byte-identical models, which is the gate for refactoring the trainer.
-The digests changed once, by design, with model format 2 (flat node
-list); compare checkouts that write the same format.
+The digests changed by design with model format 2 (flat node list) and
+again with format 3 (the table's rows in place of its fingerprint);
+compare checkouts that write the same format.
 
 Usage: PYTHONPATH=src python scripts/model_digests.py --synthetic 5000 42
        PYTHONPATH=src python scripts/model_digests.py --lexicon --dir cyr2lat
@@ -47,11 +48,10 @@ def main(argv=None) -> int:
         source = gen_corpus(*args.synthetic)
     train_part, _, _ = split_corpus(source, SplitConfig(0.70, 0.15, 0.15, seed=42))
     for name in args.dir or ("cyr2lat", "lat2cyr"):
-        direction = parse_direction(name)
-        table = bundled_mapping_table(direction)
+        table = bundled_mapping_table(parse_direction(name))
         for x in range(args.x_min, args.x_max + 1):
             for y in range(args.y_min, args.y_max + 1):
-                model = train_direction(train_part, WindowSpec(x, y), table, direction)
+                model = train_direction(train_part, WindowSpec(x, y), table)
                 digest = hashlib.sha256(dtree.serialize(model)).hexdigest()
                 print(f"{name} {x} {y} {digest}", flush=True)
     return 0

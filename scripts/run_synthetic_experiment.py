@@ -36,7 +36,6 @@ def run_direction(name, direction, parts, max_window):
         train_part,
         val_part,
         table,
-        direction,
         x_values=range(0, max_window + 1),
         y_values=range(0, max_window + 1),
     )

@@ -6,14 +6,14 @@ ch, ng and the apostrophe). A MappingTable lists, for every single
 source-script character, the candidate target strings it may align
 with, including the empty string (written ``∅`` in table files).
 
-The keys of the bundled table are the only alphabet: 36 Cyrillic code
-points (35 letters and the hyphen) and 27 Latin ones (25 letters, the
-apostrophe and the hyphen; digraphs are spelled with these).
+A model carries the table it was trained under, and its keys are the
+model's alphabet. The bundled tables have 36 Cyrillic keys (35 letters
+and the hyphen) and 27 Latin ones (25 letters, the apostrophe and the
+hyphen; digraphs are spelled with these).
 """
 
 from __future__ import annotations
 
-import hashlib
 import unicodedata
 from dataclasses import dataclass, field
 from importlib import resources
@@ -85,15 +85,6 @@ class MappingTable:
     def candidates(self, char: str) -> tuple[str, ...] | None:
         return self.entries.get(char)
 
-    def fingerprint(self) -> str:
-        """Content hash; stamps trained models so table drift is detectable."""
-        digest = hashlib.sha256()
-        digest.update(("->".join(self.direction)).encode("utf-8"))
-        for key in sorted(self.entries):
-            line = key + "\t" + ",".join(self.entries[key]) + "\n"
-            digest.update(line.encode("utf-8"))
-        return digest.hexdigest()
-
     def format(self) -> str:
         """Render in the table file format (``∅`` for the empty string)."""
         lines = [f"# mapping table: {self.direction[0]} -> {self.direction[1]}"]
@@ -103,7 +94,8 @@ class MappingTable:
         return "\n".join(lines) + "\n"
 
 
-def _guess_direction(keys: Iterable[str]) -> Direction:
+def infer_direction(keys: Iterable[str]) -> Direction:
+    """cyr2lat if any key is a Cyrillic code point, else lat2cyr."""
     for key in keys:
         if "Ѐ" <= key <= "ӿ":
             return CYR2LAT
@@ -143,7 +135,7 @@ def load_mapping_table(path) -> MappingTable:
             entries[key] = tuple(candidates)
     if not entries:
         raise TableParseError(path, 0, "table file has no entries")
-    return MappingTable(direction=_guess_direction(entries), entries=entries)
+    return MappingTable(direction=infer_direction(entries), entries=entries)
 
 
 def _data_path(filename: str):
@@ -159,9 +151,8 @@ def bundled_mapping_table(direction: Direction) -> MappingTable:
 
 
 def bundled_script_spec(script: str) -> frozenset[str]:
-    """The alphabet of ``script``: the source characters of the bundled
-    table that maps from it. A model transliterates these characters and
-    passes every other character through."""
+    """The source characters of the bundled table that maps from
+    ``script``."""
     for direction in (CYR2LAT, LAT2CYR):
         if direction[0] == script:
             return frozenset(bundled_mapping_table(direction).entries)

@@ -85,7 +85,7 @@ def _window(args) -> WindowSpec:
 
 
 def _load_table(args, direction):
-    if not getattr(args, "table", None):
+    if not args.table:
         return bundled_mapping_table(direction)
     _require_file(args.table)
     table = load_mapping_table(args.table)  # direction inferred from the keys
@@ -140,7 +140,7 @@ def cmd_train(args) -> int:
     table = _load_table(args, direction)
     corpus = _load_corpus(args)
     try:
-        model = pipeline.train_direction(corpus, window, table, direction)
+        model = pipeline.train_direction(corpus, window, table)
     except AllPairsUnalignableError as err:
         raise DataError(str(err))
     payload = dtree.serialize(model)
@@ -170,14 +170,8 @@ def cmd_transliterate(args) -> int:
 def cmd_evaluate(args) -> int:
     _require_file(args.model)
     model = dtree.load_model(args.model)
-    table = _load_table(args, model.direction)
-    if table.fingerprint() != model.table_fingerprint:
-        print(
-            "warning: the mapping table differs from the one the model was trained with",
-            file=sys.stderr,
-        )
     corpus = _load_corpus(args)
-    report = pipeline.evaluate(model, corpus, table)
+    report = pipeline.evaluate(model, corpus, model.table)
     if args.format == "json":
         text = json.dumps(report.to_json_dict(), ensure_ascii=False, indent=2) + "\n"
     else:
@@ -209,7 +203,6 @@ def cmd_grid_search(args) -> int:
             train_part,
             val_part,
             table,
-            direction,
             x_values=range(args.x_min, args.x_max + 1),
             y_values=range(args.y_min, args.y_max + 1),
         )
@@ -285,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("evaluate", cmd_evaluate, help="score a model on a held-out corpus")
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--table")
     p.add_argument("--format", choices=("json", "tsv"), default="json")
     p.add_argument("--out")
 

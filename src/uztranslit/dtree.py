@@ -38,6 +38,12 @@ every child index is greater than its parent's. Walking and validating
 the tree are therefore plain loops, and JSON nesting stays a few levels
 deep however deep the tree grows.
 
+A model carries the mapping table it was trained under (format 3): the
+table's keys are the characters it classifies, and its direction is the
+model's direction. Loading builds the table through MappingTable's
+checks and requires its keys to imply that direction, by the rule that
+infers a table file's direction.
+
 Prediction does not walk that list. Equality splits make long ne chains
 that test one position against one symbol after another, and such a
 chain is one multiway categorical split, as in C4.5 (Quinlan, 1993) and
@@ -59,10 +65,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
-from .alphabets import CYR2LAT, LAT2CYR, Direction
+from .alphabets import CYR2LAT, LAT2CYR, Direction, MappingTable, infer_direction
 from .featurizer import Sample, WindowSpec
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class EmptyTrainingSetError(ValueError):
@@ -93,8 +99,11 @@ class ModelVersionError(ModelFormatError):
 class TranslitModel:
     nodes: list[list]  # [f, s, eq, ne] internals, [label, counts] leaves
     window: WindowSpec
-    direction: Direction
-    table_fingerprint: str = ""
+    table: MappingTable
+
+    @property
+    def direction(self) -> Direction:
+        return self.table.direction
 
     @cached_property
     def switches(self):
@@ -269,12 +278,7 @@ def _grow(feats, labs, width) -> list[list]:
     return nodes
 
 
-def train(
-    samples: list[Sample],
-    window: WindowSpec,
-    direction: Direction,
-    table_fingerprint: str = "",
-) -> TranslitModel:
+def train(samples: list[Sample], window: WindowSpec, table: MappingTable) -> TranslitModel:
     """Grow an unbounded-depth tree on ``samples``; deterministic given
     identical input order."""
     if not samples:
@@ -287,12 +291,7 @@ def train(
             )
     feats = [s.features for s in samples]
     labs = [s.label for s in samples]
-    return TranslitModel(
-        nodes=_grow(feats, labs, width),
-        window=window,
-        direction=direction,
-        table_fingerprint=table_fingerprint,
-    )
+    return TranslitModel(nodes=_grow(feats, labs, width), window=window, table=table)
 
 
 def _compile(nodes: list[list]):
@@ -386,13 +385,33 @@ def _check_nodes(nodes, width: int) -> None:
         raise ModelFormatError(f"{orphans} nodes besides node 0 have no parent")
 
 
+def _check_table(rows, direction: Direction) -> MappingTable:
+    """The MappingTable of a file's ``table`` rows, whose keys must imply
+    ``direction`` as they would in a table file; ModelFormatError if not."""
+    if not isinstance(rows, dict) or not rows:
+        raise ModelFormatError("model table is not an object with rows")
+    for key, candidates in rows.items():
+        if not isinstance(candidates, list) or not all(isinstance(c, str) for c in candidates):
+            raise ModelFormatError(f"table key {key!r}: candidates are not a list of strings")
+    try:
+        table = MappingTable(direction=direction, entries=rows)
+    except ValueError as err:
+        raise ModelFormatError(f"model table: {err}") from err
+    implied = infer_direction(table.entries)
+    if implied != direction:
+        raise ModelFormatError(
+            f"model table maps {'->'.join(implied)}, not {'->'.join(direction)}"
+        )
+    return table
+
+
 def serialize(model: TranslitModel) -> bytes:
     """Versioned JSON; PAD appears as the literal string "∅-PAD"."""
     obj = {
         "format_version": FORMAT_VERSION,
         "direction": list(model.direction),
         "window": {"x": model.window.x, "y": model.window.y},
-        "table_fingerprint": model.table_fingerprint,
+        "table": model.table.entries,
         "nodes": model.nodes,
     }
     text = json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
@@ -417,7 +436,7 @@ def deserialize(data: bytes) -> TranslitModel:
     try:
         x, y = obj["window"]["x"], obj["window"]["y"]
         direction = obj["direction"]
-        fingerprint = obj["table_fingerprint"]
+        rows = obj["table"]
         nodes = obj["nodes"]
     except (KeyError, TypeError) as err:
         raise ModelFormatError(f"model file missing fields: {err}") from err
@@ -426,15 +445,9 @@ def deserialize(data: bytes) -> TranslitModel:
     window = WindowSpec(x=x, y=y)
     if direction not in ([*CYR2LAT], [*LAT2CYR]):
         raise ModelFormatError(f"direction {direction!r} is neither cyr2lat nor lat2cyr")
-    if not isinstance(fingerprint, str):
-        raise ModelFormatError("table fingerprint is not a string")
+    table = _check_table(rows, tuple(direction))
     _check_nodes(nodes, window.width)
-    return TranslitModel(
-        nodes=nodes,
-        window=window,
-        direction=tuple(direction),  # type: ignore[arg-type]
-        table_fingerprint=fingerprint,
-    )
+    return TranslitModel(nodes=nodes, window=window, table=table)
 
 
 def load_model(path) -> TranslitModel:

@@ -8,15 +8,14 @@ Word pairs the table cannot align are not dropped from evaluation; they
 count as whole-word errors with every character wrong, because dropping
 them would inflate scores invisibly.
 
-Transliteration classifies each character that has a row in the bundled
-mapping table, from the same windows training extracts, and passes
-every other character through unchanged. A table used to train or to
-evaluate may add candidates to those rows but no new source characters.
+Training aligns under a mapping table, and the model carries that table:
+its direction is the model's, and its keys are the characters the model
+classifies, from the same windows training extracts. Every other
+character passes through unchanged.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 import random
@@ -24,13 +23,9 @@ import unicodedata
 from dataclasses import dataclass, field
 
 from . import dtree
-from .alphabets import (
-    CYRILLIC,
-    Direction,
-    MappingTable,
-    bundled_script_spec,
-    normalize_word,
-)
+from .alphabets import CYRILLIC, Direction, MappingTable, normalize_word
+# Unused here, but bench/tracing.py wraps pipeline.bundled_script_spec by name.
+from .alphabets import bundled_script_spec  # noqa: F401
 from .aligner import align_corpus
 from .dtree import TranslitModel, predict
 from .featurizer import WindowSpec, dedup_samples, extract_samples, window_features
@@ -198,23 +193,11 @@ def split_corpus(corpus: Corpus, config: SplitConfig) -> tuple[Corpus, Corpus, C
     )
 
 
-def _check_table_alphabet(table: MappingTable, direction: Direction) -> None:
-    """A table with source characters outside the bundled alphabet is a
-    ValueError: the read path would pass them through untransliterated."""
-    extra = set(table.entries) - _source_code_points(direction)
-    if extra:
-        raise ValueError(
-            f"mapping table has source characters outside the bundled {direction[0]}"
-            f" alphabet, which transliteration would pass through: {', '.join(sorted(extra))}"
-        )
-
-
-def _align_training(train_part: Corpus, table: MappingTable, direction: Direction):
-    """Align the training part under a table _check_table_alphabet
-    accepts. Unalignable pairs are logged and left out; a part with no
-    alignable pair at all is an error."""
-    _check_table_alphabet(table, direction)
-    alignments, failures = align_corpus(train_part.oriented(direction), table)
+def _align_training(train_part: Corpus, table: MappingTable):
+    """Align the training part in the table's direction. Unalignable
+    pairs are logged and left out; a part with no alignable pair at all
+    is an error."""
+    alignments, failures = align_corpus(train_part.oriented(table.direction), table)
     if failures:
         log.warning(
             "%d of %d training pairs not alignable; excluded (run discover to fix the table)",
@@ -228,42 +211,24 @@ def _align_training(train_part: Corpus, table: MappingTable, direction: Directio
     return alignments
 
 
-def _train_window(
-    alignments, window: WindowSpec, table: MappingTable, direction: Direction
-) -> TranslitModel:
-    """extract -> dedup -> train, stamping the model with the window,
-    direction, and table fingerprint."""
+def _train_window(alignments, window: WindowSpec, table: MappingTable) -> TranslitModel:
+    """extract -> dedup -> train; the model carries the window and table."""
     samples = []
     for pair in alignments:
         samples.extend(extract_samples(pair, window))
-    return dtree.train(
-        dedup_samples(samples),
-        window,
-        direction=direction,
-        table_fingerprint=table.fingerprint(),
-    )
+    return dtree.train(dedup_samples(samples), window, table)
 
 
-def train_direction(
-    train_part: Corpus,
-    window: WindowSpec,
-    table: MappingTable,
-    direction: Direction,
-) -> TranslitModel:
-    """align -> extract -> dedup -> train at one window."""
-    alignments = _align_training(train_part, table, direction)
-    return _train_window(alignments, window, table, direction)
-
-
-@functools.lru_cache(maxsize=None)
-def _source_code_points(direction: Direction) -> frozenset[str]:
-    return bundled_script_spec(direction[0])
+def train_direction(train_part: Corpus, window: WindowSpec, table: MappingTable) -> TranslitModel:
+    """align -> extract -> dedup -> train at one window, in the table's
+    direction."""
+    return _train_window(_align_training(train_part, table), window, table)
 
 
 def predict_segments(model: TranslitModel, word: str) -> list[str]:
     """Per-character predicted target segments; characters without a row
-    in the bundled table contribute themselves unchanged."""
-    alphabet = _source_code_points(model.direction)
+    in the model's table contribute themselves unchanged."""
+    alphabet = model.table.entries
     return [
         predict(model, features) if ch in alphabet else ch
         for ch, features in zip(word, window_features(word, model.window))
@@ -320,9 +285,8 @@ def _report_from_alignments(model, alignments, unalignable) -> EvalReport:
 
 
 def evaluate(model: TranslitModel, heldout: Corpus, table: MappingTable) -> EvalReport:
-    """Character-level micro-averaged scores plus exact-word accuracy,
-    under a table _check_table_alphabet accepts."""
-    _check_table_alphabet(table, model.direction)
+    """Character-level micro-averaged scores plus exact-word accuracy, with
+    the gold segments aligned under ``table``, normally ``model.table``."""
     oriented = heldout.oriented(model.direction)
     alignments, failures = align_corpus(oriented, table)
     unalignable = [(f.source, f.target) for f in failures]
@@ -333,7 +297,6 @@ def grid_search(
     train_part: Corpus,
     validation_part: Corpus,
     table: MappingTable,
-    direction: Direction,
     x_values=range(0, 11),
     y_values=range(0, 11),
 ) -> tuple[TranslitModel, list[GridCell]]:
@@ -343,16 +306,16 @@ def grid_search(
     grid = [(x, y) for x in x_values for y in y_values]
     if not grid:
         raise ValueError("the window grid is empty")
-    train_alignments = _align_training(train_part, table, direction)
+    train_alignments = _align_training(train_part, table)
     val_alignments, val_failures = align_corpus(
-        validation_part.oriented(direction), table
+        validation_part.oriented(table.direction), table
     )
     val_unalignable = [(f.source, f.target) for f in val_failures]
 
     cells: list[GridCell] = []
     best_key = best_model = None
     for x, y in grid:
-        model = _train_window(train_alignments, WindowSpec(x, y), table, direction)
+        model = _train_window(train_alignments, WindowSpec(x, y), table)
         report = _report_from_alignments(model, val_alignments, val_unalignable)
         cells.append(GridCell(x=x, y=y, validation_f1=report.char_f1))
         key = (-report.char_f1, x + y, x)

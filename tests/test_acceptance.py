@@ -106,7 +106,7 @@ ORTHOGRAPHY_SUITE = [
 
 
 def test_criterion_3_orthography_rule_suite(lexicon):
-    model = train_direction(lexicon, WindowSpec(2, 3), CYR2LAT_TABLE, CYR2LAT)
+    model = train_direction(lexicon, WindowSpec(2, 3), CYR2LAT_TABLE)
     hits = 0
     for cyr, lat in ORTHOGRAPHY_SUITE:
         got = transliterate_word(model, cyr)
@@ -118,11 +118,11 @@ def test_criterion_3_orthography_rule_suite(lexicon):
 
 def test_criterion_4_pure_fit(lexicon, synthetic_5000):
     # the synthetic corpus at x=2, y=3 (conflict-free by construction)
-    model = train_direction(synthetic_5000, WindowSpec(2, 3), CYR2LAT_TABLE, CYR2LAT)
+    model = train_direction(synthetic_5000, WindowSpec(2, 3), CYR2LAT_TABLE)
     report = _eval(model, synthetic_5000, CYR2LAT_TABLE)
     assert report.char_f1 == 1.0
     # the bundled lexicon (verified conflict-free at this window)
-    model2 = train_direction(lexicon, WindowSpec(2, 3), CYR2LAT_TABLE, CYR2LAT)
+    model2 = train_direction(lexicon, WindowSpec(2, 3), CYR2LAT_TABLE)
     report2 = _eval(model2, lexicon, CYR2LAT_TABLE)
     assert report2.char_f1 == 1.0
     # random conflict-free sample sets
@@ -134,7 +134,7 @@ def test_criterion_4_pure_fit(lexicon, synthetic_5000):
             features = tuple(rng.choice(symbols) for _ in range(3))
             kept.setdefault(features, Sample(features, rng.choice(["", "a", "b", "ch"])))
         samples = list(kept.values())
-        model3 = train(samples, WindowSpec(1, 1), CYR2LAT)
+        model3 = train(samples, WindowSpec(1, 1), CYR2LAT_TABLE)
         assert all(predict(model3, s.features) == s.label for s in samples)
     print("ACCEPTANCE 4: pure fit on conflict-free samples: PASS")
 
@@ -152,7 +152,6 @@ def test_criterion_5_generalization_at_desk_scale(synthetic_5000):
         train_part,
         val_part,
         CYR2LAT_TABLE,
-        CYR2LAT,
         x_values=range(0, 5),
         y_values=range(0, 5),
     )
@@ -176,7 +175,7 @@ def test_criterion_5_generalization_at_desk_scale(synthetic_5000):
 def test_criterion_6_micro_identity(lexicon):
     # a deliberately imperfect report joins the pool
     half = Corpus(lexicon.pairs[: len(lexicon.pairs) // 2])
-    model = train_direction(half, WindowSpec(1, 1), CYR2LAT_TABLE, CYR2LAT)
+    model = train_direction(half, WindowSpec(1, 1), CYR2LAT_TABLE)
     _eval(model, lexicon, CYR2LAT_TABLE)
     assert _REPORTS, "no EvalReports were produced before this test"
     for report in _REPORTS:
@@ -236,7 +235,7 @@ def test_criterion_8_gini_split_oracle():
             Sample(tuple(rng.choice(symbols) for _ in range(width)), rng.choice(labels))
             for _ in range(rng.randint(2, 50))
         ]
-        model = train(samples, WindowSpec(0, width - 1), CYR2LAT)
+        model = train(samples, WindowSpec(0, width - 1), CYR2LAT_TABLE)
         oracle = _oracle_best_decrease(samples)
         nodes = model.nodes
         if len(nodes[0]) == 2:  # the root is a leaf
@@ -290,7 +289,7 @@ def test_criterion_9_serialization_roundtrip():
             Sample(tuple(rng.choice(symbols) for _ in range(width)), rng.choice(labels))
             for _ in range(rng.randint(1, 120))
         ]
-        model = train(samples, WindowSpec(0, width - 1), direction=CYR2LAT)
+        model = train(samples, WindowSpec(0, width - 1), CYR2LAT_TABLE)
         clone = deserialize(serialize(model))
         for _ in range(1000):
             vector = tuple(rng.choice(symbols) for _ in range(width))
@@ -316,8 +315,8 @@ SOFT_SIGN_FIXTURE = sorted(
 
 def test_criterion_10_round_trip(lexicon, synthetic_5000):
     # synthetic corpus: full recovery
-    forward = train_direction(synthetic_5000, WindowSpec(2, 3), CYR2LAT_TABLE, CYR2LAT)
-    backward = train_direction(synthetic_5000, WindowSpec(2, 3), LAT2CYR_TABLE, LAT2CYR)
+    forward = train_direction(synthetic_5000, WindowSpec(2, 3), CYR2LAT_TABLE)
+    backward = train_direction(synthetic_5000, WindowSpec(2, 3), LAT2CYR_TABLE)
     report = round_trip_check(forward, backward, [c for c, _ in synthetic_5000.pairs])
     assert report.fraction == 1.0
     assert report.failures == []
@@ -325,9 +324,9 @@ def test_criterion_10_round_trip(lexicon, synthetic_5000):
     # bundled lexicon: the reverse model is trained without the soft-sign
     # words, so the failure list is exactly that irrecoverable class
     assert SOFT_SIGN_FIXTURE == sorted(c for c, _ in lexicon.pairs if "ь" in c)
-    fwd_lex = train_direction(lexicon, WindowSpec(2, 3), CYR2LAT_TABLE, CYR2LAT)
+    fwd_lex = train_direction(lexicon, WindowSpec(2, 3), CYR2LAT_TABLE)
     no_soft = Corpus([p for p in lexicon.pairs if "ь" not in p[0]])
-    rev_lex = train_direction(no_soft, WindowSpec(4, 3), LAT2CYR_TABLE, LAT2CYR)
+    rev_lex = train_direction(no_soft, WindowSpec(4, 3), LAT2CYR_TABLE)
     lex_report = round_trip_check(fwd_lex, rev_lex, [c for c, _ in lexicon.pairs])
     failed = sorted(word for word, _, _ in lex_report.failures)
     assert failed == SOFT_SIGN_FIXTURE

@@ -87,8 +87,9 @@ def test_model_with_shared_child_is_data_error(tmp_path, capsys):
     nodes = [[0, "ц", 1, 2], [0, "и", 2, 3], ["s", {"s": 1}], ["i", {"i": 1}]]
     broken = tmp_path / "shared.json"
     broken.write_text(
-        json.dumps({"format_version": 2, "direction": ["cyrillic", "latin"],
-                    "table_fingerprint": "", "window": {"x": 0, "y": 0}, "nodes": nodes},
+        json.dumps({"format_version": 3, "direction": ["cyrillic", "latin"],
+                    "table": {"ц": ["s"], "и": ["i"]}, "window": {"x": 0, "y": 0},
+                    "nodes": nodes},
                    ensure_ascii=False),
         encoding="utf-8",
     )
@@ -103,13 +104,25 @@ def test_deeply_nested_model_is_data_error(tmp_path, capsys):
     depth = 200_000
     broken = tmp_path / "deep.json"
     broken.write_text(
-        '{"format_version":2,"direction":["cyrillic","latin"],"table_fingerprint":"",'
+        '{"format_version":3,"direction":["cyrillic","latin"],"table":{"ц":["s"]},'
         '"window":{"x":0,"y":0},"nodes":' + "[" * depth + "]" * depth + "}",
         encoding="utf-8",
     )
     code = main(["transliterate", "--model", str(broken), "--word", "цирк"])
     assert code == 2
     assert "nested too deeply" in capsys.readouterr().err
+
+
+def test_bad_model_table_is_data_error(tmp_path, trained_model, capsys):
+    obj = json.loads(trained_model.read_bytes())
+    obj["table"]["ц"] = []
+    broken = tmp_path / "bad-table.json"
+    broken.write_text(json.dumps(obj, ensure_ascii=False), encoding="utf-8")
+    code = main(["transliterate", "--model", str(broken), "--word", "цирк"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "table key 'ц' has no candidates" in captured.err
 
 
 def test_missing_corpus_is_usage_error(tmp_path):
@@ -220,29 +233,15 @@ def test_evaluate_json_and_tsv(tmp_path, trained_model, lexicon_path):
     assert "char_f1\t1.0" in out_tsv.read_text(encoding="utf-8")
 
 
-def test_table_of_other_direction_is_data_error(tmp_path, trained_model, lexicon_path, capsys):
+def test_table_of_other_direction_is_data_error(tmp_path, lexicon_path, capsys):
     lat2cyr = str(_data_path("lat2cyr.tsv"))
     code = main(
-        ["evaluate", "--model", str(trained_model), "--corpus", lexicon_path,
-         "--table", lat2cyr, "--out", str(tmp_path / "report.json")]
+        ["train", "--dir", "cyr2lat", "--corpus", lexicon_path,
+         "--table", lat2cyr, "--out", str(tmp_path / "m.json")]
     )
     assert code == 2
     assert "maps latin->cyrillic, not cyrillic->latin" in capsys.readouterr().err
-    assert not (tmp_path / "report.json").exists()
-
-
-def test_evaluate_warns_on_table_drift(tmp_path, trained_model, lexicon_path, capsys):
-    report = str(tmp_path / "report.json")
-    args = ["evaluate", "--model", str(trained_model), "--corpus", lexicon_path, "--out", report]
-    assert main(args) == 0
-    assert "warning" not in capsys.readouterr().err
-    # the bundled table plus one candidate no lexicon word uses
-    text = _data_path("cyr2lat.tsv").read_text(encoding="utf-8")
-    assert "ф\tf\n" in text
-    table = tmp_path / "cyr2lat.tsv"
-    table.write_text(text.replace("ф\tf\n", "ф\tf,ph\n"), encoding="utf-8")
-    assert main(args + ["--table", str(table)]) == 0
-    assert "warning: the mapping table differs" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
 
 
 def _lat2cyr_table(tmp_path, old_row, new_row):
@@ -257,35 +256,23 @@ _W_CORPUS = "вена\twena\nбола\tbola\nнон\tnon\nтил\ttil\n" * 2
 
 
 @pytest.mark.parametrize("subcommand", ["train", "grid-search"])
-def test_table_with_extra_source_character_is_data_error(tmp_path, capsys, subcommand):
-    # "w" has no row in the bundled table, so a model would pass it through
+def test_table_with_extra_source_character_trains(tmp_path, capsys, subcommand):
+    # "w" has no row in the bundled table; the model carries the new row
     table = _lat2cyr_table(tmp_path, "x\tх\n", "x\tх\nw\tв\n")
-    corpus = tmp_path / "c.tsv"
-    corpus.write_text(_W_CORPUS, encoding="utf-8")
-    out = tmp_path / "out"
-    args = {
-        "train": ["train", "--out", str(out)],
-        "grid-search": ["grid-search", "--x-max", "1", "--y-max", "1", "--out", str(out)],
-    }[subcommand]
-    code = main(args + ["--dir", "lat2cyr", "--corpus", str(corpus), "--table", table])
-    assert code == 2
-    assert "bundled latin alphabet" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_evaluate_table_with_extra_source_character_is_data_error(tmp_path, capsys):
     corpus = tmp_path / "c.tsv"
     corpus.write_text(_W_CORPUS, encoding="utf-8")
     model = tmp_path / "m.json"
-    assert main(["train", "--dir", "lat2cyr", "-x", "1", "-y", "1",
-                 "--corpus", str(corpus), "--out", str(model)]) == 0
-    table = _lat2cyr_table(tmp_path, "x\tх\n", "x\tх\nw\tв\n")
-    out = tmp_path / "report.json"
-    code = main(["evaluate", "--model", str(model), "--corpus", str(corpus),
-                 "--table", table, "--out", str(out)])
-    assert code == 2
-    assert "bundled latin alphabet" in capsys.readouterr().err
-    assert not out.exists()
+    args = {
+        "train": ["train", "-x", "1", "-y", "1", "--out", str(model)],
+        "grid-search": ["grid-search", "--x-max", "1", "--y-max", "1",
+                        "--out", str(tmp_path / "grid.tsv"), "--best-model", str(model)],
+    }[subcommand]
+    code = main(args + ["--dir", "lat2cyr", "--corpus", str(corpus), "--table", table])
+    assert code == 0
+    assert dtree.load_model(model).table.candidates("w") == ("в",)
+    capsys.readouterr()
+    assert main(["transliterate", "--model", str(model), "--word", "wena"]) == 0
+    assert capsys.readouterr().out == "вена\n"
 
 
 def test_table_with_extra_candidate_trains(tmp_path, capsys):

@@ -36,6 +36,8 @@ from uztranslit.featurizer import (
 from uztranslit.gencorpus import gen_corpus
 from uztranslit.pipeline import SplitConfig, split_corpus, train_direction
 
+CYR2LAT_TABLE = bundled_mapping_table(CYR2LAT)
+
 
 def table7_samples(cyr2lat_table):
     pair = align_word("қўзичоқ", "qo'zichoq", cyr2lat_table)
@@ -61,7 +63,7 @@ def test_gini_empty_counts():
 
 def test_pure_fit_on_table7(cyr2lat_table):
     samples = table7_samples(cyr2lat_table)
-    model = train(samples, WindowSpec(2, 1), CYR2LAT)
+    model = train(samples, WindowSpec(2, 1), CYR2LAT_TABLE)
     for sample in samples:
         assert predict(model, sample.features) == sample.label
     # the spotlighted row: [қ, ў, з, и] -> z
@@ -69,7 +71,7 @@ def test_pure_fit_on_table7(cyr2lat_table):
 
 
 def test_single_sample_single_leaf():
-    model = train([Sample(("ф",), "b")], WindowSpec(0, 0), CYR2LAT)
+    model = train([Sample(("ф",), "b")], WindowSpec(0, 0), CYR2LAT_TABLE)
     assert predict(model, ("ф",)) == "b"
     assert predict(model, ("ю",)) == "b"  # sole leaf catches everything
 
@@ -77,42 +79,42 @@ def test_single_sample_single_leaf():
 def test_unsplittable_node_majority_vote():
     f = ("х", "у")
     samples = [Sample(f, "a"), Sample(f, "a"), Sample(f, "b")]
-    model = train(samples, WindowSpec(1, 0), CYR2LAT)
+    model = train(samples, WindowSpec(1, 0), CYR2LAT_TABLE)
     assert predict(model, f) == "a"
 
 
 def test_majority_tie_breaks_lexicographically():
     f = ("х",)
-    model = train([Sample(f, "b"), Sample(f, "a")], WindowSpec(0, 0), CYR2LAT)
+    model = train([Sample(f, "b"), Sample(f, "a")], WindowSpec(0, 0), CYR2LAT_TABLE)
     assert predict(model, f) == "a"
 
 
 def test_empty_training_set():
     with pytest.raises(EmptyTrainingSetError):
-        train([], WindowSpec(1, 1), CYR2LAT)
+        train([], WindowSpec(1, 1), CYR2LAT_TABLE)
 
 
 def test_inconsistent_width_rejected():
     samples = [Sample(("а", "б", "в"), "x"), Sample(("а", "б"), "y")]
     with pytest.raises(InconsistentFeatureWidthError):
-        train(samples, WindowSpec(1, 1), CYR2LAT)
+        train(samples, WindowSpec(1, 1), CYR2LAT_TABLE)
 
 
 def test_predict_width_mismatch(cyr2lat_table):
-    model = train(table7_samples(cyr2lat_table), WindowSpec(2, 1), CYR2LAT)
+    model = train(table7_samples(cyr2lat_table), WindowSpec(2, 1), CYR2LAT_TABLE)
     with pytest.raises(WidthMismatchError):
         predict(model, ("қ", "ў"))
 
 
 def test_unseen_symbols_follow_false_branch(cyr2lat_table):
-    model = train(table7_samples(cyr2lat_table), WindowSpec(2, 1), CYR2LAT)
+    model = train(table7_samples(cyr2lat_table), WindowSpec(2, 1), CYR2LAT_TABLE)
     # '9' was never in training; prediction still lands on some leaf
     label = predict(model, ("9", "9", "9", "9"))
     assert isinstance(label, str)
 
 
 def test_internal_nodes_have_both_sides(cyr2lat_table):
-    model = train(table7_samples(cyr2lat_table), WindowSpec(2, 1), CYR2LAT)
+    model = train(table7_samples(cyr2lat_table), WindowSpec(2, 1), CYR2LAT_TABLE)
     nodes = model.nodes
     children = []
     for i, node in enumerate(nodes):
@@ -126,8 +128,8 @@ def test_internal_nodes_have_both_sides(cyr2lat_table):
 
 def test_training_deterministic(cyr2lat_table):
     samples = table7_samples(cyr2lat_table)
-    a = serialize(train(samples, WindowSpec(2, 1), direction=("cyrillic", "latin")))
-    b = serialize(train(samples, WindowSpec(2, 1), direction=("cyrillic", "latin")))
+    a = serialize(train(samples, WindowSpec(2, 1), CYR2LAT_TABLE))
+    b = serialize(train(samples, WindowSpec(2, 1), CYR2LAT_TABLE))
     assert a == b
 
 
@@ -162,7 +164,7 @@ def test_pure_fit_property(seed, n):
         kept.setdefault(s.features, s)
     samples = list(kept.values())
     assert _conflict_free(samples)
-    model = train(samples, WindowSpec(1, 1), CYR2LAT)
+    model = train(samples, WindowSpec(1, 1), CYR2LAT_TABLE)
     assert all(predict(model, s.features) == s.label for s in samples)
 
 
@@ -222,7 +224,7 @@ def test_split_matches_bruteforce_oracle():
     checked = 0
     for _ in range(100):
         samples = _random_samples(rng, rng.randint(2, 50), width=rng.randint(1, 4))
-        model = train(samples, WindowSpec(0, len(samples[0].features) - 1), CYR2LAT)
+        model = train(samples, WindowSpec(0, len(samples[0].features) - 1), CYR2LAT_TABLE)
         oracle = _oracle_best_decrease(samples)
         chosen = _chosen_decrease(samples, model)
         if chosen is None:
@@ -236,12 +238,13 @@ def test_split_matches_bruteforce_oracle():
 
 def test_serialize_roundtrip_identical_predictions(cyr2lat_table):
     samples = table7_samples(cyr2lat_table)
-    model = train(samples, WindowSpec(2, 1), direction=("cyrillic", "latin"))
+    model = train(samples, WindowSpec(2, 1), CYR2LAT_TABLE)
     clone = deserialize(serialize(model))
     for sample in samples:
         assert predict(clone, sample.features) == predict(model, sample.features)
     assert clone.window == model.window
     assert clone.direction == model.direction
+    assert clone.table == model.table
     assert serialize(clone) == serialize(model)
 
 
@@ -252,39 +255,45 @@ def test_serialized_pad_literal():
         Sample(("б", "а"), "y"),
         Sample(("в", "а"), "y"),
     ]
-    payload = serialize(train(samples, WindowSpec(1, 0), CYR2LAT))
+    payload = serialize(train(samples, WindowSpec(1, 0), CYR2LAT_TABLE))
     assert '[0,"∅-PAD",1,2]' in payload.decode("utf-8")
 
 
 def test_truncated_file_is_corruption(cyr2lat_table):
-    payload = serialize(train(table7_samples(cyr2lat_table), WindowSpec(2, 1), CYR2LAT))
+    payload = serialize(train(table7_samples(cyr2lat_table), WindowSpec(2, 1), CYR2LAT_TABLE))
     with pytest.raises(ModelFormatError):
         deserialize(payload[: len(payload) // 2])
 
 
 def test_future_version_rejected(cyr2lat_table):
-    payload = serialize(train(table7_samples(cyr2lat_table), WindowSpec(2, 1), CYR2LAT))
+    payload = serialize(train(table7_samples(cyr2lat_table), WindowSpec(2, 1), CYR2LAT_TABLE))
     obj = json.loads(payload)
-    # version 1 stored a nested tree; such files must be retrained
+    # version 1 stored a nested tree and version 2 a table fingerprint;
+    # such files must be retrained
     for version in (99, 1):
         obj["format_version"] = version
         with pytest.raises(ModelVersionError, match="retrain"):
             deserialize(json.dumps(obj).encode("utf-8"))
+    obj["format_version"] = 2
+    del obj["table"]
+    obj["table_fingerprint"] = "0" * 64
+    with pytest.raises(ModelVersionError, match="retrain"):
+        deserialize(json.dumps(obj).encode("utf-8"))
 
 
 def test_structural_corruption_rejected():
     with pytest.raises(ModelFormatError):
-        deserialize(b'{"format_version": 2, "direction": ["cyrillic","latin"], '
-                    b'"window": {"x": 1, "y": 1}, "table_fingerprint": "", '
-                    b'"nodes": [[0, "x", 1]]}')
+        deserialize('{"format_version": 3, "direction": ["cyrillic","latin"], '
+                    '"window": {"x": 1, "y": 1}, "table": {"а": ["a"]}, '
+                    '"nodes": [[0, "x", 1]]}'.encode("utf-8"))
     with pytest.raises(ModelFormatError):
-        deserialize(b'{"format_version": 2, "direction": [1, 2], '
-                    b'"window": {"x": 0, "y": 0}, "table_fingerprint": "", '
-                    b'"nodes": [["a", {"a": 1}]]}')
+        deserialize('{"format_version": 3, "direction": [1, 2], '
+                    '"window": {"x": 0, "y": 0}, "table": {"а": ["a"]}, '
+                    '"nodes": [["a", {"a": 1}]]}'.encode("utf-8"))
 
 
 def test_save_load_model(tmp_path, cyr2lat_table):
-    model = train(table7_samples(cyr2lat_table), WindowSpec(2, 1), CYR2LAT)
+    model = train(table7_samples(cyr2lat_table), WindowSpec(2, 1), CYR2LAT_TABLE)
     path = tmp_path / "m.json"
     path.write_bytes(serialize(model))
     clone = dtree.load_model(path)
@@ -293,6 +302,7 @@ def test_save_load_model(tmp_path, cyr2lat_table):
 
 _LEAVES = [["a", {"a": 1}], ["b", {"b": 1}]]
 _SPLIT = [0, "x", 1, 2]
+_MISSING = object()
 
 
 @pytest.mark.parametrize(
@@ -333,20 +343,35 @@ _SPLIT = [0, "x", 1, 2]
         pytest.param("direction", ["a", 2], id="direction-not-str"),
         pytest.param("direction", ["latin", "latin"], id="direction-unknown"),
         pytest.param("direction", ["a", "b"], id="direction-not-a-script"),
+        pytest.param("table", _MISSING, id="table-missing"),
+        pytest.param("table", [["x", ["х"]]], id="table-not-object"),
+        pytest.param("table", {}, id="table-empty"),
+        pytest.param("table", {"sh": ["ш"]}, id="table-two-char-key"),
+        pytest.param("table", {"x": []}, id="table-no-candidates"),
+        pytest.param("table", {"x": ["х", "х"]}, id="table-duplicate-candidate"),
+        pytest.param("table", {"x": ["х", 1]}, id="table-candidate-not-str"),
+        pytest.param("table", {"x": "х"}, id="table-candidates-not-list"),
+        pytest.param("table", {"х": ["x"], "ш": ["sh"]}, id="table-cyrillic-keys"),
     ],
 )
 def test_bad_feature_index_rejected(field, value):
     """Bad feature indices, every other malformed node list, and
-    malformed windows and directions, from a base object that loads."""
+    malformed windows, directions and tables, from a base object that
+    loads."""
     obj = {
-        "format_version": 2,
+        "format_version": 3,
         "direction": ["latin", "cyrillic"],
         "window": {"x": 1, "y": 0},
-        "table_fingerprint": "",
+        "table": {"x": ["х"], "o": ["о", "ў"]},
         "nodes": [_SPLIT, *_LEAVES],
     }
-    assert deserialize(json.dumps(obj).encode("utf-8")).nodes == obj["nodes"]
-    obj[field] = value
+    loaded = deserialize(json.dumps(obj).encode("utf-8"))
+    assert loaded.nodes == obj["nodes"]
+    assert loaded.table.entries == {"x": ("х",), "o": ("о", "ў")}
+    if value is _MISSING:
+        del obj[field]
+    else:
+        obj[field] = value
     with pytest.raises(ModelFormatError):
         deserialize(json.dumps(obj).encode("utf-8"))
 
@@ -440,7 +465,7 @@ def _grow(feats, labs, width) -> list[list]:
 
 def _reference_bytes(samples, window):
     nodes = _grow([s.features for s in samples], [s.label for s in samples], window.width)
-    return serialize(TranslitModel(nodes=nodes, window=window, direction=("a", "b")))
+    return serialize(TranslitModel(nodes=nodes, window=window, table=CYR2LAT_TABLE))
 
 
 _SYMBOLS = ["а", "б", "в", PAD]
@@ -479,7 +504,7 @@ def _sample_sets(draw):
 def test_matches_reference_grower(case):
     width, samples = case
     window = WindowSpec(0, width - 1)
-    got = serialize(train(samples, window, direction=("a", "b")))
+    got = serialize(train(samples, window, CYR2LAT_TABLE))
     assert got == _reference_bytes(samples, window)
 
 
@@ -488,7 +513,7 @@ def test_xor_block_matches_reference_grower():
         Sample((a, b), "a" if a == b else "b") for a in ("а", "б") for b in ("а", "б")
     ]
     window = WindowSpec(1, 0)
-    model = train(samples, window, direction=("a", "b"))
+    model = train(samples, window, CYR2LAT_TABLE)
     assert len(model.nodes[0]) == 4  # the root splits
     assert serialize(model) == _reference_bytes(samples, window)
     assert all(predict(model, s.features) == s.label for s in samples)
@@ -503,7 +528,7 @@ def test_matches_reference_grower_on_synthetic(synthetic_small, cyr2lat_table, x
     samples = dedup_samples(
         [sample for pair in alignments for sample in extract_samples(pair, window)]
     )
-    got = serialize(train(samples, window, direction=("a", "b")))
+    got = serialize(train(samples, window, CYR2LAT_TABLE))
     assert got == _reference_bytes(samples, window)
 
 
@@ -526,10 +551,10 @@ def _leaf(label):
 
 def _model_file(nodes, window=WindowSpec(1, 0)):
     obj = {
-        "format_version": 2,
+        "format_version": 3,
         "direction": list(CYR2LAT),
         "window": {"x": window.x, "y": window.y},
-        "table_fingerprint": "",
+        "table": {"а": ["a"], "б": ["b"]},
         "nodes": nodes,
     }
     return json.dumps(obj, ensure_ascii=False).encode("utf-8")
@@ -549,7 +574,7 @@ def test_chain_compiles_to_one_switch_where_the_earlier_test_wins():
 @given(case=_sample_sets())
 def test_compiled_walk_matches_reference_on_trained_trees(case):
     width, samples = case
-    model = train(samples, WindowSpec(0, width - 1), CYR2LAT)
+    model = train(samples, WindowSpec(0, width - 1), CYR2LAT_TABLE)
     # every vector over the training symbols and one unseen symbol
     for features in itertools.product([*_SYMBOLS, "г"], repeat=width):
         assert predict(model, features) == _reference_predict(model, features)
@@ -647,9 +672,7 @@ def test_lexicon_models_match_reference_walk(lexicon, direction, x, y):
     """The README-default windows, trained on the 70% seed-42 lexicon split,
     on every window of 2,000 synthetic words."""
     train_part, _, _ = split_corpus(lexicon, SplitConfig(0.7, 0.15, 0.15, seed=42))
-    model = train_direction(
-        train_part, WindowSpec(x, y), bundled_mapping_table(direction), direction
-    )
+    model = train_direction(train_part, WindowSpec(x, y), bundled_mapping_table(direction))
     windows = [
         features
         for source, _ in gen_corpus(2000, 42).oriented(direction)

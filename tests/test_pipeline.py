@@ -117,10 +117,10 @@ def test_corpus_save_load_roundtrip(tmp_path, synthetic_small):
 
 
 def test_train_direction_pure_fit(lexicon, cyr2lat_table):
-    model = train_direction(lexicon, WindowSpec(2, 3), cyr2lat_table, CYR2LAT)
+    model = train_direction(lexicon, WindowSpec(2, 3), cyr2lat_table)
     assert model.direction == CYR2LAT
     assert model.window == WindowSpec(2, 3)
-    assert model.table_fingerprint == cyr2lat_table.fingerprint()
+    assert model.table == cyr2lat_table
     report = evaluate(model, lexicon, cyr2lat_table)
     assert report.char_f1 == 1.0
     assert report.word_accuracy == 1.0
@@ -128,13 +128,13 @@ def test_train_direction_pure_fit(lexicon, cyr2lat_table):
 
 def test_train_direction_empty_corpus(cyr2lat_table):
     with pytest.raises(AllPairsUnalignableError):
-        train_direction(Corpus([]), WindowSpec(1, 1), cyr2lat_table, CYR2LAT)
+        train_direction(Corpus([]), WindowSpec(1, 1), cyr2lat_table)
 
 
 def test_train_direction_unalignable_corpus(cyr2lat_table):
     corpus = Corpus([("аб", "xyz")])
     with pytest.raises(AllPairsUnalignableError):
-        train_direction(corpus, WindowSpec(1, 1), cyr2lat_table, CYR2LAT)
+        train_direction(corpus, WindowSpec(1, 1), cyr2lat_table)
 
 
 @pytest.mark.parametrize(
@@ -147,17 +147,17 @@ def test_train_direction_unalignable_corpus(cyr2lat_table):
     ],
 )
 def test_transliterate_fixtures(lexicon, cyr2lat_table, cyr, lat):
-    model = train_direction(lexicon, WindowSpec(2, 3), cyr2lat_table, CYR2LAT)
+    model = train_direction(lexicon, WindowSpec(2, 3), cyr2lat_table)
     assert transliterate_word(model, cyr) == lat
 
 
 def test_transliterate_reverse_fixture(lexicon, lat2cyr_table):
-    model = train_direction(lexicon, WindowSpec(4, 3), lat2cyr_table, LAT2CYR)
+    model = train_direction(lexicon, WindowSpec(4, 3), lat2cyr_table)
     assert transliterate_word(model, "sirt") == "сирт"
 
 
 def test_transliterate_total_on_arbitrary_text(lexicon, cyr2lat_table):
-    model = train_direction(lexicon, WindowSpec(2, 3), cyr2lat_table, CYR2LAT)
+    model = train_direction(lexicon, WindowSpec(2, 3), cyr2lat_table)
     assert transliterate_word(model, "§12-бола!") == "§12-bola!"
 
 
@@ -167,7 +167,7 @@ def test_evaluate_hand_computed_counts():
         CYR2LAT, {"б": ("b",), "о": ("o",), "л": ("l",), "а": ("a", "z")}
     )
     trained_on = Corpus([("бола", "bolz")])
-    model = train_direction(trained_on, WindowSpec(0, 0), table, CYR2LAT)
+    model = train_direction(trained_on, WindowSpec(0, 0), table)
     report = evaluate(model, Corpus([("бола", "bola")]), table)
     assert report.char_f1 == pytest.approx(0.75)
     assert report.word_accuracy == 0.0
@@ -175,7 +175,7 @@ def test_evaluate_hand_computed_counts():
 
 
 def test_evaluate_all_correct(lexicon, cyr2lat_table):
-    model = train_direction(lexicon, WindowSpec(2, 3), cyr2lat_table, CYR2LAT)
+    model = train_direction(lexicon, WindowSpec(2, 3), cyr2lat_table)
     sub = Corpus(lexicon.pairs[:25])
     report = evaluate(model, sub, cyr2lat_table)
     assert report.char_precision == report.char_recall == report.char_f1 == 1.0
@@ -184,7 +184,7 @@ def test_evaluate_all_correct(lexicon, cyr2lat_table):
 
 
 def test_evaluate_unalignable_counts_fully_wrong(lexicon, cyr2lat_table):
-    model = train_direction(lexicon, WindowSpec(2, 3), cyr2lat_table, CYR2LAT)
+    model = train_direction(lexicon, WindowSpec(2, 3), cyr2lat_table)
     # one alignable pair predicted perfectly + one unalignable 4-char pair
     heldout = Corpus([lexicon.pairs[0], ("тўрт", "zzz")])
     report = evaluate(model, heldout, cyr2lat_table)
@@ -199,7 +199,7 @@ def test_evaluate_unalignable_counts_fully_wrong(lexicon, cyr2lat_table):
 @given(seed=st.integers(0, 5000), x=st.integers(0, 3), y=st.integers(0, 3))
 def test_micro_identity_property(seed, x, y, cyr2lat_table):
     corpus = gen_corpus(30, seed=seed)
-    model = train_direction(corpus, WindowSpec(x, y), cyr2lat_table, CYR2LAT)
+    model = train_direction(corpus, WindowSpec(x, y), cyr2lat_table)
     heldout = gen_corpus(20, seed=seed + 1)
     report = evaluate(model, heldout, cyr2lat_table)
     assert report.char_precision == report.char_recall == report.char_f1
@@ -209,11 +209,11 @@ def test_grid_search_single_cell(synthetic_small, cyr2lat_table):
     config = SplitConfig(0.7, 0.15, 0.15, seed=1)
     train_part, val_part, _ = split_corpus(synthetic_small, config)
     model, cells = grid_search(
-        train_part, val_part, cyr2lat_table, CYR2LAT, x_values=[2], y_values=[3]
+        train_part, val_part, cyr2lat_table, x_values=[2], y_values=[3]
     )
     assert model.window == WindowSpec(2, 3)
     assert len(cells) == 1
-    retrained = train_direction(train_part, model.window, cyr2lat_table, CYR2LAT)
+    retrained = train_direction(train_part, model.window, cyr2lat_table)
     assert dtree.serialize(model) == dtree.serialize(retrained)
 
 
@@ -224,7 +224,7 @@ def test_grid_search_tiebreak_prefers_smallest_window(cyr2lat_table):
     train_part = Corpus(pairs)
     val_part = Corpus(pairs[:4])
     model, cells = grid_search(
-        train_part, val_part, cyr2lat_table, CYR2LAT,
+        train_part, val_part, cyr2lat_table,
         x_values=range(0, 3), y_values=range(0, 3),
     )
     assert model.window == WindowSpec(0, 0)
@@ -234,40 +234,40 @@ def test_grid_search_tiebreak_prefers_smallest_window(cyr2lat_table):
 def test_grid_search_empty_grid_rejected(cyr2lat_table):
     pairs = Corpus([("бола", "bola")])
     with pytest.raises(ValueError, match="grid is empty"):
-        grid_search(pairs, pairs, cyr2lat_table, CYR2LAT, x_values=range(3, 1), y_values=[0])
+        grid_search(pairs, pairs, cyr2lat_table, x_values=range(3, 1), y_values=[0])
 
 
 def test_grid_search_dominance(synthetic_small, cyr2lat_table):
     config = SplitConfig(0.7, 0.15, 0.15, seed=5)
     train_part, val_part, _ = split_corpus(synthetic_small, config)
     model, cells = grid_search(
-        train_part, val_part, cyr2lat_table, CYR2LAT,
+        train_part, val_part, cyr2lat_table,
         x_values=range(0, 3), y_values=range(0, 3),
     )
     best = model.window
     best_cell = [c for c in cells if (c.x, c.y) == (best.x, best.y)][0]
     assert all(best_cell.validation_f1 >= c.validation_f1 for c in cells)
-    retrained = train_direction(train_part, best, cyr2lat_table, CYR2LAT)
+    retrained = train_direction(train_part, best, cyr2lat_table)
     assert dtree.serialize(model) == dtree.serialize(retrained)
 
 
 def test_round_trip_synthetic(cyr2lat_table, lat2cyr_table, synthetic_small):
-    fwd = train_direction(synthetic_small, WindowSpec(2, 3), cyr2lat_table, CYR2LAT)
-    rev = train_direction(synthetic_small, WindowSpec(2, 3), lat2cyr_table, LAT2CYR)
+    fwd = train_direction(synthetic_small, WindowSpec(2, 3), cyr2lat_table)
+    rev = train_direction(synthetic_small, WindowSpec(2, 3), lat2cyr_table)
     report = round_trip_check(fwd, rev, [cyr for cyr, _ in synthetic_small.pairs])
     assert report.fraction == 1.0
     assert report.failures == []
 
 
 def test_round_trip_direction_mismatch(cyr2lat_table, synthetic_small):
-    fwd = train_direction(synthetic_small, WindowSpec(1, 1), cyr2lat_table, CYR2LAT)
+    fwd = train_direction(synthetic_small, WindowSpec(1, 1), cyr2lat_table)
     with pytest.raises(ValueError, match="opposite"):
         round_trip_check(fwd, fwd, ["бола"])
 
 
 def test_round_trip_empty_word_list(cyr2lat_table, lat2cyr_table, synthetic_small):
-    fwd = train_direction(synthetic_small, WindowSpec(1, 1), cyr2lat_table, CYR2LAT)
-    rev = train_direction(synthetic_small, WindowSpec(1, 1), lat2cyr_table, LAT2CYR)
+    fwd = train_direction(synthetic_small, WindowSpec(1, 1), cyr2lat_table)
+    rev = train_direction(synthetic_small, WindowSpec(1, 1), lat2cyr_table)
     report = round_trip_check(fwd, rev, [])
     assert report.fraction == 1.0
     assert report.failures == []
@@ -303,7 +303,7 @@ def test_training_determinism_end_to_end(cyr2lat_table, synthetic_small):
     reports = []
     for _ in range(2):
         train_part, val_part, _ = split_corpus(synthetic_small, config)
-        model = train_direction(train_part, WindowSpec(2, 2), cyr2lat_table, CYR2LAT)
+        model = train_direction(train_part, WindowSpec(2, 2), cyr2lat_table)
         models.append(dtree.serialize(model))
         reports.append(evaluate(model, val_part, cyr2lat_table))
     assert models[0] == models[1]
