@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Print one line per grid cell: direction, x, y and the SHA-256 of the
-serialized model trained at that window.
+tree trained at that window (its node list as JSON).
 
 The models are trained on the 70% part of the 70/15/15 seed-42 split of
 a synthetic corpus (``--synthetic SIZE SEED``) or of the bundled lexicon
 (``--lexicon``). Two checkouts that print the same lines train
-byte-identical models, which is the gate for refactoring the trainer.
-The digests changed by design with model format 2 (flat node list) and
-again with format 3 (the table's rows in place of its fingerprint);
-compare checkouts that write the same format.
+identical trees, which is the gate for refactoring the trainer. Only the
+nodes are hashed, so the gate holds across file format changes that
+keep the tree (format 3 added the table, format 4 dropped the
+direction).
 
 Usage: PYTHONPATH=src python scripts/model_digests.py --synthetic 5000 42
        PYTHONPATH=src python scripts/model_digests.py --lexicon --dir cyr2lat
@@ -18,9 +18,9 @@ Usage: PYTHONPATH=src python scripts/model_digests.py --synthetic 5000 42
 
 import argparse
 import hashlib
+import json
 import sys
 
-from uztranslit import dtree
 from uztranslit.alphabets import _data_path, bundled_mapping_table, parse_direction
 from uztranslit.featurizer import WindowSpec
 from uztranslit.gencorpus import gen_corpus
@@ -52,7 +52,8 @@ def main(argv=None) -> int:
         for x in range(args.x_min, args.x_max + 1):
             for y in range(args.y_min, args.y_max + 1):
                 model = train_direction(train_part, WindowSpec(x, y), table)
-                digest = hashlib.sha256(dtree.serialize(model)).hexdigest()
+                tree = json.dumps(model.nodes, ensure_ascii=False).encode("utf-8")
+                digest = hashlib.sha256(tree).hexdigest()
                 print(f"{name} {x} {y} {digest}", flush=True)
     return 0
 

@@ -103,7 +103,7 @@ def main(argv=None) -> int:
     reverse_pairs = [(lat, cyr) for cyr, lat in lexicon.pairs]
 
     for round_no in range(1, 20):
-        table = MappingTable(LAT2CYR, {k: tuple(v) for k, v in entries.items()})
+        table = MappingTable({k: tuple(v) for k, v in entries.items()})
         _, failures = align_corpus(reverse_pairs, table)
         if not failures:
             print(f"round {round_no}: table covers all {len(reverse_pairs)} pairs")
@@ -124,7 +124,7 @@ def main(argv=None) -> int:
             print("no progress; giving up", file=sys.stderr)
             return 1
 
-    rebuilt = MappingTable(LAT2CYR, {k: tuple(v) for k, v in entries.items()})
+    rebuilt = MappingTable({k: tuple(v) for k, v in entries.items()})
     Path(args.out).write_text(rebuilt.format(), encoding="utf-8")
     print(f"wrote {args.out}")
 

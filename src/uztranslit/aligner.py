@@ -3,9 +3,11 @@
 Each source character is paired with zero or more characters of the
 target word so that the segments tile the target exactly. The search is
 a depth-first backtracking walk over the mapping table's candidates,
-longest candidate first, and the first complete tiling wins. Candidate
-lists are tiny (at most four entries) and words are short, so the
-exhaustive search is cheap and fully deterministic.
+longest candidate first, and the first complete tiling wins, so the
+search is fully deterministic. A (source index, target offset) state
+whose candidates have all failed is remembered and never entered again,
+so a word costs at most one visit per state, however many empty
+candidates the table allows.
 """
 
 from __future__ import annotations
@@ -96,7 +98,10 @@ def align_word(source: str, target: str, table: MappingTable) -> AlignedPair:
 
     # Depth-first backtracking with an explicit stack; frames hold
     # (source index, target offset, next candidate to try, matched-any).
+    # A state is dead once its frame is exhausted: entering it again
+    # would fail again and charge no further fail position.
     frames: list[list] = [[0, 0, 0, False]]
+    dead: set[tuple[int, int]] = set()
     while frames:
         frame = frames[-1]
         i, j = frame[0], frame[1]
@@ -106,15 +111,20 @@ def align_word(source: str, target: str, table: MappingTable) -> AlignedPair:
                 break
             # Source exhausted with target left over; charge the last char.
             fail_position = max(fail_position, n - 1)
+            dead.add((i, j))
             frames.pop()
             continue
         candidates = candidate_lists[i]
         k = frame[2]
-        while k < len(candidates) and not target.startswith(candidates[k], j):
+        while k < len(candidates) and (
+            not target.startswith(candidates[k], j)
+            or (i + 1, j + len(candidates[k])) in dead
+        ):
             k += 1
         if k == len(candidates):
             if not frame[3]:
                 fail_position = max(fail_position, i)
+            dead.add((i, j))
             frames.pop()
             continue
         frame[2] = k + 1
@@ -134,9 +144,7 @@ def align_corpus(pairs, table: MappingTable):
     for source, target in pairs:
         try:
             alignments.append(align_word(source, target, table))
-        except UnknownSourceCharError as err:
-            failures.append(AlignmentFailure(source, target, err.position))
-        except NoAlignmentError as err:
+        except AlignmentError as err:
             failures.append(AlignmentFailure(source, target, err.position))
     return alignments, failures
 

@@ -6,6 +6,9 @@ ch, ng and the apostrophe). A MappingTable lists, for every single
 source-script character, the candidate target strings it may align
 with, including the empty string (written ``∅`` in table files).
 
+A table's keys fix its direction: a table with a Cyrillic key maps
+Cyrillic to Latin, any other Latin to Cyrillic.
+
 A model carries the table it was trained under, and its keys are the
 model's alphabet. The bundled tables have 36 Cyrillic keys (35 letters
 and the hyphen) and 27 Latin ones (25 letters, the apostrophe and the
@@ -64,10 +67,11 @@ def _canonical_candidates(candidates: Iterable[str]) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class MappingTable:
-    """Per source character, the admissible target strings, in search order."""
+    """Per source character, the admissible target strings, in search order.
+    ``direction`` is inferred from the keys (see infer_direction)."""
 
-    direction: Direction
-    entries: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
+    entries: Mapping[str, tuple[str, ...]]
+    direction: Direction = field(init=False)
 
     def __post_init__(self):
         canon = {}
@@ -81,6 +85,7 @@ class MappingTable:
                 raise ValueError(f"table key {key!r} has duplicate candidates")
             canon[key] = cands
         object.__setattr__(self, "entries", canon)
+        object.__setattr__(self, "direction", infer_direction(canon))
 
     def candidates(self, char: str) -> tuple[str, ...] | None:
         return self.entries.get(char)
@@ -106,8 +111,7 @@ def load_mapping_table(path) -> MappingTable:
     """Parse a mapping-table file.
 
     One entry per line: ``<source-char><TAB><candidate>{,<candidate>}``,
-    ``∅`` denoting the empty string, ``#`` starting a comment. The
-    direction is inferred from the script of the keys.
+    ``∅`` denoting the empty string, ``#`` starting a comment.
     """
     entries: dict[str, tuple[str, ...]] = {}
     with open(path, encoding="utf-8") as handle:
@@ -135,7 +139,7 @@ def load_mapping_table(path) -> MappingTable:
             entries[key] = tuple(candidates)
     if not entries:
         raise TableParseError(path, 0, "table file has no entries")
-    return MappingTable(direction=infer_direction(entries), entries=entries)
+    return MappingTable(entries)
 
 
 def _data_path(filename: str):

@@ -1,11 +1,11 @@
 """Command-line entry point for the transliteration pipeline.
 
-Exit codes: 0 success, 1 usage error (bad flags, missing files),
-2 data error (unparseable tables/corpora/models, a table of the other
-direction, corpora the table cannot align at all). All output files
-are written atomically: a temp file in the target directory is renamed
-over the destination, so an interrupted grid search never leaves a
-half-written model behind.
+Exit codes: 0 success, 1 usage error (bad flags, any OSError such as a
+missing file), 2 data error (any ValueError: unparseable
+tables/corpora/models, a table of the other direction, corpora the
+table cannot align at all). All output files are written atomically: a
+temp file in the target directory is renamed over the destination, so
+an interrupted grid search never leaves a half-written model behind.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import tempfile
 
 from . import dtree, gencorpus, pipeline
 from .alphabets import (
-    TableParseError,
     bundled_mapping_table,
     load_mapping_table,
     normalize_word,
@@ -26,7 +25,7 @@ from .alphabets import (
 )
 from .aligner import align_corpus, format_failure_report
 from .featurizer import WindowSpec
-from .pipeline import AllPairsUnalignableError, SplitConfig
+from .pipeline import SplitConfig
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -36,7 +35,7 @@ class UsageError(Exception):
     pass
 
 
-class DataError(Exception):
+class DataError(ValueError):
     pass
 
 
@@ -65,11 +64,6 @@ def atomic_write(path, data) -> None:
         raise
 
 
-def _require_file(path) -> None:
-    if not os.path.exists(path):
-        raise UsageError(f"file not found: {path}")
-
-
 def _direction(text):
     try:
         return parse_direction(text)
@@ -87,18 +81,12 @@ def _window(args) -> WindowSpec:
 def _load_table(args, direction):
     if not args.table:
         return bundled_mapping_table(direction)
-    _require_file(args.table)
     table = load_mapping_table(args.table)  # direction inferred from the keys
     if table.direction != direction:
         raise DataError(
             f"{args.table} maps {'->'.join(table.direction)}, not {'->'.join(direction)}"
         )
     return table
-
-
-def _load_corpus(args):
-    _require_file(args.corpus)
-    return pipeline.load_corpus(args.corpus)
 
 
 def _emit(text: str, out_path) -> None:
@@ -111,7 +99,7 @@ def _emit(text: str, out_path) -> None:
 def cmd_align(args) -> int:
     direction = _direction(args.dir)
     table = _load_table(args, direction)
-    corpus = _load_corpus(args)
+    corpus = pipeline.load_corpus(args.corpus)
     alignments, failures = align_corpus(corpus.oriented(direction), table)
     lines = []
     for pair in alignments:
@@ -138,11 +126,8 @@ def cmd_train(args) -> int:
     direction = _direction(args.dir)
     window = _window(args)
     table = _load_table(args, direction)
-    corpus = _load_corpus(args)
-    try:
-        model = pipeline.train_direction(corpus, window, table)
-    except AllPairsUnalignableError as err:
-        raise DataError(str(err))
+    corpus = pipeline.load_corpus(args.corpus)
+    model = pipeline.train_direction(corpus, window, table)
     payload = dtree.serialize(model)
     atomic_write(args.out, payload)
     depth = dtree.tree_depth(model.nodes)
@@ -156,7 +141,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_transliterate(args) -> int:
-    _require_file(args.model)
     model = dtree.load_model(args.model)
     for raw in args.word:
         # Case is kept here so its pattern can be restored on output.
@@ -168,9 +152,8 @@ def cmd_transliterate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    _require_file(args.model)
     model = dtree.load_model(args.model)
-    corpus = _load_corpus(args)
+    corpus = pipeline.load_corpus(args.corpus)
     report = pipeline.evaluate(model, corpus, model.table)
     if args.format == "json":
         text = json.dumps(report.to_json_dict(), ensure_ascii=False, indent=2) + "\n"
@@ -196,18 +179,15 @@ def cmd_grid_search(args) -> int:
     except ValueError as err:
         raise UsageError(str(err))
     table = _load_table(args, direction)
-    corpus = _load_corpus(args)
+    corpus = pipeline.load_corpus(args.corpus)
     train_part, val_part, test_part = pipeline.split_corpus(corpus, config)
-    try:
-        model, cells = pipeline.grid_search(
-            train_part,
-            val_part,
-            table,
-            x_values=range(args.x_min, args.x_max + 1),
-            y_values=range(args.y_min, args.y_max + 1),
-        )
-    except AllPairsUnalignableError as err:
-        raise DataError(str(err))
+    model, cells = pipeline.grid_search(
+        train_part,
+        val_part,
+        table,
+        x_values=range(args.x_min, args.x_max + 1),
+        y_values=range(args.y_min, args.y_max + 1),
+    )
     grid_text = pipeline.format_grid_tsv(cells)
     if args.out:
         atomic_write(args.out, grid_text)
@@ -240,7 +220,7 @@ def cmd_gen_corpus(args) -> int:
 def cmd_discover(args) -> int:
     direction = _direction(args.dir)
     table = _load_table(args, direction)
-    corpus = _load_corpus(args)
+    corpus = pipeline.load_corpus(args.corpus)
     failures = align_corpus(corpus.oriented(direction), table)[1]
     _emit(format_failure_report(failures), args.out)
     print(f"{len(failures)} uncovered pairs", file=sys.stderr)
@@ -316,7 +296,7 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return USAGE_ERROR
-    except (ValueError, TableParseError, dtree.ModelFormatError, DataError) as err:
+    except ValueError as err:
         print(f"data error: {err}", file=sys.stderr)
         return DATA_ERROR
     except OSError as err:

@@ -38,11 +38,10 @@ every child index is greater than its parent's. Walking and validating
 the tree are therefore plain loops, and JSON nesting stays a few levels
 deep however deep the tree grows.
 
-A model carries the mapping table it was trained under (format 3): the
-table's keys are the characters it classifies, and its direction is the
-model's direction. Loading builds the table through MappingTable's
-checks and requires its keys to imply that direction, by the rule that
-infers a table file's direction.
+A model carries the mapping table it was trained under (format 4): the
+table's keys are the characters it classifies and fix its direction,
+which is the model's. Loading builds the table through MappingTable's
+checks.
 
 Prediction does not walk that list. Equality splits make long ne chains
 that test one position against one symbol after another, and such a
@@ -65,10 +64,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
-from .alphabets import CYR2LAT, LAT2CYR, Direction, MappingTable, infer_direction
+from .alphabets import Direction, MappingTable
 from .featurizer import Sample, WindowSpec
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 class EmptyTrainingSetError(ValueError):
@@ -385,31 +384,24 @@ def _check_nodes(nodes, width: int) -> None:
         raise ModelFormatError(f"{orphans} nodes besides node 0 have no parent")
 
 
-def _check_table(rows, direction: Direction) -> MappingTable:
-    """The MappingTable of a file's ``table`` rows, whose keys must imply
-    ``direction`` as they would in a table file; ModelFormatError if not."""
+def _check_table(rows) -> MappingTable:
+    """The MappingTable of a file's ``table`` rows; ModelFormatError if
+    they do not make one."""
     if not isinstance(rows, dict) or not rows:
         raise ModelFormatError("model table is not an object with rows")
     for key, candidates in rows.items():
         if not isinstance(candidates, list) or not all(isinstance(c, str) for c in candidates):
             raise ModelFormatError(f"table key {key!r}: candidates are not a list of strings")
     try:
-        table = MappingTable(direction=direction, entries=rows)
+        return MappingTable(rows)
     except ValueError as err:
         raise ModelFormatError(f"model table: {err}") from err
-    implied = infer_direction(table.entries)
-    if implied != direction:
-        raise ModelFormatError(
-            f"model table maps {'->'.join(implied)}, not {'->'.join(direction)}"
-        )
-    return table
 
 
 def serialize(model: TranslitModel) -> bytes:
     """Versioned JSON; PAD appears as the literal string "∅-PAD"."""
     obj = {
         "format_version": FORMAT_VERSION,
-        "direction": list(model.direction),
         "window": {"x": model.window.x, "y": model.window.y},
         "table": model.table.entries,
         "nodes": model.nodes,
@@ -435,7 +427,6 @@ def deserialize(data: bytes) -> TranslitModel:
         )
     try:
         x, y = obj["window"]["x"], obj["window"]["y"]
-        direction = obj["direction"]
         rows = obj["table"]
         nodes = obj["nodes"]
     except (KeyError, TypeError) as err:
@@ -443,9 +434,7 @@ def deserialize(data: bytes) -> TranslitModel:
     if type(x) is not int or type(y) is not int:
         raise ModelFormatError(f"window bounds are not ints: x={x!r}, y={y!r}")
     window = WindowSpec(x=x, y=y)
-    if direction not in ([*CYR2LAT], [*LAT2CYR]):
-        raise ModelFormatError(f"direction {direction!r} is neither cyr2lat nor lat2cyr")
-    table = _check_table(rows, tuple(direction))
+    table = _check_table(rows)
     _check_nodes(nodes, window.width)
     return TranslitModel(nodes=nodes, window=window, table=table)
 

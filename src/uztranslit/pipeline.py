@@ -297,8 +297,8 @@ def grid_search(
     train_part: Corpus,
     validation_part: Corpus,
     table: MappingTable,
-    x_values=range(0, 11),
-    y_values=range(0, 11),
+    x_values,
+    y_values,
 ) -> tuple[TranslitModel, list[GridCell]]:
     """Train one model per (x, y) cell; return the model of the cell with
     the best validation F1 (ties go to the smallest x+y, then the

@@ -57,6 +57,31 @@ def test_leftover_target_fails(cyr2lat_table):
     assert excinfo.value.position == 0
 
 
+class _CountingStr(str):
+    calls = 0
+
+    def startswith(self, *args):
+        type(self).calls += 1
+        return super().startswith(*args)
+
+
+@pytest.mark.parametrize(
+    ("char", "segment", "table"),
+    [("s", "с", "lat2cyr_table"), ("ъ", "'", "cyr2lat_table")],
+    ids=["lat2cyr", "cyr2lat"],
+)
+def test_empty_candidates_cost_polynomial_time(request, char, segment, table):
+    # each source char may take its segment or nothing, so a target with
+    # one stray character at the end has 2**n dead ends to backtrack over
+    n = 20
+    target = _CountingStr(segment * n + "x")
+    _CountingStr.calls = 0
+    with pytest.raises(NoAlignmentError) as excinfo:
+        align_word(char * n, target, request.getfixturevalue(table))
+    assert excinfo.value.position == n - 1
+    assert _CountingStr.calls <= 4 * (n + 1) * (len(target) + 1)
+
+
 def test_empty_source_rejected(cyr2lat_table):
     with pytest.raises(ValueError):
         align_word("", "a", cyr2lat_table)

@@ -94,10 +94,10 @@ def test_load_table_reports_line_numbers(tmp_path):
 
 
 def test_candidate_order_longest_first_then_codepoint():
-    table = MappingTable(CYR2LAT, {"е": ("e", "ye"), "о": ("yo", "o")})
+    table = MappingTable({"е": ("e", "ye"), "о": ("yo", "o")})
     assert table.entries["е"] == ("ye", "e")
     assert table.entries["о"] == ("yo", "o")
-    rev = MappingTable(LAT2CYR, {"o": ("ў", "о", "ё")})
+    rev = MappingTable({"o": ("ў", "о", "ё")})
     assert rev.entries["o"] == ("о", "ё", "ў")
 
 
@@ -121,7 +121,7 @@ def test_bundled_tables_roundtrip_format(tmp_path, cyr2lat_table, lat2cyr_table)
 def test_discover_unmapped_truncated_table(cyr2lat_table):
     entries = dict(cyr2lat_table.entries)
     entries["ц"] = ("ts",)  # drop the ц -> s rule
-    truncated = MappingTable(CYR2LAT, entries)
+    truncated = MappingTable(entries)
     report = align_corpus([("цирк", "sirk")], truncated)[1]
     assert len(report) == 1
     assert (report[0].source, report[0].target, report[0].position) == ("цирк", "sirk", 0)

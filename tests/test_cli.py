@@ -70,16 +70,17 @@ def test_float_window_bound_is_data_error(tmp_path, trained_model, capsys):
     assert "window bounds are not ints" in capsys.readouterr().err
 
 
-def test_unknown_model_direction_is_data_error(tmp_path, trained_model, capsys):
+def test_v3_model_is_data_error(tmp_path, trained_model, capsys):
     obj = json.loads(trained_model.read_bytes())
-    obj["direction"] = ["latin", "latin"]
-    broken = tmp_path / "latin-latin.json"
-    broken.write_text(json.dumps(obj, ensure_ascii=False), encoding="utf-8")
-    code = main(["transliterate", "--model", str(broken), "--word", "abc"])
+    obj["format_version"] = 3
+    obj["direction"] = ["cyrillic", "latin"]
+    old = tmp_path / "v3.json"
+    old.write_text(json.dumps(obj, ensure_ascii=False), encoding="utf-8")
+    code = main(["transliterate", "--model", str(old), "--word", "цирк"])
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "neither cyr2lat nor lat2cyr" in captured.err
+    assert "retrain" in captured.err
 
 
 def test_model_with_shared_child_is_data_error(tmp_path, capsys):
@@ -87,7 +88,7 @@ def test_model_with_shared_child_is_data_error(tmp_path, capsys):
     nodes = [[0, "ц", 1, 2], [0, "и", 2, 3], ["s", {"s": 1}], ["i", {"i": 1}]]
     broken = tmp_path / "shared.json"
     broken.write_text(
-        json.dumps({"format_version": 3, "direction": ["cyrillic", "latin"],
+        json.dumps({"format_version": 4,
                     "table": {"ц": ["s"], "и": ["i"]}, "window": {"x": 0, "y": 0},
                     "nodes": nodes},
                    ensure_ascii=False),
@@ -104,7 +105,7 @@ def test_deeply_nested_model_is_data_error(tmp_path, capsys):
     depth = 200_000
     broken = tmp_path / "deep.json"
     broken.write_text(
-        '{"format_version":3,"direction":["cyrillic","latin"],"table":{"ц":["s"]},'
+        '{"format_version":4,"table":{"ц":["s"]},'
         '"window":{"x":0,"y":0},"nodes":' + "[" * depth + "]" * depth + "}",
         encoding="utf-8",
     )
@@ -125,12 +126,19 @@ def test_bad_model_table_is_data_error(tmp_path, trained_model, capsys):
     assert "table key 'ц' has no candidates" in captured.err
 
 
-def test_missing_corpus_is_usage_error(tmp_path):
-    code = main(
-        ["train", "--dir", "cyr2lat", "--corpus", str(tmp_path / "absent.tsv"),
-         "--out", str(tmp_path / "m.json")]
-    )
-    assert code == 1
+@pytest.mark.parametrize("missing", ["corpus", "model", "table"])
+def test_missing_file_is_usage_error(tmp_path, lexicon_path, capsys, missing):
+    absent = str(tmp_path / "absent")
+    out = str(tmp_path / "m.json")
+    argv = {
+        "corpus": ["train", "--dir", "cyr2lat", "--corpus", absent, "--out", out],
+        "model": ["transliterate", "--model", absent, "--word", "цирк"],
+        "table": ["train", "--dir", "cyr2lat", "--corpus", lexicon_path,
+                  "--table", absent, "--out", out],
+    }[missing]
+    assert main(argv) == 1
+    assert absent in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_unknown_flag_is_usage_error():
@@ -149,15 +157,16 @@ def test_bad_direction_is_usage_error(tmp_path, lexicon_path):
     assert code == 1
 
 
-def test_unalignable_corpus_is_data_error(tmp_path):
+def test_unalignable_corpus_is_data_error(tmp_path, capsys):
     corpus = tmp_path / "bad.tsv"
-    corpus.write_text("аб\txyz\n", encoding="utf-8")
-    code = main(
-        ["train", "--dir", "cyr2lat", "--corpus", str(corpus),
-         "--out", str(tmp_path / "m.json")]
-    )
-    assert code == 2
-    assert not (tmp_path / "m.json").exists()
+    corpus.write_text("аб\txyz\n" * 10, encoding="utf-8")
+    for argv in (["train", "--out", str(tmp_path / "m.json")],
+                 ["grid-search", "--x-max", "1", "--y-max", "1",
+                  "--best-model", str(tmp_path / "m.json")]):
+        code = main(argv + ["--dir", "cyr2lat", "--corpus", str(corpus)])
+        assert code == 2
+        assert "no training pair could be aligned" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
 
 def test_malformed_table_is_data_error(tmp_path, lexicon_path):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from uztranslit import dtree
 from uztranslit.aligner import align_word
-from uztranslit.alphabets import CYR2LAT, LAT2CYR, bundled_mapping_table
+from uztranslit.alphabets import CYR2LAT, LAT2CYR, MappingTable, bundled_mapping_table
 from uztranslit.dtree import (
     EmptyCountsError,
     EmptyTrainingSetError,
@@ -268,12 +268,16 @@ def test_truncated_file_is_corruption(cyr2lat_table):
 def test_future_version_rejected(cyr2lat_table):
     payload = serialize(train(table7_samples(cyr2lat_table), WindowSpec(2, 1), CYR2LAT_TABLE))
     obj = json.loads(payload)
-    # version 1 stored a nested tree and version 2 a table fingerprint;
-    # such files must be retrained
+    # version 1 stored a nested tree, version 2 a table fingerprint and
+    # version 3 a direction beside the table; such files must be retrained
     for version in (99, 1):
         obj["format_version"] = version
         with pytest.raises(ModelVersionError, match="retrain"):
             deserialize(json.dumps(obj).encode("utf-8"))
+    obj["format_version"] = 3
+    obj["direction"] = ["cyrillic", "latin"]
+    with pytest.raises(ModelVersionError, match="retrain"):
+        deserialize(json.dumps(obj).encode("utf-8"))
     obj["format_version"] = 2
     del obj["table"]
     obj["table_fingerprint"] = "0" * 64
@@ -283,13 +287,9 @@ def test_future_version_rejected(cyr2lat_table):
 
 def test_structural_corruption_rejected():
     with pytest.raises(ModelFormatError):
-        deserialize('{"format_version": 3, "direction": ["cyrillic","latin"], '
+        deserialize('{"format_version": 4, '
                     '"window": {"x": 1, "y": 1}, "table": {"а": ["a"]}, '
                     '"nodes": [[0, "x", 1]]}'.encode("utf-8"))
-    with pytest.raises(ModelFormatError):
-        deserialize('{"format_version": 3, "direction": [1, 2], '
-                    '"window": {"x": 0, "y": 0}, "table": {"а": ["a"]}, '
-                    '"nodes": [["a", {"a": 1}]]}'.encode("utf-8"))
 
 
 def test_save_load_model(tmp_path, cyr2lat_table):
@@ -298,6 +298,26 @@ def test_save_load_model(tmp_path, cyr2lat_table):
     path.write_bytes(serialize(model))
     clone = dtree.load_model(path)
     assert serialize(clone) == serialize(model)
+
+
+def test_model_direction_follows_table_keys():
+    with pytest.raises(TypeError):
+        MappingTable(CYR2LAT, {"a": ("а",)})
+    table = MappingTable({"a": ("а",)})
+    assert table.direction == LAT2CYR
+    payload = serialize(train([Sample(("a",), "а")], WindowSpec(0, 0), table))
+    assert sorted(json.loads(payload)) == ["format_version", "nodes", "table", "window"]
+    assert deserialize(payload).direction == LAT2CYR
+
+
+def test_cyrillic_keyed_model_file_loads_as_cyr2lat():
+    obj = {
+        "format_version": 4,
+        "window": {"x": 0, "y": 0},
+        "table": {"х": ["x"], "ш": ["sh"]},
+        "nodes": [["x", {"x": 1}]],
+    }
+    assert deserialize(json.dumps(obj).encode("utf-8")).direction == CYR2LAT
 
 
 _LEAVES = [["a", {"a": 1}], ["b", {"b": 1}]]
@@ -338,11 +358,6 @@ _MISSING = object()
         pytest.param("window", {"x": True, "y": 0}, id="x-bool"),
         pytest.param("window", {"x": 1, "y": 0.0}, id="y-float"),
         pytest.param("window", {"x": 1, "y": "0"}, id="y-str"),
-        pytest.param("direction", "ab", id="direction-str"),
-        pytest.param("direction", ["a", "b", "c"], id="direction-of-3"),
-        pytest.param("direction", ["a", 2], id="direction-not-str"),
-        pytest.param("direction", ["latin", "latin"], id="direction-unknown"),
-        pytest.param("direction", ["a", "b"], id="direction-not-a-script"),
         pytest.param("table", _MISSING, id="table-missing"),
         pytest.param("table", [["x", ["х"]]], id="table-not-object"),
         pytest.param("table", {}, id="table-empty"),
@@ -351,16 +366,13 @@ _MISSING = object()
         pytest.param("table", {"x": ["х", "х"]}, id="table-duplicate-candidate"),
         pytest.param("table", {"x": ["х", 1]}, id="table-candidate-not-str"),
         pytest.param("table", {"x": "х"}, id="table-candidates-not-list"),
-        pytest.param("table", {"х": ["x"], "ш": ["sh"]}, id="table-cyrillic-keys"),
     ],
 )
 def test_bad_feature_index_rejected(field, value):
     """Bad feature indices, every other malformed node list, and
-    malformed windows, directions and tables, from a base object that
-    loads."""
+    malformed windows and tables, from a base object that loads."""
     obj = {
-        "format_version": 3,
-        "direction": ["latin", "cyrillic"],
+        "format_version": 4,
         "window": {"x": 1, "y": 0},
         "table": {"x": ["х"], "o": ["о", "ў"]},
         "nodes": [_SPLIT, *_LEAVES],
@@ -551,8 +563,7 @@ def _leaf(label):
 
 def _model_file(nodes, window=WindowSpec(1, 0)):
     obj = {
-        "format_version": 3,
-        "direction": list(CYR2LAT),
+        "format_version": 4,
         "window": {"x": window.x, "y": window.y},
         "table": {"а": ["a"], "б": ["b"]},
         "nodes": nodes,
