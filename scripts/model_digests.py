@@ -1,14 +1,18 @@
 #!/usr/bin/env python3
-"""Print one line per grid cell: direction, x, y and the SHA-256 of the
-tree trained at that window (its node list as JSON).
+"""Print one line per grid cell: direction, x, y, the SHA-256 of the
+tree trained at that window (its node list as JSON) and the SHA-256 of
+that model's transliterations (the list of ``transliterate_word``
+outputs as JSON).
 
 The models are trained on the 70% part of the 70/15/15 seed-42 split of
 a synthetic corpus (``--synthetic SIZE SEED``) or of the bundled lexicon
-(``--lexicon``). Two checkouts that print the same lines train
-identical trees, which is the gate for refactoring the trainer. Only the
-nodes are hashed, so the gate holds across file format changes that
-keep the tree (format 3 added the table, format 4 dropped the
-direction).
+(``--lexicon``). They transliterate the source words of the held-out
+30% and a few words with characters outside the table, and the empty
+word. Two checkouts that print the same lines train identical trees and
+transliterate identically, which is the gate for refactoring the trainer
+or the read path. Only the nodes are hashed, so the gate holds across
+file format changes that keep the tree (format 3 added the table,
+format 4 dropped the direction).
 
 Usage: PYTHONPATH=src python scripts/model_digests.py --synthetic 5000 42
        PYTHONPATH=src python scripts/model_digests.py --lexicon --dir cyr2lat
@@ -24,7 +28,21 @@ import sys
 from uztranslit.alphabets import _data_path, bundled_mapping_table, parse_direction
 from uztranslit.featurizer import WindowSpec
 from uztranslit.gencorpus import gen_corpus
-from uztranslit.pipeline import SplitConfig, load_corpus, split_corpus, train_direction
+from uztranslit.pipeline import (
+    Corpus,
+    SplitConfig,
+    load_corpus,
+    split_corpus,
+    train_direction,
+    transliterate_word,
+)
+
+# Pass-through, mixed and empty input, appended to the held-out words.
+EXTRA_WORDS = ["qo'l-2x!", "w@ena", "ñandu", "123", "§12-бола!", ""]
+
+
+def _sha256(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, ensure_ascii=False).encode("utf-8")).hexdigest()
 
 
 def main(argv=None) -> int:
@@ -46,15 +64,18 @@ def main(argv=None) -> int:
         source = load_corpus(_data_path("lexicon.tsv"))
     else:
         source = gen_corpus(*args.synthetic)
-    train_part, _, _ = split_corpus(source, SplitConfig(0.70, 0.15, 0.15, seed=42))
+    train_part, validation_part, test_part = split_corpus(
+        source, SplitConfig(0.70, 0.15, 0.15, seed=42)
+    )
+    heldout = Corpus(validation_part.pairs + test_part.pairs)
     for name in args.dir or ("cyr2lat", "lat2cyr"):
         table = bundled_mapping_table(parse_direction(name))
+        words = [word for word, _ in heldout.oriented(table.direction)] + EXTRA_WORDS
         for x in range(args.x_min, args.x_max + 1):
             for y in range(args.y_min, args.y_max + 1):
                 model = train_direction(train_part, WindowSpec(x, y), table)
-                tree = json.dumps(model.nodes, ensure_ascii=False).encode("utf-8")
-                digest = hashlib.sha256(tree).hexdigest()
-                print(f"{name} {x} {y} {digest}", flush=True)
+                outputs = [transliterate_word(model, word) for word in words]
+                print(f"{name} {x} {y} {_sha256(model.nodes)} {_sha256(outputs)}", flush=True)
     return 0
 
 

@@ -54,6 +54,12 @@ that loads. On the README-default lexicon models over the words of
 ``gen_corpus(20000, 42)`` it takes 1.30 steps per character instead of
 15.05 (cyr2lat) and 4.20 instead of 14.83 (lat2cyr). The file and the
 trainer know nothing of the switches.
+
+``predict`` takes a whole padded word (``featurizer.window_features``)
+and labels every ``width``-long window of it in one call: the window
+starting at ``i`` is read in place as ``features[i + f]``, so no window
+tuple is built and the width is checked once per word, not once per
+character.
 """
 
 from __future__ import annotations
@@ -318,18 +324,23 @@ def _compile(nodes: list[list]):
     return compiled[0]
 
 
-def predict(model: TranslitModel, features) -> str:
-    """Route ``features`` to a leaf. Symbols never seen in training fail
+def predict(model: TranslitModel, features) -> list[str]:
+    """The leaf label of every ``width``-long window of ``features``, in
+    order: one label for a single window, none for the ``width - 1``
+    symbols of a padded empty word. Symbols never seen in training fail
     every equality test and follow the false branch."""
-    if len(features) != model.window.width:
-        raise WidthMismatchError(
-            f"feature width {len(features)} != model width {model.window.width}"
-        )
-    node = model.switches
-    while type(node) is tuple:
-        f, cases, default = node
-        node = cases.get(features[f], default)
-    return node
+    width = model.window.width
+    if len(features) < width - 1:
+        raise WidthMismatchError(f"feature length {len(features)} < model width {width} - 1")
+    root = model.switches
+    labels = []
+    for i in range(len(features) - width + 1):
+        node = root
+        while type(node) is tuple:
+            f, cases, default = node
+            node = cases.get(features[i + f], default)
+        labels.append(node)
+    return labels
 
 
 def tree_depth(nodes: list[list]) -> int:
@@ -433,7 +444,10 @@ def deserialize(data: bytes) -> TranslitModel:
         raise ModelFormatError(f"model file missing fields: {err}") from err
     if type(x) is not int or type(y) is not int:
         raise ModelFormatError(f"window bounds are not ints: x={x!r}, y={y!r}")
-    window = WindowSpec(x=x, y=y)
+    try:
+        window = WindowSpec(x=x, y=y)
+    except ValueError as err:
+        raise ModelFormatError(f"model window: {err}") from err
     table = _check_table(rows)
     _check_nodes(nodes, window.width)
     return TranslitModel(nodes=nodes, window=window, table=table)

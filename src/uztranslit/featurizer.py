@@ -6,7 +6,10 @@ sentinel where the word runs out. The label is the aligned target
 segment, possibly the empty string (a deletion).
 
 Training and reading build windows the same way: ``window_features``
-pads the word once and slices one window per character.
+pads the word once, and the window of character ``i`` is the
+``width``-long run of that padded tuple starting at ``i``. Training cuts
+each window out as a slice; reading walks every window in place
+(``dtree.predict``), so a word costs one tuple however long it is.
 
 The padding sentinel is deliberately not "∅": the empty-string class
 and out-of-word padding are different roles and must stay distinct in
@@ -45,17 +48,19 @@ class Sample(NamedTuple):
     label: str
 
 
-def window_features(chars, window: WindowSpec) -> list[tuple[str, ...]]:
-    """The window of every character of ``chars``, in order: the word is
-    padded once and each window is a slice of it."""
-    padded = (PAD,) * window.x + tuple(chars) + (PAD,) * window.y
-    width = window.width
-    return [padded[i : i + width] for i in range(len(chars))]
+def window_features(chars, window: WindowSpec) -> tuple[str, ...]:
+    """``chars`` padded for its windows: x PADs, the characters, y PADs.
+    Character ``i``'s window is ``padded[i : i + window.width]``."""
+    return (PAD,) * window.x + tuple(chars) + (PAD,) * window.y
 
 
 def extract_samples(pair: AlignedPair, window: WindowSpec) -> list[Sample]:
     """One sample per source character, in word order."""
-    return list(map(Sample, window_features(pair.source_chars, window), pair.target_segments))
+    padded = window_features(pair.source_chars, window)
+    width = window.width
+    return [
+        Sample(padded[i : i + width], label) for i, label in enumerate(pair.target_segments)
+    ]
 
 
 def dedup_samples(samples) -> list[Sample]:

@@ -227,12 +227,15 @@ def train_direction(train_part: Corpus, window: WindowSpec, table: MappingTable)
 
 def predict_segments(model: TranslitModel, word: str) -> list[str]:
     """Per-character predicted target segments; characters without a row
-    in the model's table contribute themselves unchanged."""
+    in the model's table contribute themselves unchanged. The tree labels
+    every window of the padded word in one walk, and the pass-through
+    characters then overwrite their labels."""
+    segments = predict(model, window_features(word, model.window))
     alphabet = model.table.entries
-    return [
-        predict(model, features) if ch in alphabet else ch
-        for ch, features in zip(word, window_features(word, model.window))
-    ]
+    for i, ch in enumerate(word):
+        if ch not in alphabet:
+            segments[i] = ch
+    return segments
 
 
 def transliterate_word(model: TranslitModel, word: str) -> str:
@@ -242,13 +245,16 @@ def transliterate_word(model: TranslitModel, word: str) -> str:
 
 
 def apply_case_pattern(original: str, text: str) -> str:
-    """Word-level case restoration: all-caps in, all-caps out;
-    initial capital in, initial capital out; otherwise unchanged."""
+    """Word-level case restoration: all-caps in, all-caps out; a capital
+    first letter in, a capital first letter out (digits and punctuation
+    before it are skipped on both sides); otherwise unchanged."""
     letters = [ch for ch in original if ch.isalpha()]
     if letters and all(ch.isupper() for ch in letters):
         return text.upper()
-    if letters and original and original[0].isupper():
-        return text[:1].upper() + text[1:]
+    if letters and letters[0].isupper():
+        for i, ch in enumerate(text):
+            if ch.isalpha():
+                return text[:i] + ch.upper() + text[i + 1 :]
     return text
 
 

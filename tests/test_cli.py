@@ -46,6 +46,12 @@ def test_transliterate_restores_case(trained_model, capsys):
     assert capsys.readouterr().out == "SIRK\nSirk\n"
 
 
+def test_transliterate_empty_word_prints_empty_line(trained_model, capsys):
+    code = main(["transliterate", "--model", str(trained_model), "--word", ""])
+    assert code == 0
+    assert capsys.readouterr().out == "\n"
+
+
 def test_out_of_range_feature_index_is_data_error(tmp_path, trained_model, capsys):
     obj = json.loads(trained_model.read_bytes())
     width = obj["window"]["x"] + 1 + obj["window"]["y"]

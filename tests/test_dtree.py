@@ -65,28 +65,28 @@ def test_pure_fit_on_table7(cyr2lat_table):
     samples = table7_samples(cyr2lat_table)
     model = train(samples, WindowSpec(2, 1), CYR2LAT_TABLE)
     for sample in samples:
-        assert predict(model, sample.features) == sample.label
+        assert predict(model, sample.features) == [sample.label]
     # the spotlighted row: [қ, ў, з, и] -> z
-    assert predict(model, ("қ", "ў", "з", "и")) == "z"
+    assert predict(model, ("қ", "ў", "з", "и")) == ["z"]
 
 
 def test_single_sample_single_leaf():
     model = train([Sample(("ф",), "b")], WindowSpec(0, 0), CYR2LAT_TABLE)
-    assert predict(model, ("ф",)) == "b"
-    assert predict(model, ("ю",)) == "b"  # sole leaf catches everything
+    assert predict(model, ("ф",)) == ["b"]
+    assert predict(model, ("ю",)) == ["b"]  # sole leaf catches everything
 
 
 def test_unsplittable_node_majority_vote():
     f = ("х", "у")
     samples = [Sample(f, "a"), Sample(f, "a"), Sample(f, "b")]
     model = train(samples, WindowSpec(1, 0), CYR2LAT_TABLE)
-    assert predict(model, f) == "a"
+    assert predict(model, f) == ["a"]
 
 
 def test_majority_tie_breaks_lexicographically():
     f = ("х",)
     model = train([Sample(f, "b"), Sample(f, "a")], WindowSpec(0, 0), CYR2LAT_TABLE)
-    assert predict(model, f) == "a"
+    assert predict(model, f) == ["a"]
 
 
 def test_empty_training_set():
@@ -104,12 +104,14 @@ def test_predict_width_mismatch(cyr2lat_table):
     model = train(table7_samples(cyr2lat_table), WindowSpec(2, 1), CYR2LAT_TABLE)
     with pytest.raises(WidthMismatchError):
         predict(model, ("қ", "ў"))
+    # the width - 1 symbols of a padded empty word hold no window
+    assert predict(model, window_features("", model.window)) == []
 
 
 def test_unseen_symbols_follow_false_branch(cyr2lat_table):
     model = train(table7_samples(cyr2lat_table), WindowSpec(2, 1), CYR2LAT_TABLE)
     # '9' was never in training; prediction still lands on some leaf
-    label = predict(model, ("9", "9", "9", "9"))
+    [label] = predict(model, ("9", "9", "9", "9"))
     assert isinstance(label, str)
 
 
@@ -165,7 +167,7 @@ def test_pure_fit_property(seed, n):
     samples = list(kept.values())
     assert _conflict_free(samples)
     model = train(samples, WindowSpec(1, 1), CYR2LAT_TABLE)
-    assert all(predict(model, s.features) == s.label for s in samples)
+    assert all(predict(model, s.features) == [s.label] for s in samples)
 
 
 def _oracle_best_decrease(samples):
@@ -358,6 +360,8 @@ _MISSING = object()
         pytest.param("window", {"x": True, "y": 0}, id="x-bool"),
         pytest.param("window", {"x": 1, "y": 0.0}, id="y-float"),
         pytest.param("window", {"x": 1, "y": "0"}, id="y-str"),
+        pytest.param("window", {"x": -1, "y": 0}, id="x-negative"),
+        pytest.param("window", {"x": 1, "y": 11}, id="y-too-large"),
         pytest.param("table", _MISSING, id="table-missing"),
         pytest.param("table", [["x", ["х"]]], id="table-not-object"),
         pytest.param("table", {}, id="table-empty"),
@@ -528,7 +532,7 @@ def test_xor_block_matches_reference_grower():
     model = train(samples, window, CYR2LAT_TABLE)
     assert len(model.nodes[0]) == 4  # the root splits
     assert serialize(model) == _reference_bytes(samples, window)
-    assert all(predict(model, s.features) == s.label for s in samples)
+    assert all(predict(model, s.features) == [s.label] for s in samples)
 
 
 @pytest.mark.parametrize(("x", "y"), [(0, 0), (1, 2), (3, 1)])
@@ -578,7 +582,7 @@ def test_chain_compiles_to_one_switch_where_the_earlier_test_wins():
     model = deserialize(_model_file(nodes, WindowSpec(0, 0)))
     assert model.switches == (0, {"а": "x", "б": "w"}, "d")
     for symbol in ("а", "б", "в"):
-        assert predict(model, (symbol,)) == _reference_predict(model, (symbol,))
+        assert predict(model, (symbol,)) == [_reference_predict(model, (symbol,))]
 
 
 @settings(max_examples=100, deadline=None)
@@ -588,7 +592,7 @@ def test_compiled_walk_matches_reference_on_trained_trees(case):
     model = train(samples, WindowSpec(0, width - 1), CYR2LAT_TABLE)
     # every vector over the training symbols and one unseen symbol
     for features in itertools.product([*_SYMBOLS, "г"], repeat=width):
-        assert predict(model, features) == _reference_predict(model, features)
+        assert predict(model, features) == [_reference_predict(model, features)]
 
 
 def _chain(links, default):
@@ -642,7 +646,25 @@ _hand_made_trees = st.recursive(
 def test_compiled_walk_matches_reference_on_hand_made_files(tree):
     model = deserialize(_model_file(_flatten(tree)))
     for features in itertools.product(["а", "б", PAD, "в"], repeat=2):
-        assert predict(model, features) == _reference_predict(model, features)
+        assert predict(model, features) == [_reference_predict(model, features)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tree=_hand_made_trees,
+    symbols=st.lists(st.sampled_from(["а", "б", PAD, "в"]), min_size=1, max_size=12),
+)
+def test_walk_over_a_sequence_labels_every_window(tree, symbols):
+    """One call over a sequence longer than the width, with PAD and the
+    unseen symbol "в" anywhere in it, labels each of its windows as the
+    reference walk labels that window's slice."""
+    model = deserialize(_model_file(_flatten(tree)))
+    width = model.window.width
+    expected = [
+        _reference_predict(model, symbols[i : i + width])
+        for i in range(len(symbols) - width + 1)
+    ]
+    assert predict(model, symbols) == expected
 
 
 @pytest.mark.parametrize("positions", [1, 2], ids=["one-position", "alternating"])
@@ -671,8 +693,8 @@ def test_long_chain_file_compiles_in_one_pass(positions):
         unseen = predict(model, ("x", "x"))
     finally:
         sys.setrecursionlimit(limit)
-    assert got == ["l0", "l1", "l25000", f"l{links - 1}"]
-    assert unseen == "default"
+    assert got == [["l0"], ["l1"], ["l25000"], [f"l{links - 1}"]]
+    assert unseen == ["default"]
     if positions == 1:
         f, cases, default = model.switches
         assert (f, len(cases), default) == (0, links, "default")
@@ -681,16 +703,18 @@ def test_long_chain_file_compiles_in_one_pass(positions):
 @pytest.mark.parametrize(("direction", "x", "y"), [(CYR2LAT, 2, 3), (LAT2CYR, 4, 3)])
 def test_lexicon_models_match_reference_walk(lexicon, direction, x, y):
     """The README-default windows, trained on the 70% seed-42 lexicon split,
-    on every window of 2,000 synthetic words."""
+    on 2,000 synthetic words: one call per padded word labels every slice
+    of it as the reference walk does."""
     train_part, _, _ = split_corpus(lexicon, SplitConfig(0.7, 0.15, 0.15, seed=42))
     model = train_direction(train_part, WindowSpec(x, y), bundled_mapping_table(direction))
-    windows = [
-        features
-        for source, _ in gen_corpus(2000, 42).oriented(direction)
-        for features in window_features(source, model.window)
-    ]
-    assert len(windows) > 10_000
-    mismatched = [
-        f for f in windows if predict(model, f) != _reference_predict(model, f)
-    ]
+    width = model.window.width
+    windows = 0
+    mismatched = []
+    for source, _ in gen_corpus(2000, 42).oriented(direction):
+        padded = window_features(source, model.window)
+        expected = [_reference_predict(model, padded[i : i + width]) for i in range(len(source))]
+        windows += len(expected)
+        if predict(model, padded) != expected:
+            mismatched.append(source)
+    assert windows > 10_000
     assert mismatched == []

@@ -82,8 +82,10 @@ def _window_at(chars, index, window):
 def test_extracted_windows_equal_window_features(word, x, y):
     window = WindowSpec(x, y)
     expected = [_window_at(word, i, window) for i in range(len(word))]
-    assert window_features(word, window) == expected  # a str, as the read path passes
-    assert window_features(tuple(word), window) == expected
+    padded = window_features(word, window)  # a str, as the read path passes
+    assert padded == window_features(tuple(word), window)
+    assert len(padded) == len(word) + window.width - 1
+    assert [padded[i : i + window.width] for i in range(len(word))] == expected
     labels = tuple(str(i) for i in range(len(word)))
     samples = extract_samples(AlignedPair(tuple(word), labels), window)
     assert samples == [Sample(f, label) for f, label in zip(expected, labels)]

@@ -161,6 +161,12 @@ def test_transliterate_total_on_arbitrary_text(lexicon, cyr2lat_table):
     assert transliterate_word(model, "§12-бола!") == "§12-bola!"
 
 
+def test_transliterate_empty_word(lexicon, cyr2lat_table, lat2cyr_table):
+    for table, window in ((cyr2lat_table, WindowSpec(2, 3)), (lat2cyr_table, WindowSpec(4, 3))):
+        model = train_direction(lexicon, window, table)
+        assert transliterate_word(model, "") == ""
+
+
 def test_evaluate_hand_computed_counts():
     # toy table: а admits both a and z, so the gold side aligns either way
     table = MappingTable({"б": ("b",), "о": ("o",), "л": ("l",), "а": ("a", "z")})
@@ -279,6 +285,8 @@ def test_round_trip_empty_word_list(cyr2lat_table, lat2cyr_table, synthetic_smal
         ("цирк", "sirk", "sirk"),
         ("O'ZBEK", "ўзбек", "ЎЗБЕК"),
         ("2020", "2020", "2020"),
+        ("(Тошкент", "(toshkent", "(Toshkent"),
+        ("2-Мактаб", "2-maktab", "2-Maktab"),
     ],
 )
 def test_apply_case_pattern(original, text, expected):
