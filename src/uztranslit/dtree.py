@@ -16,14 +16,17 @@ Unlike a numeric-threshold tree over some arbitrary character encoding,
 equality tests do not depend on a character ordering; the learning task
 is unchanged.
 
-Growth never rescans a node to score it. Each open node carries its
-sample indices grouped by label and, per window position, a
-symbol -> label -> count histogram. After a split only the smaller
-child is scanned; the larger child's histograms are the parent's minus
-the smaller's, updated in place (histogram subtraction, as in LightGBM,
-Ke et al. 2017). Equality splits peel a small eq side off a long ne
-chain, so a tree costs about two scans of its samples rather than one
-per level. Every score comes from the same integer counts through the
+Training takes its samples column-major, as extraction lays them out
+(``featurizer.Samples``): one column of symbols per window position,
+which is what every histogram scans, and the window the columns were
+cut at, which becomes the model's. Growth never rescans a node to score
+it. Each open node carries its sample indices grouped by label and, per
+window position, a symbol -> label -> count histogram. After a split
+only the smaller child is scanned; the larger child's histograms are
+the parent's minus the smaller's, updated in place (histogram
+subtraction, as in LightGBM, Ke et al. 2017). Equality splits peel a
+small eq side off a long ne chain, so a tree costs about two scans of
+its samples rather than one per level. Every score comes from the same integer counts through the
 same float expression in the same candidate order, so the chosen
 splits, and the serialized model, are bit-identical to those of a
 grower that rebuilds every node's histograms.
@@ -68,10 +71,9 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 
 from .alphabets import Direction, MappingTable
-from .featurizer import Sample, WindowSpec
+from .featurizer import Samples, WindowSpec
 
 FORMAT_VERSION = 4
 
@@ -222,19 +224,11 @@ def _best_split(stats, counts, n):
     return best
 
 
-def _grow(feats, labs, width) -> list[list]:
+def _grow(columns, labs) -> list[list]:
     # Iterative with an explicit stack; equality-split chains get deep
     # enough to threaten the interpreter recursion limit. The stack pops
     # nodes in pre-order, eq subtree first, which is the list order.
     nodes: list[list] = []
-
-    # One shared object per distinct symbol keeps the histogram counting
-    # inside a few cache lines instead of one str object per window cell.
-    canonical: dict[str, str] = {}
-    columns = []
-    for p in range(width):
-        symbols = list(map(itemgetter(p), feats))
-        columns.append(list(map(canonical.setdefault, symbols, symbols)))
     members: dict[str, list[int]] = {}
     for i, label in enumerate(labs):
         members.setdefault(label, []).append(i)
@@ -283,20 +277,20 @@ def _grow(feats, labs, width) -> list[list]:
     return nodes
 
 
-def train(samples: list[Sample], window: WindowSpec, table: MappingTable) -> TranslitModel:
-    """Grow an unbounded-depth tree on ``samples``; deterministic given
-    identical input order."""
-    if not samples:
+def train(samples: Samples, table: MappingTable) -> TranslitModel:
+    """Grow an unbounded-depth tree on ``samples``, at their window;
+    deterministic given identical input order."""
+    n = len(samples)
+    if not n:
         raise EmptyTrainingSetError("cannot train on an empty sample list")
-    width = window.width
-    for sample in samples:
-        if len(sample.features) != width:
-            raise InconsistentFeatureWidthError(
-                f"sample width {len(sample.features)} != window width {width}"
-            )
-    feats = [s.features for s in samples]
-    labs = [s.label for s in samples]
-    return TranslitModel(nodes=_grow(feats, labs, width), window=window, table=table)
+    window = samples.window
+    if len(samples.columns) != window.width or any(len(c) != n for c in samples.columns):
+        raise InconsistentFeatureWidthError(
+            f"{len(samples.columns)} columns of lengths {sorted({len(c) for c in samples.columns})}"
+            f" for {n} samples at window width {window.width}"
+        )
+    nodes = _grow(samples.columns, samples.labels)
+    return TranslitModel(nodes=nodes, window=window, table=table)
 
 
 def _compile(nodes: list[list]):

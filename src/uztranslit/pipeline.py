@@ -21,6 +21,7 @@ import math
 import random
 import unicodedata
 from dataclasses import dataclass, field
+from itertools import product
 
 from . import dtree
 from .alphabets import CYRILLIC, Direction, MappingTable, normalize_word
@@ -28,7 +29,7 @@ from .alphabets import CYRILLIC, Direction, MappingTable, normalize_word
 from .alphabets import bundled_script_spec  # noqa: F401
 from .aligner import align_corpus
 from .dtree import TranslitModel, predict
-from .featurizer import WindowSpec, dedup_samples, extract_samples, window_features
+from .featurizer import Samples, WindowSpec, dedup_samples, extract_samples, window_features
 
 log = logging.getLogger(__name__)
 
@@ -211,18 +212,15 @@ def _align_training(train_part: Corpus, table: MappingTable):
     return alignments
 
 
-def _train_window(alignments, window: WindowSpec, table: MappingTable) -> TranslitModel:
-    """extract -> dedup -> train; the model carries the window and table."""
-    samples = []
-    for pair in alignments:
-        samples.extend(extract_samples(pair, window))
-    return dtree.train(dedup_samples(samples), window, table)
+def _train_window(samples: Samples, table: MappingTable) -> TranslitModel:
+    """dedup -> train; the model carries the samples' window and the table."""
+    return dtree.train(dedup_samples(samples), table)
 
 
 def train_direction(train_part: Corpus, window: WindowSpec, table: MappingTable) -> TranslitModel:
     """align -> extract -> dedup -> train at one window, in the table's
     direction."""
-    return _train_window(_align_training(train_part, table), window, table)
+    return _train_window(extract_samples(_align_training(train_part, table), window), table)
 
 
 def predict_segments(model: TranslitModel, word: str) -> list[str]:
@@ -308,11 +306,15 @@ def grid_search(
 ) -> tuple[TranslitModel, list[GridCell]]:
     """Train one model per (x, y) cell; return the model of the cell with
     the best validation F1 (ties go to the smallest x+y, then the
-    smallest x) and every cell's score. An empty grid is a ValueError."""
-    grid = [(x, y) for x in x_values for y in y_values]
+    smallest x) and every cell's score. An empty grid is a ValueError.
+
+    Windows are extracted once, at the grid's widest x and y; each cell
+    trains on a slice of those columns."""
+    grid = list(product(x_values, y_values))
     if not grid:
         raise ValueError("the window grid is empty")
-    train_alignments = _align_training(train_part, table)
+    widest = WindowSpec(max(x for x, _ in grid), max(y for _, y in grid))
+    wide = extract_samples(_align_training(train_part, table), widest)
     val_alignments, val_failures = align_corpus(
         validation_part.oriented(table.direction), table
     )
@@ -321,7 +323,7 @@ def grid_search(
     cells: list[GridCell] = []
     best_key = best_model = None
     for x, y in grid:
-        model = _train_window(train_alignments, WindowSpec(x, y), table)
+        model = _train_window(wide.narrowed(WindowSpec(x, y)), table)
         report = _report_from_alignments(model, val_alignments, val_unalignable)
         cells.append(GridCell(x=x, y=y, validation_f1=report.char_f1))
         key = (-report.char_f1, x + y, x)

@@ -11,13 +11,13 @@ import time
 
 import pytest
 
+from conftest import Row, rows_of, samples_of
 from uztranslit import pipeline
 from uztranslit.aligner import align_word
 from uztranslit.alphabets import CYR2LAT, LAT2CYR, bundled_mapping_table
 from uztranslit.dtree import deserialize, predict, serialize, train
 from uztranslit.featurizer import (
     PAD,
-    Sample,
     WindowSpec,
     dedup_samples,
     extract_samples,
@@ -80,7 +80,7 @@ def test_criterion_1_golden_alignments():
 
 def test_criterion_2_golden_features():
     pair = align_word("қўзичоқ", "qo'zichoq", CYR2LAT_TABLE)
-    samples = extract_samples(pair, WindowSpec(x=2, y=1))
+    samples = rows_of(extract_samples([pair], WindowSpec(x=2, y=1)))
     expected = [
         ((PAD, PAD, "қ", "ў"), "q"),
         ((PAD, "қ", "ў", "з"), "o'"),
@@ -132,9 +132,9 @@ def test_criterion_4_pure_fit(lexicon, synthetic_5000):
         kept = {}
         for _ in range(rng.randint(1, 80)):
             features = tuple(rng.choice(symbols) for _ in range(3))
-            kept.setdefault(features, Sample(features, rng.choice(["", "a", "b", "ch"])))
+            kept.setdefault(features, Row(features, rng.choice(["", "a", "b", "ch"])))
         samples = list(kept.values())
-        model3 = train(samples, WindowSpec(1, 1), CYR2LAT_TABLE)
+        model3 = train(samples_of(samples, WindowSpec(1, 1)), CYR2LAT_TABLE)
         assert all(predict(model3, s.features) == [s.label] for s in samples)
     print("ACCEPTANCE 4: pure fit on conflict-free samples: PASS")
 
@@ -232,10 +232,10 @@ def test_criterion_8_gini_split_oracle():
     for _ in range(100):
         width = rng.randint(1, 4)
         samples = [
-            Sample(tuple(rng.choice(symbols) for _ in range(width)), rng.choice(labels))
+            Row(tuple(rng.choice(symbols) for _ in range(width)), rng.choice(labels))
             for _ in range(rng.randint(2, 50))
         ]
-        model = train(samples, WindowSpec(0, width - 1), CYR2LAT_TABLE)
+        model = train(samples_of(samples, WindowSpec(0, width - 1)), CYR2LAT_TABLE)
         oracle = _oracle_best_decrease(samples)
         nodes = model.nodes
         if len(nodes[0]) == 2:  # the root is a leaf
@@ -286,10 +286,10 @@ def test_criterion_9_serialization_roundtrip():
     for _ in range(100):
         width = rng.randint(1, 5)
         samples = [
-            Sample(tuple(rng.choice(symbols) for _ in range(width)), rng.choice(labels))
+            Row(tuple(rng.choice(symbols) for _ in range(width)), rng.choice(labels))
             for _ in range(rng.randint(1, 120))
         ]
-        model = train(samples, WindowSpec(0, width - 1), CYR2LAT_TABLE)
+        model = train(samples_of(samples, WindowSpec(0, width - 1)), CYR2LAT_TABLE)
         clone = deserialize(serialize(model))
         for _ in range(1000):
             vector = tuple(rng.choice(symbols) for _ in range(width))

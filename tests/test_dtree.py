@@ -7,6 +7,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import Row, rows_of, samples_of
 from uztranslit import dtree
 from uztranslit.aligner import align_word
 from uztranslit.alphabets import CYR2LAT, LAT2CYR, MappingTable, bundled_mapping_table
@@ -27,7 +28,7 @@ from uztranslit.dtree import (
 )
 from uztranslit.featurizer import (
     PAD,
-    Sample,
+    Samples,
     WindowSpec,
     dedup_samples,
     extract_samples,
@@ -41,7 +42,7 @@ CYR2LAT_TABLE = bundled_mapping_table(CYR2LAT)
 
 def table7_samples(cyr2lat_table):
     pair = align_word("қўзичоқ", "qo'zichoq", cyr2lat_table)
-    return extract_samples(pair, WindowSpec(x=2, y=1))
+    return rows_of(extract_samples([pair], WindowSpec(x=2, y=1)))
 
 
 @pytest.mark.parametrize(
@@ -63,7 +64,7 @@ def test_gini_empty_counts():
 
 def test_pure_fit_on_table7(cyr2lat_table):
     samples = table7_samples(cyr2lat_table)
-    model = train(samples, WindowSpec(2, 1), CYR2LAT_TABLE)
+    model = train(samples_of(samples, WindowSpec(2, 1)), CYR2LAT_TABLE)
     for sample in samples:
         assert predict(model, sample.features) == [sample.label]
     # the spotlighted row: [қ, ў, з, и] -> z
@@ -71,37 +72,41 @@ def test_pure_fit_on_table7(cyr2lat_table):
 
 
 def test_single_sample_single_leaf():
-    model = train([Sample(("ф",), "b")], WindowSpec(0, 0), CYR2LAT_TABLE)
+    model = train(samples_of([Row(("ф",), "b")], WindowSpec(0, 0)), CYR2LAT_TABLE)
     assert predict(model, ("ф",)) == ["b"]
     assert predict(model, ("ю",)) == ["b"]  # sole leaf catches everything
 
 
 def test_unsplittable_node_majority_vote():
     f = ("х", "у")
-    samples = [Sample(f, "a"), Sample(f, "a"), Sample(f, "b")]
-    model = train(samples, WindowSpec(1, 0), CYR2LAT_TABLE)
+    samples = [Row(f, "a"), Row(f, "a"), Row(f, "b")]
+    model = train(samples_of(samples, WindowSpec(1, 0)), CYR2LAT_TABLE)
     assert predict(model, f) == ["a"]
 
 
 def test_majority_tie_breaks_lexicographically():
     f = ("х",)
-    model = train([Sample(f, "b"), Sample(f, "a")], WindowSpec(0, 0), CYR2LAT_TABLE)
+    model = train(samples_of([Row(f, "b"), Row(f, "a")], WindowSpec(0, 0)), CYR2LAT_TABLE)
     assert predict(model, f) == ["a"]
 
 
 def test_empty_training_set():
     with pytest.raises(EmptyTrainingSetError):
-        train([], WindowSpec(1, 1), CYR2LAT_TABLE)
+        train(samples_of([], WindowSpec(1, 1)), CYR2LAT_TABLE)
 
 
 def test_inconsistent_width_rejected():
-    samples = [Sample(("а", "б", "в"), "x"), Sample(("а", "б"), "y")]
+    samples = [Row(("а", "б", "в"), "x"), Row(("а", "б"), "y")]
     with pytest.raises(InconsistentFeatureWidthError):
-        train(samples, WindowSpec(1, 1), CYR2LAT_TABLE)
+        train(samples_of(samples, WindowSpec(1, 1)), CYR2LAT_TABLE)
+    # the right number of columns, one of them a symbol short
+    columns = (("а", "а"), ("б", "б"), ("в",))
+    with pytest.raises(InconsistentFeatureWidthError):
+        train(Samples(WindowSpec(1, 1), columns, ("x", "y")), CYR2LAT_TABLE)
 
 
 def test_predict_width_mismatch(cyr2lat_table):
-    model = train(table7_samples(cyr2lat_table), WindowSpec(2, 1), CYR2LAT_TABLE)
+    model = train(samples_of(table7_samples(cyr2lat_table), WindowSpec(2, 1)), CYR2LAT_TABLE)
     with pytest.raises(WidthMismatchError):
         predict(model, ("қ", "ў"))
     # the width - 1 symbols of a padded empty word hold no window
@@ -109,14 +114,14 @@ def test_predict_width_mismatch(cyr2lat_table):
 
 
 def test_unseen_symbols_follow_false_branch(cyr2lat_table):
-    model = train(table7_samples(cyr2lat_table), WindowSpec(2, 1), CYR2LAT_TABLE)
+    model = train(samples_of(table7_samples(cyr2lat_table), WindowSpec(2, 1)), CYR2LAT_TABLE)
     # '9' was never in training; prediction still lands on some leaf
     [label] = predict(model, ("9", "9", "9", "9"))
     assert isinstance(label, str)
 
 
 def test_internal_nodes_have_both_sides(cyr2lat_table):
-    model = train(table7_samples(cyr2lat_table), WindowSpec(2, 1), CYR2LAT_TABLE)
+    model = train(samples_of(table7_samples(cyr2lat_table), WindowSpec(2, 1)), CYR2LAT_TABLE)
     nodes = model.nodes
     children = []
     for i, node in enumerate(nodes):
@@ -130,8 +135,8 @@ def test_internal_nodes_have_both_sides(cyr2lat_table):
 
 def test_training_deterministic(cyr2lat_table):
     samples = table7_samples(cyr2lat_table)
-    a = serialize(train(samples, WindowSpec(2, 1), CYR2LAT_TABLE))
-    b = serialize(train(samples, WindowSpec(2, 1), CYR2LAT_TABLE))
+    a = serialize(train(samples_of(samples, WindowSpec(2, 1)), CYR2LAT_TABLE))
+    b = serialize(train(samples_of(samples, WindowSpec(2, 1)), CYR2LAT_TABLE))
     assert a == b
 
 
@@ -139,7 +144,7 @@ def _random_samples(rng, n, width, n_symbols=6, n_labels=4):
     symbols = [chr(ord("а") + k) for k in range(n_symbols)] + [PAD]
     labels = ["", "a", "b", "ch"][:n_labels]
     return [
-        Sample(
+        Row(
             tuple(rng.choice(symbols) for _ in range(width)),
             rng.choice(labels),
         )
@@ -166,7 +171,7 @@ def test_pure_fit_property(seed, n):
         kept.setdefault(s.features, s)
     samples = list(kept.values())
     assert _conflict_free(samples)
-    model = train(samples, WindowSpec(1, 1), CYR2LAT_TABLE)
+    model = train(samples_of(samples, WindowSpec(1, 1)), CYR2LAT_TABLE)
     assert all(predict(model, s.features) == [s.label] for s in samples)
 
 
@@ -226,7 +231,8 @@ def test_split_matches_bruteforce_oracle():
     checked = 0
     for _ in range(100):
         samples = _random_samples(rng, rng.randint(2, 50), width=rng.randint(1, 4))
-        model = train(samples, WindowSpec(0, len(samples[0].features) - 1), CYR2LAT_TABLE)
+        window = WindowSpec(0, len(samples[0].features) - 1)
+        model = train(samples_of(samples, window), CYR2LAT_TABLE)
         oracle = _oracle_best_decrease(samples)
         chosen = _chosen_decrease(samples, model)
         if chosen is None:
@@ -240,7 +246,7 @@ def test_split_matches_bruteforce_oracle():
 
 def test_serialize_roundtrip_identical_predictions(cyr2lat_table):
     samples = table7_samples(cyr2lat_table)
-    model = train(samples, WindowSpec(2, 1), CYR2LAT_TABLE)
+    model = train(samples_of(samples, WindowSpec(2, 1)), CYR2LAT_TABLE)
     clone = deserialize(serialize(model))
     for sample in samples:
         assert predict(clone, sample.features) == predict(model, sample.features)
@@ -253,22 +259,24 @@ def test_serialize_roundtrip_identical_predictions(cyr2lat_table):
 def test_serialized_pad_literal():
     # PAD carries the whole signal here, so it must become a test symbol
     samples = [
-        Sample((PAD, "а"), "x"),
-        Sample(("б", "а"), "y"),
-        Sample(("в", "а"), "y"),
+        Row((PAD, "а"), "x"),
+        Row(("б", "а"), "y"),
+        Row(("в", "а"), "y"),
     ]
-    payload = serialize(train(samples, WindowSpec(1, 0), CYR2LAT_TABLE))
+    payload = serialize(train(samples_of(samples, WindowSpec(1, 0)), CYR2LAT_TABLE))
     assert '[0,"∅-PAD",1,2]' in payload.decode("utf-8")
 
 
 def test_truncated_file_is_corruption(cyr2lat_table):
-    payload = serialize(train(table7_samples(cyr2lat_table), WindowSpec(2, 1), CYR2LAT_TABLE))
+    samples = samples_of(table7_samples(cyr2lat_table), WindowSpec(2, 1))
+    payload = serialize(train(samples, CYR2LAT_TABLE))
     with pytest.raises(ModelFormatError):
         deserialize(payload[: len(payload) // 2])
 
 
 def test_future_version_rejected(cyr2lat_table):
-    payload = serialize(train(table7_samples(cyr2lat_table), WindowSpec(2, 1), CYR2LAT_TABLE))
+    samples = samples_of(table7_samples(cyr2lat_table), WindowSpec(2, 1))
+    payload = serialize(train(samples, CYR2LAT_TABLE))
     obj = json.loads(payload)
     # version 1 stored a nested tree, version 2 a table fingerprint and
     # version 3 a direction beside the table; such files must be retrained
@@ -295,7 +303,7 @@ def test_structural_corruption_rejected():
 
 
 def test_save_load_model(tmp_path, cyr2lat_table):
-    model = train(table7_samples(cyr2lat_table), WindowSpec(2, 1), CYR2LAT_TABLE)
+    model = train(samples_of(table7_samples(cyr2lat_table), WindowSpec(2, 1)), CYR2LAT_TABLE)
     path = tmp_path / "m.json"
     path.write_bytes(serialize(model))
     clone = dtree.load_model(path)
@@ -307,7 +315,7 @@ def test_model_direction_follows_table_keys():
         MappingTable(CYR2LAT, {"a": ("а",)})
     table = MappingTable({"a": ("а",)})
     assert table.direction == LAT2CYR
-    payload = serialize(train([Sample(("a",), "а")], WindowSpec(0, 0), table))
+    payload = serialize(train(samples_of([Row(("a",), "а")], WindowSpec(0, 0)), table))
     assert sorted(json.loads(payload)) == ["format_version", "nodes", "table", "window"]
     assert deserialize(payload).direction == LAT2CYR
 
@@ -496,7 +504,7 @@ def _sample_sets(draw):
     width = draw(st.integers(1, 4))
     vector = st.tuples(*[st.sampled_from(_SYMBOLS)] * width)
     samples = [
-        Sample(features, label)
+        Row(features, label)
         for features, label in draw(
             st.lists(st.tuples(vector, st.sampled_from(_LABELS)), min_size=1, max_size=60)
         )
@@ -504,11 +512,11 @@ def _sample_sets(draw):
     for k, label in draw(
         st.lists(st.tuples(st.integers(0, len(samples) - 1), st.sampled_from(_LABELS)), max_size=8)
     ):
-        samples.append(Sample(samples[k].features, label))
+        samples.append(Row(samples[k].features, label))
     if width >= 2 and draw(st.booleans()):
         tail = (PAD,) * (width - 2)
         samples += [
-            Sample((a, b) + tail, "a" if (a == "а") == (b == "а") else "b")
+            Row((a, b) + tail, "a" if (a == "а") == (b == "а") else "b")
             for a in ("а", "б")
             for b in ("а", "б")
         ]
@@ -520,16 +528,16 @@ def _sample_sets(draw):
 def test_matches_reference_grower(case):
     width, samples = case
     window = WindowSpec(0, width - 1)
-    got = serialize(train(samples, window, CYR2LAT_TABLE))
+    got = serialize(train(samples_of(samples, window), CYR2LAT_TABLE))
     assert got == _reference_bytes(samples, window)
 
 
 def test_xor_block_matches_reference_grower():
     samples = [
-        Sample((a, b), "a" if a == b else "b") for a in ("а", "б") for b in ("а", "б")
+        Row((a, b), "a" if a == b else "b") for a in ("а", "б") for b in ("а", "б")
     ]
     window = WindowSpec(1, 0)
-    model = train(samples, window, CYR2LAT_TABLE)
+    model = train(samples_of(samples, window), CYR2LAT_TABLE)
     assert len(model.nodes[0]) == 4  # the root splits
     assert serialize(model) == _reference_bytes(samples, window)
     assert all(predict(model, s.features) == [s.label] for s in samples)
@@ -541,11 +549,9 @@ def test_matches_reference_grower_on_synthetic(synthetic_small, cyr2lat_table, x
 
     alignments, _ = align_corpus(synthetic_small.pairs, cyr2lat_table)
     window = WindowSpec(x, y)
-    samples = dedup_samples(
-        [sample for pair in alignments for sample in extract_samples(pair, window)]
-    )
-    got = serialize(train(samples, window, CYR2LAT_TABLE))
-    assert got == _reference_bytes(samples, window)
+    samples = dedup_samples(extract_samples(alignments, window))
+    got = serialize(train(samples, CYR2LAT_TABLE))
+    assert got == _reference_bytes(rows_of(samples), window)
 
 
 # Reference walk: the binary index walk that the compiled switches
@@ -589,7 +595,7 @@ def test_chain_compiles_to_one_switch_where_the_earlier_test_wins():
 @given(case=_sample_sets())
 def test_compiled_walk_matches_reference_on_trained_trees(case):
     width, samples = case
-    model = train(samples, WindowSpec(0, width - 1), CYR2LAT_TABLE)
+    model = train(samples_of(samples, WindowSpec(0, width - 1)), CYR2LAT_TABLE)
     # every vector over the training symbols and one unseen symbol
     for features in itertools.product([*_SYMBOLS, "г"], repeat=width):
         assert predict(model, features) == [_reference_predict(model, features)]

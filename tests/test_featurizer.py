@@ -1,10 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import Row, rows_of, samples_of
 from uztranslit.aligner import AlignedPair, align_word
 from uztranslit.featurizer import (
     PAD,
-    Sample,
     WindowSpec,
     dedup_samples,
     extract_samples,
@@ -24,7 +24,7 @@ TABLE7 = [
 
 def table7_samples(cyr2lat_table):
     pair = align_word("қўзичоқ", "qo'zichoq", cyr2lat_table)
-    return extract_samples(pair, WindowSpec(x=2, y=1))
+    return rows_of(extract_samples([pair], WindowSpec(x=2, y=1)))
 
 
 def test_table7_reproduced_exactly(cyr2lat_table):
@@ -34,20 +34,20 @@ def test_table7_reproduced_exactly(cyr2lat_table):
 
 def test_single_letter_word_padded_both_sides():
     pair = AlignedPair(("а",), ("a",))
-    samples = extract_samples(pair, WindowSpec(x=2, y=1))
-    assert samples == [Sample((PAD, PAD, "а", PAD), "a")]
+    samples = rows_of(extract_samples([pair], WindowSpec(x=2, y=1)))
+    assert samples == [Row((PAD, PAD, "а", PAD), "a")]
 
 
 def test_degenerate_window_is_focus_only():
     pair = AlignedPair(tuple("бола"), ("b", "o", "l", "a"))
-    samples = extract_samples(pair, WindowSpec(x=0, y=0))
+    samples = rows_of(extract_samples([pair], WindowSpec(x=0, y=0)))
     assert [s.features for s in samples] == [("б",), ("о",), ("л",), ("а",)]
 
 
 def test_sample_count_equals_char_count(cyr2lat_table):
     pair = align_word("қўзичоқ", "qo'zichoq", cyr2lat_table)
     for window in (WindowSpec(0, 0), WindowSpec(2, 1), WindowSpec(10, 10)):
-        samples = extract_samples(pair, window)
+        samples = rows_of(extract_samples([pair], window))
         assert len(samples) == len(pair.source_chars)
         for sample in samples:
             assert len(sample.features) == window.width
@@ -56,7 +56,7 @@ def test_sample_count_equals_char_count(cyr2lat_table):
 
 def test_pad_never_interior():
     pair = AlignedPair(tuple("бола"), ("b", "o", "l", "a"))
-    for sample in extract_samples(pair, WindowSpec(3, 3)):
+    for sample in rows_of(extract_samples([pair], WindowSpec(3, 3))):
         feats = sample.features
         left = feats[:3]
         right = feats[4:]
@@ -87,14 +87,65 @@ def test_extracted_windows_equal_window_features(word, x, y):
     assert len(padded) == len(word) + window.width - 1
     assert [padded[i : i + window.width] for i in range(len(word))] == expected
     labels = tuple(str(i) for i in range(len(word)))
-    samples = extract_samples(AlignedPair(tuple(word), labels), window)
-    assert samples == [Sample(f, label) for f, label in zip(expected, labels)]
+    samples = rows_of(extract_samples([AlignedPair(tuple(word), labels)], window))
+    assert samples == [Row(f, label) for f, label in zip(expected, labels)]
+
+
+def _reference_rows(alignments, window):
+    """Row-wise reference for extract -> dedup: per word, each character's
+    window sliced out of ``window_features``, then the first occurrence of
+    every (window, label) row."""
+    rows = []
+    for pair in alignments:
+        padded = window_features(pair.source_chars, window)
+        rows += [
+            Row(padded[i : i + window.width], label)
+            for i, label in enumerate(pair.target_segments)
+        ]
+    return list(dict.fromkeys(rows))
+
+
+_aligned_words = st.lists(
+    st.lists(st.tuples(st.sampled_from("абв"), st.sampled_from(["", "a", "b"])), max_size=6),
+    max_size=8,
+)
+
+
+@given(
+    words=_aligned_words,
+    x=st.integers(0, 4),
+    y=st.integers(0, 4),
+    wider_x=st.integers(0, 3),
+    wider_y=st.integers(0, 3),
+)
+def test_columns_match_row_wise_reference(words, x, y, wider_x, wider_y):
+    alignments = [
+        AlignedPair(tuple(ch for ch, _ in word), tuple(label for _, label in word))
+        for word in words
+    ]
+    window = WindowSpec(x, y)
+    extracted = extract_samples(alignments, window)
+    assert len(extracted) == sum(len(word) for word in words)
+    kept = dedup_samples(extracted)
+    reference = _reference_rows(alignments, window)
+    assert kept.window == window
+    assert rows_of(kept) == reference
+    assert len(kept) == len(reference)
+    wide = extract_samples(alignments, WindowSpec(x + wider_x, y + wider_y))
+    assert wide.narrowed(window) == extracted
+
+
+def test_narrowed_rejects_a_wider_window():
+    wide = extract_samples([AlignedPair(("а",), ("a",))], WindowSpec(2, 1))
+    for window in (WindowSpec(3, 0), WindowSpec(0, 2)):
+        with pytest.raises(ValueError, match="does not fit"):
+            wide.narrowed(window)
 
 
 def test_dedup_keeps_first_occurrence_order():
     a, b = ("а",), ("б",)
-    samples = [Sample(b, "x"), Sample(a, "x"), Sample(b, "x"), Sample(a, "y")]
-    assert dedup_samples(samples) == [Sample(b, "x"), Sample(a, "x"), Sample(a, "y")]
+    samples = samples_of([Row(b, "x"), Row(a, "x"), Row(b, "x"), Row(a, "y")], WindowSpec(0, 0))
+    assert rows_of(dedup_samples(samples)) == [Row(b, "x"), Row(a, "x"), Row(a, "y")]
 
 
 def test_window_bounds_validated():
@@ -106,10 +157,11 @@ def test_window_bounds_validated():
 
 def test_dedup_examples():
     f = ("а", "б")
-    assert dedup_samples([Sample(f, "a"), Sample(f, "a")]) == [Sample(f, "a")]
-    both = [Sample(f, "a"), Sample(f, "b")]
-    assert dedup_samples(both) == both
-    assert dedup_samples([]) == []
+    window = WindowSpec(1, 0)
+    assert rows_of(dedup_samples(samples_of([Row(f, "a"), Row(f, "a")], window))) == [Row(f, "a")]
+    both = [Row(f, "a"), Row(f, "b")]
+    assert rows_of(dedup_samples(samples_of(both, window))) == both
+    assert rows_of(dedup_samples(samples_of([], window))) == []
 
 
 @given(
@@ -122,9 +174,9 @@ def test_dedup_examples():
     )
 )
 def test_dedup_idempotent(raw):
-    samples = [Sample(features, label) for features, label in raw]
-    once = dedup_samples(samples)
-    assert dedup_samples(once) == once
+    samples = samples_of(raw, WindowSpec(1, 0))
+    once = rows_of(dedup_samples(samples))
+    assert rows_of(dedup_samples(samples_of(once, WindowSpec(1, 0)))) == once
 
 
 def test_pad_distinct_from_alphabet_and_empty():

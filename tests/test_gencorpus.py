@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import rows_of
 from uztranslit.aligner import align_corpus
 from uztranslit.alphabets import CYR2LAT, LAT2CYR
 from uztranslit.featurizer import WindowSpec, extract_samples
@@ -66,12 +67,11 @@ def test_alignable_under_bundled_tables(cyr2lat_table, lat2cyr_table, synthetic_
 
 def _assert_conflict_free(alignments, window):
     seen = {}
-    for pair in alignments:
-        for sample in extract_samples(pair, window):
-            previous = seen.setdefault(sample.features, sample.label)
-            assert previous == sample.label, (
-                f"window {sample.features} labeled both {previous!r} and {sample.label!r}"
-            )
+    for sample in rows_of(extract_samples(alignments, window)):
+        previous = seen.setdefault(sample.features, sample.label)
+        assert previous == sample.label, (
+            f"window {sample.features} labeled both {previous!r} and {sample.label!r}"
+        )
 
 
 @settings(max_examples=10, deadline=None)

@@ -255,6 +255,46 @@ def test_grid_search_dominance(synthetic_small, cyr2lat_table):
     assert dtree.serialize(model) == dtree.serialize(retrained)
 
 
+def test_every_grid_cell_matches_train_direction(synthetic_small, cyr2lat_table, monkeypatch):
+    """Each cell's model, trained from the grid's one wide extraction, has
+    the bytes and validation F1 of a model trained at that window alone.
+    The axes are unordered and of unequal length, so the widest window
+    is neither the first nor the last cell."""
+    config = SplitConfig(0.7, 0.15, 0.15, seed=3)
+    train_part, val_part, _ = split_corpus(synthetic_small, config)
+    trained = []
+    train = dtree.train
+
+    def keep(samples, table):
+        trained.append(train(samples, table))
+        return trained[-1]
+
+    monkeypatch.setattr(dtree, "train", keep)
+    _, cells = grid_search(
+        train_part, val_part, cyr2lat_table, x_values=[1, 3, 0], y_values=[2, 0]
+    )
+    monkeypatch.undo()
+    assert [(c.x, c.y) for c in cells] == [(1, 2), (1, 0), (3, 2), (3, 0), (0, 2), (0, 0)]
+    assert len(trained) == len(cells)
+    for cell, model in zip(cells, trained):
+        alone = train_direction(train_part, WindowSpec(cell.x, cell.y), cyr2lat_table)
+        assert dtree.serialize(model) == dtree.serialize(alone)
+        assert cell.validation_f1 == evaluate(alone, val_part, cyr2lat_table).char_f1
+
+
+def test_grid_search_takes_one_shot_iterables(synthetic_small, cyr2lat_table):
+    """Iterators for the axes give the whole grid, as lists do."""
+    config = SplitConfig(0.7, 0.15, 0.15, seed=4)
+    train_part, val_part, _ = split_corpus(synthetic_small, config)
+    from_lists = grid_search(train_part, val_part, cyr2lat_table, [0, 1], [0, 1])
+    from_iterators = grid_search(
+        train_part, val_part, cyr2lat_table, iter([0, 1]), iter([0, 1])
+    )
+    assert len(from_lists[1]) == 4
+    assert from_iterators[1] == from_lists[1]
+    assert dtree.serialize(from_iterators[0]) == dtree.serialize(from_lists[0])
+
+
 def test_round_trip_synthetic(cyr2lat_table, lat2cyr_table, synthetic_small):
     fwd = train_direction(synthetic_small, WindowSpec(2, 3), cyr2lat_table)
     rev = train_direction(synthetic_small, WindowSpec(2, 3), lat2cyr_table)
