@@ -8,6 +8,14 @@ search is fully deterministic. A (source index, target offset) state
 whose candidates have all failed is remembered and never entered again,
 so a word costs at most one visit per state, however many empty
 candidates the table allows.
+
+The search's first descent is greedy: each character takes its first
+candidate that matches the target where the previous ones end. When
+that walk ends exactly at the end of the target it is the search's
+answer, and ``align_word`` returns it without setting up the search;
+on the bundled lexicon it aligns every pair in both directions. Only
+the other words pay for the backtracking search, which starts over
+from the first character.
 """
 
 from __future__ import annotations
@@ -83,16 +91,28 @@ def align_word(source: str, target: str, table: MappingTable) -> AlignedPair:
     if not source:
         raise ValueError("source word is empty")
     chars = tuple(source)
-    candidate_lists = []
-    for position, char in enumerate(chars):
-        candidates = table.candidates(char)
-        if candidates is None:
-            raise UnknownSourceCharError(source, target, char, position)
-        candidate_lists.append(candidates)
+    candidate_lists = list(map(table.entries.get, chars))
+    if None in candidate_lists:
+        position = candidate_lists.index(None)
+        raise UnknownSourceCharError(source, target, chars[position], position)
 
     n = len(chars)
     target_len = len(target)
-    segments: list[str] = [""] * n
+    # The greedy walk: the search's first descent, before any state is dead.
+    segments: list[str] = []
+    j = 0
+    for candidates in candidate_lists:
+        for candidate in candidates:
+            if target.startswith(candidate, j):
+                segments.append(candidate)
+                j += len(candidate)
+                break
+        else:
+            break
+    if j == target_len and len(segments) == n:
+        return AlignedPair(source_chars=chars, target_segments=tuple(segments))
+
+    segments = [""] * n
     fail_position = 0
     success = False
 

@@ -28,6 +28,8 @@ CANONICAL_APOSTROPHE = "'"
 # U+00B4 ACUTE | U+02BB TURNED COMMA | U+02BC MODIFIER APOSTROPHE
 APOSTROPHE_VARIANTS = frozenset("'‘’`´ʻʼ")
 
+_APOSTROPHE_FOLD = str.maketrans(dict.fromkeys(APOSTROPHE_VARIANTS, CANONICAL_APOSTROPHE))
+
 # In table files U+2205 stands for the empty target string.
 EMPTY_MARK = "∅"
 
@@ -52,8 +54,7 @@ class TableParseError(ValueError):
 def normalize_word(word: str, fold_case: bool = True) -> str:
     """Return ``word`` in canonical form: NFC, one apostrophe code point,
     and lowercase unless ``fold_case`` is off. Idempotent and total."""
-    out = unicodedata.normalize("NFC", word)
-    out = "".join(CANONICAL_APOSTROPHE if ch in APOSTROPHE_VARIANTS else ch for ch in out)
+    out = unicodedata.normalize("NFC", word).translate(_APOSTROPHE_FOLD)
     if fold_case:
         out = out.lower()
     return unicodedata.normalize("NFC", out)

@@ -9,8 +9,7 @@ vectors are identical. An impure node whose best split decreases
 impurity by zero is still split (XOR-shaped label patterns need this;
 it is also what an unlimited-depth CART does), which is what guarantees
 a pure fit on conflict-free data. Ties are broken by lowest position,
-then lowest symbol, so training is fully deterministic given the sample
-order.
+then lowest symbol, so training is fully deterministic.
 
 Unlike a numeric-threshold tree over some arbitrary character encoding,
 equality tests do not depend on a character ordering; the learning task
@@ -19,17 +18,29 @@ is unchanged.
 Training takes its samples column-major, as extraction lays them out
 (``featurizer.Samples``): one column of symbols per window position,
 which is what every histogram scans, and the window the columns were
-cut at, which becomes the model's. Growth never rescans a node to score
-it. Each open node carries its sample indices grouped by label and, per
+cut at, which becomes the model's. The grower copies the columns once,
+label-major: all samples of one label form one contiguous run. Every
+node's samples are then one run per label, a label -> ``(start, stop)``
+map, and a histogram over a run is ``Counter(column[start:stop])``, a
+C-level count of a contiguous slice rather than a gather of scattered
+indices. A split moves a run the eq side has all or none of without
+touching it; a mixed run is reordered in every column, stably, eq rows
+first, and cut in two, as CART implementations partition one sample
+array in place. A node's runs lie inside its parent's, so the reorder
+never disturbs another open node.
+
+Growth never rescans a node to score it. Each open node carries, per
 window position, a symbol -> label -> count histogram. After a split
 only the smaller child is scanned; the larger child's histograms are
 the parent's minus the smaller's, updated in place (histogram
 subtraction, as in LightGBM, Ke et al. 2017). Equality splits peel a
 small eq side off a long ne chain, so a tree costs about two scans of
-its samples rather than one per level. Every score comes from the same integer counts through the
-same float expression in the same candidate order, so the chosen
-splits, and the serialized model, are bit-identical to those of a
-grower that rebuilds every node's histograms.
+its samples rather than one per level. Every score comes from the same
+integer counts through the same float expression in the same candidate
+order, so the chosen splits, and the serialized model, are
+bit-identical to those of a grower that rebuilds every node's
+histograms. The tree depends only on the multiset of samples, not on
+their order, which is what lets the grower regroup and reorder them.
 
 The tree is one flat list of nodes, the same in memory and on disk. An
 internal node is ``[f, s, eq, ne]``: window position ``f`` is tested
@@ -71,6 +82,8 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, compress
+from operator import itemgetter
 
 from .alphabets import Direction, MappingTable
 from .featurizer import Samples, WindowSpec
@@ -133,15 +146,14 @@ def _majority_label(class_counts: dict[str, int]) -> str:
     return min(label for label, count in class_counts.items() if count == best_count)
 
 
-def _histograms(columns, members) -> list[dict]:
-    """Per position, symbol -> label histogram over ``members``, a
-    label -> sample indices map."""
+def _histograms(columns, runs) -> list[dict]:
+    """Per position, symbol -> label histogram over ``runs``, a
+    label -> (start, stop) map into the label-major ``columns``."""
     stats = []
     for column in columns:
-        symbol_of = column.__getitem__
         per_symbol: dict = {}
-        for label, group in members.items():
-            for symbol, count in Counter(map(symbol_of, group)).items():
+        for label, (start, stop) in runs.items():
+            for symbol, count in Counter(column[start:stop]).items():
                 hist = per_symbol.get(symbol)
                 if hist is None:
                     per_symbol[symbol] = {label: count}
@@ -166,25 +178,30 @@ def _subtract(stats, small) -> None:
                 del per_symbol[symbol]
 
 
-def _partition(members, column, symbol, eq_counts):
-    """Split a label -> indices map on ``column[i] == symbol``. Labels the
-    equality side has none or all of move without a scan."""
-    eq_members = {}
-    ne_members = {}
-    for label, group in members.items():
+def _partition(columns, runs, p, symbol, eq_counts):
+    """Split a label -> run map on ``columns[p][i] == symbol``. A run the
+    equality side has none or all of moves without a scan; a mixed run
+    is reordered in every column, stably, equality rows first, and cut
+    in two."""
+    eq_runs = {}
+    ne_runs = {}
+    for label, (start, stop) in runs.items():
         n_eq = eq_counts.get(label, 0)
         if n_eq == 0:
-            ne_members[label] = group
-        elif n_eq == len(group):
-            eq_members[label] = group
+            ne_runs[label] = (start, stop)
+        elif n_eq == stop - start:
+            eq_runs[label] = (start, stop)
         else:
-            eq_group = []
-            ne_group = []
-            for i in group:
-                (eq_group if column[i] == symbol else ne_group).append(i)
-            eq_members[label] = eq_group
-            ne_members[label] = ne_group
-    return eq_members, ne_members
+            tested = columns[p][start:stop]
+            eq_rows = [s == symbol for s in tested]
+            ne_rows = [not eq for eq in eq_rows]
+            for column in columns:
+                run = column[start:stop]
+                column[start:stop] = [*compress(run, eq_rows), *compress(run, ne_rows)]
+            mid = start + n_eq
+            eq_runs[label] = (start, mid)
+            ne_runs[label] = (mid, stop)
+    return eq_runs, ne_runs
 
 
 def _best_split(stats, counts, n):
@@ -224,26 +241,44 @@ def _best_split(stats, counts, n):
     return best
 
 
+def _label_major(columns, labs):
+    """The grower's own copy of ``columns``, label-major: the samples of
+    each label form one run, in input order, labels in order of first
+    occurrence. Returns the copy and the label -> (start, stop) runs."""
+    groups: dict[str, list[int]] = {}
+    for i, label in enumerate(labs):
+        groups.setdefault(label, []).append(i)
+    runs = {}
+    start = 0
+    for label, group in groups.items():
+        runs[label] = (start, start + len(group))
+        start += len(group)
+    if len(runs) == 1:
+        # A pure root is a leaf and reads no column (and an itemgetter
+        # of one index would return an item, not a tuple).
+        return columns, runs
+    take = itemgetter(*chain.from_iterable(groups.values()))
+    return [list(take(column)) for column in columns], runs
+
+
 def _grow(columns, labs) -> list[list]:
     # Iterative with an explicit stack; equality-split chains get deep
     # enough to threaten the interpreter recursion limit. The stack pops
     # nodes in pre-order, eq subtree first, which is the list order.
     nodes: list[list] = []
-    members: dict[str, list[int]] = {}
-    for i, label in enumerate(labs):
-        members.setdefault(label, []).append(i)
-    # Each node carries its members grouped by label (so its label
-    # counts are the group sizes) and, while impure, its histograms.
-    # Pure nodes carry None: they become leaves without a split.
-    stats = _histograms(columns, members) if len(members) > 1 else None
+    columns, runs = _label_major(columns, labs)
+    # Each node carries its label runs (so its label counts are the run
+    # lengths) and, while impure, its histograms. Pure nodes carry None:
+    # they become leaves without a split.
+    stats = _histograms(columns, runs) if len(runs) > 1 else None
     # Each entry names the parent node and the slot that receives the
     # entry's index once it is appended.
-    stack = [(None, 0, members, stats)]
+    stack = [(None, 0, runs, stats)]
     while stack:
-        parent, slot, members, stats = stack.pop()
+        parent, slot, runs, stats = stack.pop()
         if parent is not None:
             parent[slot] = len(nodes)
-        counts = {label: len(group) for label, group in members.items()}
+        counts = {label: stop - start for label, (start, stop) in runs.items()}
         n = sum(counts.values())
         split = None if stats is None else _best_split(stats, counts, n)
         if split is None:
@@ -253,12 +288,12 @@ def _grow(columns, labs) -> list[list]:
         node = [p, symbol, 0, 0]
         nodes.append(node)
         eq_counts = stats[p][symbol]
-        eq_members, ne_members = _partition(members, columns[p], symbol, eq_counts)
+        eq_runs, ne_runs = _partition(columns, runs, p, symbol, eq_counts)
 
         # Scan only the smaller child; the larger child's histograms are
         # the parent's minus the smaller's, computed in place.
-        eq_child = [node, 2, eq_members, None]
-        ne_child = [node, 3, ne_members, None]
+        eq_child = [node, 2, eq_runs, None]
+        ne_child = [node, 3, ne_runs, None]
         if 2 * sum(eq_counts.values()) <= n:
             small, large = eq_child, ne_child
         else:
@@ -278,8 +313,9 @@ def _grow(columns, labs) -> list[list]:
 
 
 def train(samples: Samples, table: MappingTable) -> TranslitModel:
-    """Grow an unbounded-depth tree on ``samples``, at their window;
-    deterministic given identical input order."""
+    """Grow an unbounded-depth tree on ``samples``, at their window. The
+    tree depends on the samples, not on their order, and ``samples`` is
+    left as it is."""
     n = len(samples)
     if not n:
         raise EmptyTrainingSetError("cannot train on an empty sample list")

@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, islice
+from operator import itemgetter
 
 from .aligner import AlignedPair
 
@@ -110,9 +111,14 @@ def dedup_samples(samples: Samples) -> Samples:
 
     Samples with equal windows but different labels are all kept;
     silently dropping one side would bias the classifier.
+
+    Each row is hashed once, as a key of one dict, and the surviving
+    rows are cut back into columns one position at a time with
+    ``itemgetter``, in first-occurrence order.
     """
     rows = list(dict.fromkeys(zip(*samples.columns, samples.labels)))
     if not rows:
         return samples
-    *columns, labels = zip(*rows)
+    width = len(samples.columns)
+    *columns, labels = (tuple(map(itemgetter(p), rows)) for p in range(width + 1))
     return Samples(samples.window, tuple(columns), labels)

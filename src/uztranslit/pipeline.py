@@ -116,15 +116,23 @@ class RoundTripReport:
     failures: list[tuple[str, str, str]]  # (word, forward, back)
 
 
+class _CharVerdicts(dict):
+    """char -> may it appear in a corpus entry: not whitespace and not
+    punctuation, except the hyphen and the apostrophe. Each verdict is
+    computed once, on first lookup."""
+
+    def __missing__(self, ch: str) -> bool:
+        ok = self[ch] = ch in "-'" or not (
+            ch.isspace() or unicodedata.category(ch).startswith("P")
+        )
+        return ok
+
+
+_ENTRY_CHAR_OK = _CharVerdicts()
+
+
 def _entry_ok(word: str) -> bool:
-    if not word:
-        return False
-    for ch in word:
-        if ch in "-'":
-            continue
-        if ch.isspace() or unicodedata.category(ch).startswith("P"):
-            return False
-    return True
+    return bool(word) and all(map(_ENTRY_CHAR_OK.__getitem__, word))
 
 
 def load_corpus(path) -> Corpus:

@@ -10,6 +10,7 @@ from uztranslit.aligner import (
     align_word,
     format_failure_report,
 )
+from uztranslit.alphabets import MappingTable
 from uztranslit.gencorpus import gen_corpus
 
 
@@ -134,3 +135,76 @@ def test_tiling_and_licensing_properties(seed, cyr2lat_table, lat2cyr_table):
                 assert segment in table.entries[char]
             again = align_word(source, target, table)
             assert again == pair
+
+
+def _reference_align(source, target, table):
+    """Plain depth-first backtracking with no memory of dead states:
+    ``("aligned", segments)``, ``("unknown", position)`` or
+    ``("stuck", position)``, the furthest source position where no
+    candidate matched (the last one when the target is left over)."""
+    for position, char in enumerate(source):
+        if table.candidates(char) is None:
+            return "unknown", position
+    fail = 0
+
+    def walk(i, j):
+        nonlocal fail
+        if i == len(source):
+            if j == len(target):
+                return ()
+            fail = max(fail, i - 1)
+            return None
+        matched = False
+        for candidate in table.candidates(source[i]):
+            if target.startswith(candidate, j):
+                matched = True
+                rest = walk(i + 1, j + len(candidate))
+                if rest is not None:
+                    return (candidate, *rest)
+        if not matched:
+            fail = max(fail, i)
+        return None
+
+    segments = walk(0, 0)
+    return ("stuck", fail) if segments is None else ("aligned", segments)
+
+
+_KEYS = "абвг"
+
+
+@st.composite
+def _words_and_tables(draw):
+    """A table over some of _KEYS whose candidates include the empty
+    string and multi-character strings, a source word that may hold a
+    character outside it, and a target that is often a tiling of the
+    source, sometimes with one character changed, added or dropped."""
+    # over one letter, candidates overlap and the greedy walk often fails
+    letters = draw(st.sampled_from(["x", "xy"]))
+    candidates = st.lists(st.text(letters, max_size=3), min_size=1, max_size=3, unique=True)
+    keys = draw(st.lists(st.sampled_from(_KEYS), min_size=1, max_size=4, unique=True))
+    table = MappingTable({key: draw(candidates) for key in keys})
+    source = draw(st.text(st.sampled_from(keys + ["г"]), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        target = "".join(
+            draw(st.sampled_from(table.candidates(ch) or ("",))) for ch in source
+        )
+        cut = draw(st.integers(0, len(target)))
+        end = cut + draw(st.integers(0, 1))
+        target = target[:cut] + draw(st.sampled_from(["", "x", "y"])) + target[end:]
+    else:
+        target = draw(st.text(letters, max_size=10))
+    return source, target, table
+
+
+@settings(max_examples=250, deadline=None)
+@given(case=_words_and_tables())
+def test_align_word_matches_reference_search(case):
+    source, target, table = case
+    expected = _reference_align(source, target, table)
+    try:
+        got = ("aligned", align_word(source, target, table).target_segments)
+    except UnknownSourceCharError as err:
+        got = ("unknown", err.position)
+    except NoAlignmentError as err:
+        got = ("stuck", err.position)
+    assert got == expected

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from uztranslit import dtree, pipeline
-from uztranslit.alphabets import CYR2LAT, LAT2CYR, MappingTable
+from uztranslit.alphabets import APOSTROPHE_VARIANTS, CYR2LAT, LAT2CYR, MappingTable
 from uztranslit.featurizer import WindowSpec
 from uztranslit.gencorpus import gen_corpus
 from uztranslit.pipeline import (
@@ -107,6 +107,44 @@ def test_corpus_loading_filters_junk(tmp_path):
         ("аста-секин", "asta-sekin"),
         ("маълум", "ma'lum"),
     ]
+
+
+def test_load_corpus_regression(tmp_path):
+    # One line per apostrophe variant, per punctuation class (Pc Pd Ps Pe
+    # Pi Pf Po), inner whitespace, comments and empty sides; the pairs
+    # and provenance are the loader's output before its per-character
+    # verdict cache and one-pass apostrophe fold.
+    variants = "'\u2018\u2019`\u00b4\u02bb\u02bc"
+    assert set(variants) == APOSTROPHE_VARIANTS
+    path = tmp_path / "c.tsv"
+    path.write_text(
+        "# comment\n"
+        "   # indented comment\tбола\tbola\n"
+        "\n"
+        "  \t \n"
+        + "".join(f"Қўл\tQO{v}L\n" for v in variants)
+        + "  бола  \t  Bola \n"
+        "и\u0306ил\tyil\n"  # NFD й
+        "аста-секин\tasta-sekin\n"
+        "2х+$\t2x+$\n"  # digits and symbols stay
+        + "".join(f"бо{p}ла\tbo{p}la\n" for p in "_\u2013()\u00ab\u00bb!.")
+        + "бола\tbola,\n"
+        "икки суз\tikki so'z\n"
+        "бир\u00a0бир\tbir\u00a0bir\n"
+        "бола\tbola\textra\n"
+        "бола\t\n"
+        "\tbola\n"
+        "бола\n",
+        encoding="utf-8",
+    )
+    corpus = pipeline.load_corpus(path)
+    assert corpus.pairs == [("қўл", "qo'l")] * 7 + [
+        ("бола", "bola"),
+        ("йил", "yil"),
+        ("аста-секин", "asta-sekin"),
+        ("2х+$", "2x+$"),
+    ]
+    assert corpus.provenance == f"{path} (11 pairs, 15 dropped)"
 
 
 def test_corpus_save_load_roundtrip(tmp_path, synthetic_small):
