@@ -30,17 +30,23 @@ array in place. A node's runs lie inside its parent's, so the reorder
 never disturbs another open node.
 
 Growth never rescans a node to score it. Each open node carries, per
-window position, a symbol -> label -> count histogram. After a split
-only the smaller child is scanned; the larger child's histograms are
-the parent's minus the smaller's, updated in place (histogram
-subtraction, as in LightGBM, Ke et al. 2017). Equality splits peel a
-small eq side off a long ne chain, so a tree costs about two scans of
-its samples rather than one per level. Every score comes from the same
-integer counts through the same float expression in the same candidate
-order, so the chosen splits, and the serialized model, are
-bit-identical to those of a grower that rebuilds every node's
-histograms. The tree depends only on the multiset of samples, not on
-their order, which is what lets the grower regroup and reorder them.
+window position, a label -> ``Counter`` histogram of its runs and, per
+symbol, three running integer totals over the node's labels l, with
+c_l the symbol's count in l and N_l the count of l: n_eq = sum c_l,
+sq_eq = sum c_l^2 and cross = sum c_l * N_l. They are all a split's
+score needs, so scoring a candidate reads three numbers. After a split
+only the smaller child is scanned; the larger child is the parent minus
+the smaller (histogram subtraction, as in LightGBM, Ke et al. 2017),
+and its histograms and totals are the parent's, updated in place by
+walking only the labels the smaller child holds. Equality splits peel
+a small eq side off a long ne chain, so a tree costs about two scans of
+its samples rather than one per level, and most updates touch a label
+or two. Every score comes from the same integer counts through the
+same float expression in the same candidate order, so the chosen
+splits, and the serialized model, are bit-identical to those of a
+grower that rebuilds every node's histograms. The tree depends only on
+the multiset of samples, not on their order, which is what lets the
+grower regroup and reorder them.
 
 The tree is one flat list of nodes, the same in memory and on disk. An
 internal node is ``[f, s, eq, ne]``: window position ``f`` is tested
@@ -146,47 +152,94 @@ def _majority_label(class_counts: dict[str, int]) -> str:
     return min(label for label, count in class_counts.items() if count == best_count)
 
 
-def _histograms(columns, runs) -> list[dict]:
-    """Per position, symbol -> label histogram over ``runs``, a
-    label -> (start, stop) map into the label-major ``columns``."""
-    stats = []
-    for column in columns:
+def _label_hists(columns, runs) -> list[dict]:
+    """Per position, label -> Counter of the column over that label's run
+    in the label-major ``columns``."""
+    return [
+        {label: Counter(column[start:stop]) for label, (start, stop) in runs.items()}
+        for column in columns
+    ]
+
+
+def _totals(hists, counts) -> list[dict]:
+    """Per position, symbol -> [n_eq, sq_eq, cross]: over the node's labels
+    l, with c the symbol's count in l and N_l the count of l, the sums of
+    c, c * c and c * N_l, which are all _best_split reads."""
+    totals = []
+    for per_label in hists:
         per_symbol: dict = {}
-        for label, (start, stop) in runs.items():
-            for symbol, count in Counter(column[start:stop]).items():
-                hist = per_symbol.get(symbol)
-                if hist is None:
-                    per_symbol[symbol] = {label: count}
+        for label, hist in per_label.items():
+            n_l = counts[label]
+            for symbol, c in hist.items():
+                total = per_symbol.get(symbol)
+                if total is None:
+                    per_symbol[symbol] = [c, c * c, c * n_l]
                 else:
-                    hist[label] = count
-        stats.append(per_symbol)
-    return stats
+                    total[0] += c
+                    total[1] += c * c
+                    total[2] += c * n_l
+        totals.append(per_symbol)
+    return totals
 
 
-def _subtract(stats, small) -> None:
-    """stats -= small in place, deleting entries that reach zero."""
-    for per_symbol, small_per_symbol in zip(stats, small):
-        for symbol, small_hist in small_per_symbol.items():
-            hist = per_symbol[symbol]
-            for label, count in small_hist.items():
-                left = hist[label] - count
-                if left:
-                    hist[label] = left
-                else:
-                    del hist[label]
-            if not hist:
-                del per_symbol[symbol]
+def _subtract(hists, totals, small_hists, counts, small_counts) -> None:
+    """Turn a node's histograms and totals into its larger child's, in
+    place, given the smaller child's histograms and label counts.
+
+    Only the labels the smaller child holds change. For such a label l,
+    every symbol of it moves, since N_l drops to N'_l: with c its count
+    and a the smaller child's, n_eq loses a, sq_eq gains c'^2 - c^2 and
+    cross gains c' * N'_l - c * N_l, where c' = c - a. Counts and
+    symbols that reach zero are deleted, and so is a label the smaller
+    child took whole."""
+    for per_label, per_symbol, small_per_label in zip(hists, totals, small_hists):
+        for label, small_hist in small_per_label.items():
+            hist = per_label[label]
+            n_l = counts[label]
+            left_n_l = n_l - small_counts[label]
+            if not left_n_l:
+                # a == c for every symbol, so c' and N'_l are zero
+                del per_label[label]
+                for symbol, c in hist.items():
+                    total = per_symbol[symbol]
+                    n_eq = total[0] - c
+                    if n_eq:
+                        total[0] = n_eq
+                        total[1] -= c * c
+                        total[2] -= c * n_l
+                    else:
+                        del per_symbol[symbol]
+                continue
+            emptied = []
+            for symbol, c in hist.items():
+                a = small_hist.get(symbol, 0)
+                left = c - a
+                total = per_symbol[symbol]
+                if a:
+                    if left:
+                        hist[symbol] = left  # an existing key: safe mid-iteration
+                    else:
+                        emptied.append(symbol)
+                    n_eq = total[0] - a
+                    if not n_eq:
+                        del per_symbol[symbol]
+                        continue
+                    total[0] = n_eq
+                    total[1] += left * left - c * c
+                total[2] += left * left_n_l - c * n_l
+            for symbol in emptied:
+                del hist[symbol]
 
 
-def _partition(columns, runs, p, symbol, eq_counts):
-    """Split a label -> run map on ``columns[p][i] == symbol``. A run the
-    equality side has none or all of moves without a scan; a mixed run
-    is reordered in every column, stably, equality rows first, and cut
-    in two."""
+def _partition(columns, runs, p, symbol, per_label):
+    """Split a label -> run map on ``columns[p][i] == symbol``, given the
+    node's label -> Counter histograms at ``p``. A run the equality side
+    has none or all of moves without a scan; a mixed run is reordered in
+    every column, stably, equality rows first, and cut in two."""
     eq_runs = {}
     ne_runs = {}
     for label, (start, stop) in runs.items():
-        n_eq = eq_counts.get(label, 0)
+        n_eq = per_label[label][symbol]
         if n_eq == 0:
             ne_runs[label] = (start, stop)
         elif n_eq == stop - start:
@@ -204,7 +257,7 @@ def _partition(columns, runs, p, symbol, eq_counts):
     return eq_runs, ne_runs
 
 
-def _best_split(stats, counts, n):
+def _best_split(totals, counts, n):
     """Exhaustively score every (position, symbol) equality split.
 
     Returns (position, symbol), or None when every sample carries the
@@ -219,19 +272,15 @@ def _best_split(stats, counts, n):
     sq = sum(c * c for c in counts.values())
     best_decrease = -1.0
     best = None
-    for p, per_symbol in enumerate(stats):
+    for p, per_symbol in enumerate(totals):
         for symbol in sorted(per_symbol):
-            n_eq = sq_eq = cross = 0
-            for label, c in per_symbol[symbol].items():
-                n_eq += c
-                sq_eq += c * c
-                cross += c * counts[label]
+            n_eq, sq_eq, cross = per_symbol[symbol]
             if n_eq == n:
                 continue  # equality side would swallow the node
             n_ne = n - n_eq
-            # sum((counts[l] - hist[l]) ** 2) over the node's labels,
-            # expanded so only the symbol's own labels are visited; the
-            # integers are exact, so the floats below are unchanged
+            # sum((N_l - c_l) ** 2) over the node's labels, expanded into
+            # the running totals; the integers are exact, so the floats
+            # below are those of the direct sum
             sq_ne = sq - 2 * cross + sq_eq
             weighted = (n_eq - sq_eq / n_eq + n_ne - sq_ne / n_ne) / n
             decrease = parent_gini - weighted
@@ -261,6 +310,10 @@ def _label_major(columns, labs):
     return [list(take(column)) for column in columns], runs
 
 
+def _run_counts(runs) -> dict[str, int]:
+    return {label: stop - start for label, (start, stop) in runs.items()}
+
+
 def _grow(columns, labs) -> list[list]:
     # Iterative with an explicit stack; equality-split chains get deep
     # enough to threaten the interpreter recursion limit. The stack pops
@@ -268,45 +321,51 @@ def _grow(columns, labs) -> list[list]:
     nodes: list[list] = []
     columns, runs = _label_major(columns, labs)
     # Each node carries its label runs (so its label counts are the run
-    # lengths) and, while impure, its histograms. Pure nodes carry None:
-    # they become leaves without a split.
-    stats = _histograms(columns, runs) if len(runs) > 1 else None
+    # lengths) and, while impure, its histograms and totals. Pure nodes
+    # carry None: they become leaves without a split.
+    hists = totals = None
+    if len(runs) > 1:
+        hists = _label_hists(columns, runs)
+        totals = _totals(hists, _run_counts(runs))
     # Each entry names the parent node and the slot that receives the
     # entry's index once it is appended.
-    stack = [(None, 0, runs, stats)]
+    stack = [(None, 0, runs, hists, totals)]
     while stack:
-        parent, slot, runs, stats = stack.pop()
+        parent, slot, runs, hists, totals = stack.pop()
         if parent is not None:
             parent[slot] = len(nodes)
-        counts = {label: stop - start for label, (start, stop) in runs.items()}
+        counts = _run_counts(runs)
         n = sum(counts.values())
-        split = None if stats is None else _best_split(stats, counts, n)
+        split = None if totals is None else _best_split(totals, counts, n)
         if split is None:
             nodes.append([_majority_label(counts), counts])
             continue
         p, symbol = split
         node = [p, symbol, 0, 0]
         nodes.append(node)
-        eq_counts = stats[p][symbol]
-        eq_runs, ne_runs = _partition(columns, runs, p, symbol, eq_counts)
+        eq_runs, ne_runs = _partition(columns, runs, p, symbol, hists[p])
 
-        # Scan only the smaller child; the larger child's histograms are
-        # the parent's minus the smaller's, computed in place.
-        eq_child = [node, 2, eq_runs, None]
-        ne_child = [node, 3, ne_runs, None]
-        if 2 * sum(eq_counts.values()) <= n:
+        # Scan only the smaller child; the larger child's histograms and
+        # totals are the parent's, updated in place by what the smaller
+        # one took.
+        eq_child = [node, 2, eq_runs, None, None]
+        ne_child = [node, 3, ne_runs, None, None]
+        if 2 * totals[p][symbol][0] <= n:
             small, large = eq_child, ne_child
         else:
             small, large = ne_child, eq_child
         small_grows = len(small[2]) > 1
         large_grows = len(large[2]) > 1
         if small_grows or large_grows:
-            small_stats = _histograms(columns, small[2])
+            small_counts = _run_counts(small[2])
+            small_hists = _label_hists(columns, small[2])
             if small_grows:
-                small[3] = small_stats
+                small[3] = small_hists
+                small[4] = _totals(small_hists, small_counts)
             if large_grows:
-                _subtract(stats, small_stats)
-                large[3] = stats
+                _subtract(hists, totals, small_hists, counts, small_counts)
+                large[3] = hists
+                large[4] = totals
         stack.append(tuple(ne_child))
         stack.append(tuple(eq_child))
     return nodes

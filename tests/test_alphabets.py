@@ -1,3 +1,5 @@
+import unicodedata
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -40,6 +42,32 @@ def test_normalize_keeps_case_when_folding_off():
 def test_normalize_idempotent(word):
     once = normalize_word(word)
     assert normalize_word(once) == once
+
+
+_TRANSLATE_FOLD = str.maketrans(dict.fromkeys(alphabets.APOSTROPHE_VARIANTS, "'"))
+
+
+def _reference_normalize(word, fold_case):
+    out = unicodedata.normalize("NFC", word).translate(_TRANSLATE_FOLD)
+    if fold_case:
+        out = out.lower()
+    return unicodedata.normalize("NFC", out)
+
+
+@given(
+    st.text(
+        st.one_of(
+            st.sampled_from(sorted(alphabets.APOSTROPHE_VARIANTS)),
+            st.characters(min_codepoint=0x400, max_codepoint=0x4FF),  # Cyrillic
+            st.characters(min_codepoint=0x41, max_codepoint=0x7A),  # Latin, ASCII
+            st.sampled_from("\u0301\u0306 -"),  # combining acute and breve
+        ),
+        max_size=40,
+    ),
+    st.booleans(),
+)
+def test_apostrophe_fold_matches_translate(word, fold_case):
+    assert normalize_word(word, fold_case) == _reference_normalize(word, fold_case)
 
 
 def test_bundled_alphabet_sizes(lexicon, cyr2lat_table, lat2cyr_table):

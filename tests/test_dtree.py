@@ -532,6 +532,41 @@ def test_matches_reference_grower(case):
     assert got == _reference_bytes(samples, window)
 
 
+_MANY_SYMBOLS = ["а", "б", "в", "г", "д", "е", "ж", PAD]
+_MANY_LABELS = ["", "a", "b", "ch", "sh", "o'", "g'", "ng", "ye", "yo", "yu", "ya"]
+
+
+@st.composite
+def _many_label_sets(draw):
+    """Up to 12 labels over up to 8 symbols, skewed two ways: label
+    frequencies fall off, and most samples carry their label's own symbol
+    at each position. A split then often moves a whole small label into
+    the smaller child, so that the label vanishes from the larger one."""
+    width = draw(st.integers(1, 4))
+    symbols = _MANY_SYMBOLS[: draw(st.integers(2, len(_MANY_SYMBOLS)))]
+    labels = _MANY_LABELS[: draw(st.integers(2, len(_MANY_LABELS)))]
+    index = st.integers(0, len(labels) - 1)
+    samples = []
+    for pair in draw(st.lists(st.tuples(index, index), min_size=2, max_size=80)):
+        i = min(pair)  # the smaller of two draws favours the first labels
+        own = symbols[i % len(symbols)]
+        features = tuple(
+            own if draw(st.integers(0, 3)) else draw(st.sampled_from(symbols))
+            for _ in range(width)
+        )
+        samples.append(Row(features, labels[i]))
+    return width, samples
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_many_label_sets())
+def test_matches_reference_grower_with_many_labels(case):
+    width, samples = case
+    window = WindowSpec(0, width - 1)
+    got = serialize(train(samples_of(samples, window), CYR2LAT_TABLE))
+    assert got == _reference_bytes(samples, window)
+
+
 def test_xor_block_matches_reference_grower():
     samples = [
         Row((a, b), "a" if a == b else "b") for a in ("а", "б") for b in ("а", "б")
