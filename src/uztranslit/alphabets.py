@@ -120,7 +120,7 @@ def load_mapping_table(path) -> MappingTable:
     ``∅`` denoting the empty string, ``#`` starting a comment.
     """
     entries: dict[str, tuple[str, ...]] = {}
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:  # a leading BOM is not text
         for line_no, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
@@ -170,13 +170,8 @@ def bundled_script_spec(script: str) -> frozenset[str]:
 
 
 def parse_direction(text: str) -> Direction:
-    aliases = {
-        "cyr2lat": CYR2LAT,
-        "lat2cyr": LAT2CYR,
-        "cyrillic-latin": CYR2LAT,
-        "latin-cyrillic": LAT2CYR,
-    }
+    directions = {"cyr2lat": CYR2LAT, "lat2cyr": LAT2CYR}
     try:
-        return aliases[text.lower()]
+        return directions[text.lower()]
     except KeyError:
         raise ValueError(f"unknown direction {text!r}; use cyr2lat or lat2cyr")

@@ -154,6 +154,8 @@ def cmd_transliterate(args) -> int:
 def cmd_evaluate(args) -> int:
     model = dtree.load_model(args.model)
     corpus = pipeline.load_corpus(args.corpus)
+    if not corpus.pairs:
+        raise DataError(f"{args.corpus} has no usable pair to evaluate on")
     report = pipeline.evaluate(model, corpus, model.table)
     if args.format == "json":
         text = json.dumps(report.to_json_dict(), ensure_ascii=False, indent=2) + "\n"
@@ -188,11 +190,7 @@ def cmd_grid_search(args) -> int:
         x_values=range(args.x_min, args.x_max + 1),
         y_values=range(args.y_min, args.y_max + 1),
     )
-    grid_text = pipeline.format_grid_tsv(cells)
-    if args.out:
-        atomic_write(args.out, grid_text)
-    else:
-        sys.stdout.write(grid_text)
+    _emit(pipeline.format_grid_tsv(cells), args.out)
     best_f1 = max(c.validation_f1 for c in cells)
     best = model.window
     print(f"best window: x={best.x} y={best.y} (validation F1 {best_f1:.6f})", file=sys.stderr)

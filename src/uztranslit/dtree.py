@@ -18,19 +18,16 @@ is unchanged.
 Training takes its samples column-major, as extraction lays them out
 (``featurizer.Samples``): one column of symbols per window position,
 which is what every histogram scans, and the window the columns were
-cut at, which becomes the model's. The grower copies the columns once,
-label-major: all samples of one label form one contiguous run. Every
-node's samples are then one run per label, a label -> ``(start, stop)``
-map, and a histogram over a run is ``Counter(column[start:stop])``, a
-C-level count of a contiguous slice rather than a gather of scattered
-indices. A split moves a run the eq side has all or none of without
-touching it; a mixed run is reordered in every column, stably, eq rows
-first, and cut in two, as CART implementations partition one sample
-array in place. A node's runs lie inside its parent's, so the reorder
-never disturbs another open node.
+cut at, which becomes the model's. The grower gathers each label's
+samples once into a block, a list of columns, and every open node owns
+its samples as a label -> block map. A histogram is
+``Counter(block[p])``, a C-level count of one column rather than a
+gather of scattered indices. A split hands a block the eq side holds
+all or none of to that child as it is and cuts a mixed block in two
+with ``compress``; the input columns are only read.
 
 Growth never rescans a node to score it. Each open node carries, per
-window position, a label -> ``Counter`` histogram of its runs and, per
+window position, a label -> ``Counter`` histogram of its blocks and, per
 symbol, three running integer totals over the node's labels l, with
 c_l the symbol's count in l and N_l the count of l: n_eq = sum c_l,
 sq_eq = sum c_l^2 and cross = sum c_l * N_l. They are all a split's
@@ -46,7 +43,7 @@ same float expression in the same candidate order, so the chosen
 splits, and the serialized model, are bit-identical to those of a
 grower that rebuilds every node's histograms. The tree depends only on
 the multiset of samples, not on their order, which is what lets the
-grower regroup and reorder them.
+grower regroup them by label.
 
 The tree is one flat list of nodes, the same in memory and on disk. An
 internal node is ``[f, s, eq, ne]``: window position ``f`` is tested
@@ -88,7 +85,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress
+from itertools import compress
 from operator import itemgetter
 
 from .alphabets import Direction, MappingTable
@@ -152,12 +149,11 @@ def _majority_label(class_counts: dict[str, int]) -> str:
     return min(label for label, count in class_counts.items() if count == best_count)
 
 
-def _label_hists(columns, runs) -> list[dict]:
-    """Per position, label -> Counter of the column over that label's run
-    in the label-major ``columns``."""
+def _label_hists(blocks) -> list[dict]:
+    """Per position, label -> Counter of that label's block column."""
     return [
-        {label: Counter(column[start:stop]) for label, (start, stop) in runs.items()}
-        for column in columns
+        {label: Counter(column) for label, column in zip(blocks, columns)}
+        for columns in zip(*blocks.values())
     ]
 
 
@@ -231,30 +227,25 @@ def _subtract(hists, totals, small_hists, counts, small_counts) -> None:
                 del hist[symbol]
 
 
-def _partition(columns, runs, p, symbol, per_label):
-    """Split a label -> run map on ``columns[p][i] == symbol``, given the
-    node's label -> Counter histograms at ``p``. A run the equality side
-    has none or all of moves without a scan; a mixed run is reordered in
-    every column, stably, equality rows first, and cut in two."""
-    eq_runs = {}
-    ne_runs = {}
-    for label, (start, stop) in runs.items():
+def _partition(blocks, p, symbol, per_label):
+    """Split a label -> block map on ``block[p][i] == symbol``, given the
+    node's label -> Counter histograms at ``p``. A block the equality
+    side holds none or all of goes to that child as it is; a mixed block
+    is cut in two, every column keeping its order."""
+    eq_blocks = {}
+    ne_blocks = {}
+    for label, block in blocks.items():
         n_eq = per_label[label][symbol]
         if n_eq == 0:
-            ne_runs[label] = (start, stop)
-        elif n_eq == stop - start:
-            eq_runs[label] = (start, stop)
+            ne_blocks[label] = block
+        elif n_eq == len(block[p]):
+            eq_blocks[label] = block
         else:
-            tested = columns[p][start:stop]
-            eq_rows = [s == symbol for s in tested]
+            eq_rows = [s == symbol for s in block[p]]
             ne_rows = [not eq for eq in eq_rows]
-            for column in columns:
-                run = column[start:stop]
-                column[start:stop] = [*compress(run, eq_rows), *compress(run, ne_rows)]
-            mid = start + n_eq
-            eq_runs[label] = (start, mid)
-            ne_runs[label] = (mid, stop)
-    return eq_runs, ne_runs
+            eq_blocks[label] = [list(compress(column, eq_rows)) for column in block]
+            ne_blocks[label] = [list(compress(column, ne_rows)) for column in block]
+    return eq_blocks, ne_blocks
 
 
 def _best_split(totals, counts, n):
@@ -290,28 +281,22 @@ def _best_split(totals, counts, n):
     return best
 
 
-def _label_major(columns, labs):
-    """The grower's own copy of ``columns``, label-major: the samples of
-    each label form one run, in input order, labels in order of first
-    occurrence. Returns the copy and the label -> (start, stop) runs."""
+def _label_blocks(columns, labs) -> dict[str, list]:
+    """Per label, in order of first occurrence, its samples as one block:
+    a list of columns, each in input order."""
     groups: dict[str, list[int]] = {}
     for i, label in enumerate(labs):
         groups.setdefault(label, []).append(i)
-    runs = {}
-    start = 0
+    blocks = {}
     for label, group in groups.items():
-        runs[label] = (start, start + len(group))
-        start += len(group)
-    if len(runs) == 1:
-        # A pure root is a leaf and reads no column (and an itemgetter
-        # of one index would return an item, not a tuple).
-        return columns, runs
-    take = itemgetter(*chain.from_iterable(groups.values()))
-    return [list(take(column)) for column in columns], runs
-
-
-def _run_counts(runs) -> dict[str, int]:
-    return {label: stop - start for label, (start, stop) in runs.items()}
+        if len(group) == 1:
+            # an itemgetter of one index returns an item, not a tuple
+            i = group[0]
+            blocks[label] = [column[i : i + 1] for column in columns]
+        else:
+            take = itemgetter(*group)
+            blocks[label] = [take(column) for column in columns]
+    return blocks
 
 
 def _grow(columns, labs) -> list[list]:
@@ -319,55 +304,45 @@ def _grow(columns, labs) -> list[list]:
     # enough to threaten the interpreter recursion limit. The stack pops
     # nodes in pre-order, eq subtree first, which is the list order.
     nodes: list[list] = []
-    columns, runs = _label_major(columns, labs)
-    # Each node carries its label runs (so its label counts are the run
-    # lengths) and, while impure, its histograms and totals. Pure nodes
-    # carry None: they become leaves without a split.
-    hists = totals = None
-    if len(runs) > 1:
-        hists = _label_hists(columns, runs)
-        totals = _totals(hists, _run_counts(runs))
     # Each entry names the parent node and the slot that receives the
-    # entry's index once it is appended.
-    stack = [(None, 0, runs, hists, totals)]
+    # entry's index once it is appended, then the node's label blocks and
+    # the histograms and totals its parent hands down, or None.
+    stack = [(None, 0, _label_blocks(columns, labs), None, None)]
     while stack:
-        parent, slot, runs, hists, totals = stack.pop()
+        parent, slot, blocks, hists, totals = stack.pop()
         if parent is not None:
             parent[slot] = len(nodes)
-        counts = _run_counts(runs)
+        counts = {label: len(block[0]) for label, block in blocks.items()}
         n = sum(counts.values())
-        split = None if totals is None else _best_split(totals, counts, n)
+        split = None
+        if len(counts) > 1:
+            if hists is None:
+                hists = _label_hists(blocks)
+            if totals is None:
+                totals = _totals(hists, counts)
+            split = _best_split(totals, counts, n)
         if split is None:
             nodes.append([_majority_label(counts), counts])
             continue
         p, symbol = split
         node = [p, symbol, 0, 0]
         nodes.append(node)
-        eq_runs, ne_runs = _partition(columns, runs, p, symbol, hists[p])
+        eq_blocks, ne_blocks = _partition(blocks, p, symbol, hists[p])
 
         # Scan only the smaller child; the larger child's histograms and
-        # totals are the parent's, updated in place by what the smaller
-        # one took.
-        eq_child = [node, 2, eq_runs, None, None]
-        ne_child = [node, 3, ne_runs, None, None]
-        if 2 * totals[p][symbol][0] <= n:
-            small, large = eq_child, ne_child
+        # totals are the parent's, turned into its own by what the
+        # smaller one took.
+        small_is_eq = 2 * totals[p][symbol][0] <= n
+        small_blocks = eq_blocks if small_is_eq else ne_blocks
+        small_hists = _label_hists(small_blocks)
+        small_counts = {label: len(block[0]) for label, block in small_blocks.items()}
+        _subtract(hists, totals, small_hists, counts, small_counts)
+        if small_is_eq:
+            stack.append((node, 3, ne_blocks, hists, totals))
+            stack.append((node, 2, eq_blocks, small_hists, None))
         else:
-            small, large = ne_child, eq_child
-        small_grows = len(small[2]) > 1
-        large_grows = len(large[2]) > 1
-        if small_grows or large_grows:
-            small_counts = _run_counts(small[2])
-            small_hists = _label_hists(columns, small[2])
-            if small_grows:
-                small[3] = small_hists
-                small[4] = _totals(small_hists, small_counts)
-            if large_grows:
-                _subtract(hists, totals, small_hists, counts, small_counts)
-                large[3] = hists
-                large[4] = totals
-        stack.append(tuple(ne_child))
-        stack.append(tuple(eq_child))
+            stack.append((node, 3, ne_blocks, small_hists, None))
+            stack.append((node, 2, eq_blocks, hists, totals))
     return nodes
 
 

@@ -140,7 +140,7 @@ def load_corpus(path) -> Corpus:
     multi-word or punctuation-bearing entries (hyphen and apostrophe stay)."""
     pairs = []
     dropped = 0
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:  # a leading BOM is not text
         for raw in handle:
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):

@@ -139,11 +139,12 @@ def test_bundled_cyr2lat_shape(cyr2lat_table):
 
 def test_bundled_tables_roundtrip_format(tmp_path, cyr2lat_table, lat2cyr_table):
     for table in (cyr2lat_table, lat2cyr_table):
-        path = tmp_path / "dump.tsv"
-        path.write_text(table.format(), encoding="utf-8")
-        again = load_mapping_table(path)
-        assert again.direction == table.direction
-        assert again.entries == table.entries
+        for bom in ("", "\ufeff"):
+            path = tmp_path / "dump.tsv"
+            path.write_text(bom + table.format(), encoding="utf-8")
+            again = load_mapping_table(path)
+            assert again.direction == table.direction
+            assert again.entries == table.entries
 
 
 def test_discover_unmapped_truncated_table(cyr2lat_table):

@@ -248,6 +248,18 @@ def test_evaluate_json_and_tsv(tmp_path, trained_model, lexicon_path):
     assert "char_f1\t1.0" in out_tsv.read_text(encoding="utf-8")
 
 
+def test_evaluate_without_usable_pair_is_data_error(tmp_path, trained_model, capsys):
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("икки суз\tikki so'z\n", encoding="utf-8")  # multi-word: dropped
+    out = tmp_path / "report.json"
+    code = main(
+        ["evaluate", "--model", str(trained_model), "--corpus", str(corpus), "--out", str(out)]
+    )
+    assert code == 2
+    assert "no usable pair" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_table_of_other_direction_is_data_error(tmp_path, lexicon_path, capsys):
     lat2cyr = str(_data_path("lat2cyr.tsv"))
     code = main(

@@ -592,15 +592,15 @@ def test_matches_reference_grower_on_synthetic(synthetic_small, cyr2lat_table, x
 @settings(max_examples=100, deadline=None)
 @given(case=_sample_sets(), rng=st.randoms(use_true_random=False))
 def test_training_ignores_sample_order(case, rng):
-    # The grower regroups the samples by label and reorders them as it
-    # splits, which is sound because the tree depends only on the
-    # multiset of (window, label) samples.
+    # The grower regroups the samples into one block per label, which is
+    # sound because the tree depends only on the multiset of (window,
+    # label) samples.
     width, samples = case
     window = WindowSpec(0, width - 1)
     shuffled = list(samples)
     rng.shuffle(shuffled)
     given_samples = samples_of(samples, window)
-    # list columns, which the grower could reorder in place if it did not copy them
+    # list columns, which a grower could write into; train only reads them
     as_lists = Samples(window, tuple(map(list, given_samples.columns)), given_samples.labels)
     got = serialize(train(as_lists, CYR2LAT_TABLE))
     assert as_lists.columns == tuple(map(list, given_samples.columns))

@@ -152,6 +152,8 @@ def test_corpus_save_load_roundtrip(tmp_path, synthetic_small):
     pipeline.save_corpus(synthetic_small, path)
     again = pipeline.load_corpus(path)
     assert again.pairs == synthetic_small.pairs
+    path.write_text("\ufeff" + path.read_text(encoding="utf-8"), encoding="utf-8")
+    assert pipeline.load_corpus(path).pairs == synthetic_small.pairs
 
 
 def test_train_direction_pure_fit(lexicon, cyr2lat_table):
