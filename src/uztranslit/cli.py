@@ -127,6 +127,8 @@ def cmd_train(args) -> int:
     window = _window(args)
     table = _load_table(args, direction)
     corpus = pipeline.load_corpus(args.corpus)
+    if not corpus.pairs:
+        raise DataError(f"{args.corpus} has no usable pair to train on")
     model = pipeline.train_direction(corpus, window, table)
     payload = dtree.serialize(model)
     atomic_write(args.out, payload)
@@ -182,6 +184,8 @@ def cmd_grid_search(args) -> int:
         raise UsageError(str(err))
     table = _load_table(args, direction)
     corpus = pipeline.load_corpus(args.corpus)
+    if not corpus.pairs:
+        raise DataError(f"{args.corpus} has no usable pair to search on")
     train_part, val_part, test_part = pipeline.split_corpus(corpus, config)
     model, cells = pipeline.grid_search(
         train_part,

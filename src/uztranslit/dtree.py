@@ -15,16 +15,17 @@ Unlike a numeric-threshold tree over some arbitrary character encoding,
 equality tests do not depend on a character ordering; the learning task
 is unchanged.
 
-Training takes its samples column-major, as extraction lays them out
-(``featurizer.Samples``): one column of symbols per window position,
-which is what every histogram scans, and the window the columns were
-cut at, which becomes the model's. The grower gathers each label's
-samples once into a block, a list of columns, and every open node owns
-its samples as a label -> block map. A histogram is
-``Counter(block[p])``, a C-level count of one column rather than a
-gather of scattered indices. A split hands a block the eq side holds
-all or none of to that child as it is and cuts a mixed block in two
-with ``compress``; the input columns are only read.
+Training takes its samples label-major, as extraction lays them out
+(``featurizer.Samples``): per label, a block of one column of symbols
+per window position, which is what every histogram scans, and the
+window the columns were cut at, which becomes the model's. Those blocks
+are the root's, and every open node owns its samples as such a label ->
+block map. A histogram is ``Counter(block[p])``, a C-level count of one
+column rather than a gather of scattered indices. A split hands a block
+the eq side holds all or none of to that child as it is and cuts a
+mixed block in two with ``compress``; the input columns are only read.
+Each split is checked to leave both children non-empty, so a tree on n
+samples has at most n - 1 splits whatever the running totals say.
 
 Growth never rescans a node to score it. Each open node carries, per
 window position, a label -> ``Counter`` histogram of its blocks and, per
@@ -42,8 +43,7 @@ or two. Every score comes from the same integer counts through the
 same float expression in the same candidate order, so the chosen
 splits, and the serialized model, are bit-identical to those of a
 grower that rebuilds every node's histograms. The tree depends only on
-the multiset of samples, not on their order, which is what lets the
-grower regroup them by label.
+the multiset of samples, not on their order.
 
 The tree is one flat list of nodes, the same in memory and on disk. An
 internal node is ``[f, s, eq, ne]``: window position ``f`` is tested
@@ -86,7 +86,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from operator import itemgetter
 
 from .alphabets import Direction, MappingTable
 from .featurizer import Samples, WindowSpec
@@ -108,6 +107,10 @@ class WidthMismatchError(ValueError):
 
 class EmptyCountsError(ValueError):
     pass
+
+
+class StalledSplitError(RuntimeError):
+    """A split left one child empty: the grower's counts are wrong."""
 
 
 class ModelFormatError(ValueError):
@@ -281,25 +284,7 @@ def _best_split(totals, counts, n):
     return best
 
 
-def _label_blocks(columns, labs) -> dict[str, list]:
-    """Per label, in order of first occurrence, its samples as one block:
-    a list of columns, each in input order."""
-    groups: dict[str, list[int]] = {}
-    for i, label in enumerate(labs):
-        groups.setdefault(label, []).append(i)
-    blocks = {}
-    for label, group in groups.items():
-        if len(group) == 1:
-            # an itemgetter of one index returns an item, not a tuple
-            i = group[0]
-            blocks[label] = [column[i : i + 1] for column in columns]
-        else:
-            take = itemgetter(*group)
-            blocks[label] = [take(column) for column in columns]
-    return blocks
-
-
-def _grow(columns, labs) -> list[list]:
+def _grow(blocks) -> list[list]:
     # Iterative with an explicit stack; equality-split chains get deep
     # enough to threaten the interpreter recursion limit. The stack pops
     # nodes in pre-order, eq subtree first, which is the list order.
@@ -307,7 +292,7 @@ def _grow(columns, labs) -> list[list]:
     # Each entry names the parent node and the slot that receives the
     # entry's index once it is appended, then the node's label blocks and
     # the histograms and totals its parent hands down, or None.
-    stack = [(None, 0, _label_blocks(columns, labs), None, None)]
+    stack = [(None, 0, blocks, None, None)]
     while stack:
         parent, slot, blocks, hists, totals = stack.pop()
         if parent is not None:
@@ -328,11 +313,18 @@ def _grow(columns, labs) -> list[list]:
         node = [p, symbol, 0, 0]
         nodes.append(node)
         eq_blocks, ne_blocks = _partition(blocks, p, symbol, hists[p])
+        # Counted from the blocks, not the totals, so that each split
+        # provably shrinks both children.
+        n_eq = sum(len(block[0]) for block in eq_blocks.values())
+        if not 0 < n_eq < n:
+            raise StalledSplitError(
+                f"split on position {p} = {symbol!r} sends {n_eq} of {n} samples to eq"
+            )
 
         # Scan only the smaller child; the larger child's histograms and
         # totals are the parent's, turned into its own by what the
         # smaller one took.
-        small_is_eq = 2 * totals[p][symbol][0] <= n
+        small_is_eq = 2 * n_eq <= n
         small_blocks = eq_blocks if small_is_eq else ne_blocks
         small_hists = _label_hists(small_blocks)
         small_counts = {label: len(block[0]) for label, block in small_blocks.items()}
@@ -350,17 +342,17 @@ def train(samples: Samples, table: MappingTable) -> TranslitModel:
     """Grow an unbounded-depth tree on ``samples``, at their window. The
     tree depends on the samples, not on their order, and ``samples`` is
     left as it is."""
-    n = len(samples)
-    if not n:
-        raise EmptyTrainingSetError("cannot train on an empty sample list")
     window = samples.window
-    if len(samples.columns) != window.width or any(len(c) != n for c in samples.columns):
-        raise InconsistentFeatureWidthError(
-            f"{len(samples.columns)} columns of lengths {sorted({len(c) for c in samples.columns})}"
-            f" for {n} samples at window width {window.width}"
-        )
-    nodes = _grow(samples.columns, samples.labels)
-    return TranslitModel(nodes=nodes, window=window, table=table)
+    for label, block in samples.blocks.items():
+        lengths = {len(column) for column in block}
+        if len(block) != window.width or len(lengths) != 1 or 0 in lengths:
+            raise InconsistentFeatureWidthError(
+                f"label {label!r}: {len(block)} columns of lengths {sorted(lengths)}"
+                f" at window width {window.width}"
+            )
+    if not samples.blocks:
+        raise EmptyTrainingSetError("cannot train on an empty sample list")
+    return TranslitModel(nodes=_grow(samples.blocks), window=window, table=table)
 
 
 def _compile(nodes: list[list]):

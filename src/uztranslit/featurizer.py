@@ -11,16 +11,19 @@ pads the word once, and the window of character ``i`` is the
 every window in place (``dtree.predict``), so a word costs one tuple
 however long it is.
 
-Training keeps its samples column-major (``Samples``): one column per
-window position, ``columns[p][i]`` being position ``p`` of sample ``i``,
-which is the layout the tree grower scans. ``extract_samples`` builds
-every column of a whole aligned part in C-level passes over one stream
-of padded words, with no per-sample tuple. A smaller window's columns
-are a slice of a wider window's (``Samples.narrowed``), so a grid search
-extracts once, at its widest window. Extraction also makes every equal
-symbol one shared string object, which keeps the grower's histogram
-counting inside a few cache lines instead of one str object per window
-cell.
+Training keeps its samples label-major (``Samples``): one block per
+label, in order of first occurrence, and in each block one column per
+window position, ``block[p][i]`` being position ``p`` of the label's
+``i``-th sample in word order. The tree grower starts from these blocks
+as they are. ``extract_samples`` builds every column of a whole aligned
+part in C-level passes over one stream of padded words, with no
+per-sample tuple, and then groups the columns by label once. A smaller
+window's blocks are a slice of a wider window's (``Samples.narrowed``),
+so a grid search extracts and groups once, at its widest window, and
+each cell deduplicates each label's block on its own. Extraction also
+makes every equal symbol one shared string object, which keeps the
+grower's histogram counting inside a few cache lines instead of one str
+object per window cell.
 
 The padding sentinel is deliberately not "∅": the empty-string class
 and out-of-word padding are different roles and must stay distinct in
@@ -57,24 +60,25 @@ class WindowSpec:
 
 @dataclass(frozen=True)
 class Samples:
-    """Training samples, column-major: ``columns[p][i]`` is window
-    position ``p`` of sample ``i`` and ``labels[i]`` its target segment.
-    ``len()`` is the number of samples."""
+    """Training samples, label-major: ``blocks`` maps each label, in
+    order of first occurrence, to its block, a tuple of one column per
+    window position; ``block[p][i]`` is position ``p`` of the label's
+    ``i``-th sample. ``len()`` is the number of samples."""
 
     window: WindowSpec
-    columns: tuple  # one sequence of symbols per window position
-    labels: tuple
+    blocks: dict  # label -> one sequence of symbols per window position
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return sum(len(block[0]) for block in self.blocks.values())
 
     def narrowed(self, window: WindowSpec) -> Samples:
         """The same samples at ``window``, which must fit inside this
-        one: its columns are a slice of these."""
+        one: each block is a slice of this one's."""
         skip = self.window.x - window.x
         if skip < 0 or window.y > self.window.y:
             raise ValueError(f"window {window} does not fit inside {self.window}")
-        return Samples(window, self.columns[skip : skip + window.width], self.labels)
+        stop = skip + window.width
+        return Samples(window, {label: block[skip:stop] for label, block in self.blocks.items()})
 
 
 def window_features(chars, window: WindowSpec) -> tuple[str, ...]:
@@ -84,12 +88,14 @@ def window_features(chars, window: WindowSpec) -> tuple[str, ...]:
 
 
 def extract_samples(alignments: list[AlignedPair], window: WindowSpec) -> Samples:
-    """One sample per source character of every pair, in word order.
+    """One sample per source character of every pair, grouped by label,
+    in word order within each label.
 
     The padded words are laid end to end in one stream, and a mask marks
     where each window starts (one per character; none at the last
     ``width - 1`` symbols of a padded word). Column ``p`` is then the
-    stream shifted by ``p`` and compressed by the mask."""
+    stream shifted by ``p`` and compressed by the mask, and each label's
+    block takes its samples out of every column with one ``itemgetter``."""
     stream = list(chain.from_iterable(
         window_features(pair.source_chars, window) for pair in alignments
     ))
@@ -102,8 +108,19 @@ def extract_samples(alignments: list[AlignedPair], window: WindowSpec) -> Sample
     columns = tuple(
         tuple(compress(islice(stream, p, None), starts)) for p in range(window.width)
     )
-    labels = tuple(chain.from_iterable(pair.target_segments for pair in alignments))
-    return Samples(window, columns, labels)
+    groups: dict[str, list[int]] = {}
+    for i, label in enumerate(chain.from_iterable(pair.target_segments for pair in alignments)):
+        groups.setdefault(label, []).append(i)
+    blocks = {}
+    for label, group in groups.items():
+        if len(group) == 1:
+            # an itemgetter of one index returns an item, not a tuple
+            i = group[0]
+            blocks[label] = tuple(column[i : i + 1] for column in columns)
+        else:
+            take = itemgetter(*group)
+            blocks[label] = tuple(map(take, columns))
+    return Samples(window, blocks)
 
 
 def dedup_samples(samples: Samples) -> Samples:
@@ -112,13 +129,14 @@ def dedup_samples(samples: Samples) -> Samples:
     Samples with equal windows but different labels are all kept;
     silently dropping one side would bias the classifier.
 
-    Each row is hashed once, as a key of one dict, and the surviving
-    rows are cut back into columns one position at a time with
-    ``itemgetter``, in first-occurrence order.
+    A duplicate always carries the same label, so each label's block is
+    deduplicated on its own: its rows are hashed once, as the keys of one
+    dict, with no label in the key. A block without a duplicate is kept
+    as the same object; the others are cut back into columns from the
+    surviving rows, in first-occurrence order.
     """
-    rows = list(dict.fromkeys(zip(*samples.columns, samples.labels)))
-    if not rows:
-        return samples
-    width = len(samples.columns)
-    *columns, labels = (tuple(map(itemgetter(p), rows)) for p in range(width + 1))
-    return Samples(samples.window, tuple(columns), labels)
+    blocks = {}
+    for label, block in samples.blocks.items():
+        rows = dict.fromkeys(zip(*block))
+        blocks[label] = block if len(rows) == len(block[0]) else tuple(zip(*rows))
+    return Samples(samples.window, blocks)

@@ -36,15 +36,30 @@ class Row(NamedTuple):
     label: str
 
 
+def by_label(rows) -> list:
+    """``rows`` grouped stably by label: labels in order of first
+    occurrence, each label's rows in their given order. This is the
+    order in which ``Samples`` holds them."""
+    groups: dict = {}
+    for row in rows:
+        groups.setdefault(row[1], []).append(row)
+    return [row for group in groups.values() for row in group]
+
+
 def samples_of(rows, window: WindowSpec) -> Samples:
-    """The column-major ``Samples`` of ``(features, label)`` rows at
-    ``window``; rows of another width give a column count or length that
+    """The label-major ``Samples`` of ``(features, label)`` rows at
+    ``window``; a label whose rows have another width gets a block that
     ``dtree.train`` rejects."""
-    rows = list(rows)
-    columns = tuple(zip(*(features for features, _ in rows))) if rows else ((),) * window.width
-    return Samples(window, columns, tuple(label for _, label in rows))
+    grouped: dict = {}
+    for features, label in rows:
+        grouped.setdefault(label, []).append(features)
+    return Samples(window, {label: tuple(zip(*vectors)) for label, vectors in grouped.items()})
 
 
 def rows_of(samples: Samples) -> list[Row]:
-    """``samples`` as one row per sample, in order."""
-    return [Row(features, label) for features, label in zip(zip(*samples.columns), samples.labels)]
+    """``samples`` as one row per sample, label by label."""
+    return [
+        Row(features, label)
+        for label, block in samples.blocks.items()
+        for features in zip(*block)
+    ]

@@ -175,6 +175,18 @@ def test_unalignable_corpus_is_data_error(tmp_path, capsys):
         assert not (tmp_path / "m.json").exists()
 
 
+def test_training_without_usable_pair_is_data_error(tmp_path, capsys):
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("икки суз\tikki so'z\n", encoding="utf-8")  # multi-word: dropped
+    for argv, purpose in ((["train", "--out", str(tmp_path / "m.json")], "train on"),
+                          (["grid-search", "--x-max", "1", "--y-max", "1",
+                            "--best-model", str(tmp_path / "m.json")], "search on")):
+        code = main(argv + ["--dir", "cyr2lat", "--corpus", str(corpus)])
+        assert code == 2
+        assert f"{corpus} has no usable pair to {purpose}" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+
 def test_malformed_table_is_data_error(tmp_path, lexicon_path):
     table = tmp_path / "t.tsv"
     table.write_text("а\ta\nа\tb\n", encoding="utf-8")

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import signal
 import sys
 
 import pytest
@@ -100,9 +101,32 @@ def test_inconsistent_width_rejected():
     with pytest.raises(InconsistentFeatureWidthError):
         train(samples_of(samples, WindowSpec(1, 1)), CYR2LAT_TABLE)
     # the right number of columns, one of them a symbol short
-    columns = (("а", "а"), ("б", "б"), ("в",))
+    blocks = {"x": (("а",), ("б",), ("в",)), "y": (("а", "а"), ("б", "б"), ("в",))}
     with pytest.raises(InconsistentFeatureWidthError):
-        train(Samples(WindowSpec(1, 1), columns, ("x", "y")), CYR2LAT_TABLE)
+        train(Samples(WindowSpec(1, 1), blocks), CYR2LAT_TABLE)
+    # a label without samples
+    with pytest.raises(InconsistentFeatureWidthError):
+        train(Samples(WindowSpec(0, 0), {"x": (("а",),), "y": ((),)}), CYR2LAT_TABLE)
+
+
+def test_split_that_leaves_a_child_empty_is_an_error(monkeypatch, cyr2lat_table):
+    # Without the subtraction the larger child keeps its parent's counts
+    # and picks a split that moves nothing; growth must stop with an
+    # error, and within the time bound rather than by exhausting memory.
+    monkeypatch.setattr(dtree, "_subtract", lambda *args: None)
+    samples = samples_of(table7_samples(cyr2lat_table), WindowSpec(2, 1))
+
+    def out_of_time(signum, frame):
+        raise TimeoutError("growth did not stop within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, out_of_time)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        with pytest.raises(dtree.StalledSplitError, match="sends 0 of"):
+            train(samples, CYR2LAT_TABLE)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_predict_width_mismatch(cyr2lat_table):
@@ -592,18 +616,19 @@ def test_matches_reference_grower_on_synthetic(synthetic_small, cyr2lat_table, x
 @settings(max_examples=100, deadline=None)
 @given(case=_sample_sets(), rng=st.randoms(use_true_random=False))
 def test_training_ignores_sample_order(case, rng):
-    # The grower regroups the samples into one block per label, which is
-    # sound because the tree depends only on the multiset of (window,
-    # label) samples.
+    # The tree depends only on the multiset of (window, label) samples,
+    # so neither the label order nor the order within a block matters.
     width, samples = case
     window = WindowSpec(0, width - 1)
     shuffled = list(samples)
     rng.shuffle(shuffled)
     given_samples = samples_of(samples, window)
     # list columns, which a grower could write into; train only reads them
-    as_lists = Samples(window, tuple(map(list, given_samples.columns)), given_samples.labels)
-    got = serialize(train(as_lists, CYR2LAT_TABLE))
-    assert as_lists.columns == tuple(map(list, given_samples.columns))
+    as_lists = {label: [list(c) for c in block] for label, block in given_samples.blocks.items()}
+    got = serialize(train(Samples(window, as_lists), CYR2LAT_TABLE))
+    assert as_lists == {
+        label: [list(c) for c in block] for label, block in given_samples.blocks.items()
+    }
     assert serialize(train(samples_of(shuffled, window), CYR2LAT_TABLE)) == got
 
 

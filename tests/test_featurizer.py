@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import Row, rows_of, samples_of
+from conftest import Row, by_label, rows_of, samples_of
 from uztranslit.aligner import AlignedPair, align_word
 from uztranslit.featurizer import (
     PAD,
@@ -29,7 +29,8 @@ def table7_samples(cyr2lat_table):
 
 def test_table7_reproduced_exactly(cyr2lat_table):
     samples = table7_samples(cyr2lat_table)
-    assert [(s.features, s.label) for s in samples] == TABLE7
+    # both "q" rows come first, then the others in word order
+    assert [(s.features, s.label) for s in samples] == by_label(TABLE7)
 
 
 def test_single_letter_word_padded_both_sides():
@@ -92,9 +93,8 @@ def test_extracted_windows_equal_window_features(word, x, y):
 
 
 def _reference_rows(alignments, window):
-    """Row-wise reference for extract -> dedup: per word, each character's
-    window sliced out of ``window_features``, then the first occurrence of
-    every (window, label) row."""
+    """Row-wise reference for extraction: per word, each character's
+    window sliced out of ``window_features``, in word order."""
     rows = []
     for pair in alignments:
         padded = window_features(pair.source_chars, window)
@@ -102,7 +102,7 @@ def _reference_rows(alignments, window):
             Row(padded[i : i + window.width], label)
             for i, label in enumerate(pair.target_segments)
         ]
-    return list(dict.fromkeys(rows))
+    return rows
 
 
 _aligned_words = st.lists(
@@ -125,14 +125,34 @@ def test_columns_match_row_wise_reference(words, x, y, wider_x, wider_y):
     ]
     window = WindowSpec(x, y)
     extracted = extract_samples(alignments, window)
+    reference = _reference_rows(alignments, window)
+    assert rows_of(extracted) == by_label(reference)
     assert len(extracted) == sum(len(word) for word in words)
     kept = dedup_samples(extracted)
-    reference = _reference_rows(alignments, window)
+    # the first occurrence of every (window, label) row
+    kept_reference = by_label(dict.fromkeys(reference))
     assert kept.window == window
-    assert rows_of(kept) == reference
-    assert len(kept) == len(reference)
+    assert rows_of(kept) == kept_reference
+    assert len(kept) == len(kept_reference)
     wide = extract_samples(alignments, WindowSpec(x + wider_x, y + wider_y))
-    assert wide.narrowed(window) == extracted
+    narrowed = wide.narrowed(window)
+    assert narrowed == extracted
+    assert list(narrowed.blocks) == list(extracted.blocks)
+
+
+def test_labels_in_first_occurrence_order_samples_in_word_order():
+    pairs = [
+        AlignedPair(tuple("аба"), ("a", "b", "a")),
+        AlignedPair(tuple("ва"), ("v", "a")),
+        AlignedPair(tuple("б"), ("b",)),
+    ]
+    samples = extract_samples(pairs, WindowSpec(1, 0))
+    assert list(samples.blocks) == ["a", "b", "v"]
+    assert samples.blocks["a"] == ((PAD, "б", "в"), ("а", "а", "а"))
+    assert samples.blocks["b"] == (("а", PAD), ("б", "б"))
+    # a label of one sample is a block of one-symbol columns
+    assert samples.blocks["v"] == ((PAD,), ("в",))
+    assert len(samples) == 6
 
 
 def test_narrowed_rejects_a_wider_window():
@@ -145,7 +165,10 @@ def test_narrowed_rejects_a_wider_window():
 def test_dedup_keeps_first_occurrence_order():
     a, b = ("а",), ("б",)
     samples = samples_of([Row(b, "x"), Row(a, "x"), Row(b, "x"), Row(a, "y")], WindowSpec(0, 0))
-    assert rows_of(dedup_samples(samples)) == [Row(b, "x"), Row(a, "x"), Row(a, "y")]
+    kept = dedup_samples(samples)
+    assert rows_of(kept) == [Row(b, "x"), Row(a, "x"), Row(a, "y")]
+    # a block without a duplicate is not copied
+    assert kept.blocks["y"] is samples.blocks["y"]
 
 
 def test_window_bounds_validated():
