@@ -33,7 +33,9 @@ symbol, three running integer totals over the node's labels l, with
 c_l the symbol's count in l and N_l the count of l: n_eq = sum c_l,
 sq_eq = sum c_l^2 and cross = sum c_l * N_l. They are all a split's
 score needs, so scoring a candidate reads three numbers. After a split
-only the smaller child is scanned; the larger child is the parent minus
+only the blocks the split cut in the smaller child are scanned; a block
+it takes whole takes its histograms from the parent. The larger child
+is the parent minus
 the smaller (histogram subtraction, as in LightGBM, Ke et al. 2017),
 and its histograms and totals are the parent's, updated in place by
 walking only the labels the smaller child holds. Equality splits peel
@@ -321,13 +323,21 @@ def _grow(blocks) -> list[list]:
                 f"split on position {p} = {symbol!r} sends {n_eq} of {n} samples to eq"
             )
 
-        # Scan only the smaller child; the larger child's histograms and
-        # totals are the parent's, turned into its own by what the
-        # smaller one took.
+        # Count only the smaller child, and of it only the blocks the split
+        # cut: a block it takes whole takes its histograms from the parent,
+        # whose _subtract drops them. The larger child's histograms and
+        # totals are the parent's, turned into its own by what the smaller
+        # one took.
         small_is_eq = 2 * n_eq <= n
         small_blocks = eq_blocks if small_is_eq else ne_blocks
-        small_hists = _label_hists(small_blocks)
         small_counts = {label: len(block[0]) for label, block in small_blocks.items()}
+        small_hists = [
+            {
+                label: per_label[label] if small_counts[label] == counts[label] else Counter(block[q])
+                for label, block in small_blocks.items()
+            }
+            for q, per_label in enumerate(hists)
+        ]
         _subtract(hists, totals, small_hists, counts, small_counts)
         if small_is_eq:
             stack.append((node, 3, ne_blocks, hists, totals))
