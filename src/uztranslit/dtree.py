@@ -35,13 +35,12 @@ sq_eq = sum c_l^2 and cross = sum c_l * N_l. They are all a split's
 score needs, so scoring a candidate reads three numbers. After a split
 only the blocks the split cut in the smaller child are scanned; a block
 it takes whole takes its histograms from the parent. The larger child
-is the parent minus
-the smaller (histogram subtraction, as in LightGBM, Ke et al. 2017),
-and its histograms and totals are the parent's, updated in place by
-walking only the labels the smaller child holds. Equality splits peel
-a small eq side off a long ne chain, so a tree costs about two scans of
-its samples rather than one per level, and most updates touch a label
-or two. Every score comes from the same integer counts through the
+is the parent minus the smaller (histogram subtraction, as in LightGBM,
+Ke et al. 2017), and its histograms and totals are the parent's,
+updated in place by walking only the labels the smaller child holds.
+Equality splits peel a small eq side off a long ne chain, so a tree
+costs about two scans of its samples rather than one per level, and
+most updates touch a label or two. Every score comes from the same integer counts through the
 same float expression in the same candidate order, so the chosen
 splits, and the serialized model, are bit-identical to those of a
 grower that rebuilds every node's histograms. The tree depends only on
@@ -333,7 +332,8 @@ def _grow(blocks) -> list[list]:
         small_counts = {label: len(block[0]) for label, block in small_blocks.items()}
         small_hists = [
             {
-                label: per_label[label] if small_counts[label] == counts[label] else Counter(block[q])
+                label: per_label[label] if small_counts[label] == counts[label]
+                else Counter(block[q])
                 for label, block in small_blocks.items()
             }
             for q, per_label in enumerate(hists)
