@@ -100,6 +100,8 @@ def cmd_align(args) -> int:
     direction = _direction(args.dir)
     table = _load_table(args, direction)
     corpus = pipeline.load_corpus(args.corpus)
+    if not corpus.pairs:
+        raise DataError(f"{args.corpus} has no usable pair to align")
     alignments, failures = align_corpus(corpus.oriented(direction), table)
     lines = []
     for pair in alignments:
@@ -117,7 +119,7 @@ def cmd_align(args) -> int:
         f" ({len(failures)} failures)",
         file=sys.stderr,
     )
-    if corpus.pairs and not alignments:
+    if not alignments:
         raise DataError("no pair could be aligned; the mapping table does not cover this corpus")
     return 0
 
@@ -223,6 +225,8 @@ def cmd_discover(args) -> int:
     direction = _direction(args.dir)
     table = _load_table(args, direction)
     corpus = pipeline.load_corpus(args.corpus)
+    if not corpus.pairs:
+        raise DataError(f"{args.corpus} has no usable pair to check")
     failures = align_corpus(corpus.oriented(direction), table)[1]
     _emit(format_failure_report(failures), args.out)
     print(f"{len(failures)} uncovered pairs", file=sys.stderr)

@@ -67,11 +67,17 @@ chain is one multiway categorical split, as in C4.5 (Quinlan, 1993) and
 in compiled trees such as Treelite's (Cho & Li, 2018). On first use a
 model compiles its list, in one reverse pass, into nested switches
 ``(f, {symbol: child}, default)`` whose leaves are labels, so a step is
-one dict lookup. The walk gives the binary walk's label for every file
-that loads. On the README-default lexicon models over the words of
-``gen_corpus(20000, 42)`` it takes 1.30 steps per character instead of
-15.05 (cyr2lat) and 4.20 instead of 14.83 (lat2cyr). The file and the
-trainer know nothing of the switches.
+one dict lookup. Every test of the focus position ``x`` can then be
+decided before any window is seen, once per table key: ``by_focus``
+maps each key to the switches with those tests resolved for it, a
+subtree without such a test being shared rather than copied. A window
+whose focus symbol is a key starts there, and any other window at the
+root. The walk gives the binary walk's label for every file that loads.
+On the README-default lexicon models over the words of
+``gen_corpus(20000, 42)``, counting the focus lookup, it takes 1.30
+lookups per character (cyr2lat, 76% of characters ending at the focus
+lookup) and 3.50 (lat2cyr); the binary walk took 15.05 and 14.83
+equality tests. The file and the trainer know nothing of the switches.
 
 ``predict`` takes a whole padded word (``featurizer.window_features``)
 and labels every ``width``-long window of it in one call: the window
@@ -137,6 +143,18 @@ class TranslitModel:
         """The tree compiled for predict (see _compile); built on first
         use and never serialized."""
         return _compile(self.nodes)
+
+    @cached_property
+    def by_focus(self) -> dict:
+        """Table key -> ``switches`` with every test of the focus position
+        resolved for that key (see _by_focus); built on first use and
+        never serialized."""
+        return _by_focus(self.switches, self.window.x, self.table.entries)
+
+    @cached_property
+    def keys(self) -> frozenset:
+        """The table's keys: the characters the model classifies."""
+        return frozenset(self.table.entries)
 
 
 def gini(class_counts: dict[str, int]) -> float:
@@ -390,18 +408,78 @@ def _compile(nodes: list[list]):
     return compiled[0]
 
 
+def _skip_focus(node, x: int, key: str):
+    """Follow ``node``'s switches on position ``x`` as a window whose
+    focus symbol is ``key`` would, down to a leaf or a switch on another
+    position."""
+    while type(node) is tuple and node[0] == x:
+        node = node[1].get(key, node[2])
+    return node
+
+
+def _by_focus(root, x: int, keys) -> dict:
+    """Per key, ``root`` with every switch on the focus position ``x``
+    replaced by its case for the key, or its default.
+
+    One pass over the switches finds those that test ``x`` somewhere in
+    their subtree; every other subtree is shared with ``root``, not
+    copied. Per key, the switches to rebuild are collected from the top
+    down and rebuilt from the bottom up, so neither step recurses, and
+    only what that key can reach is visited."""
+    switches = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:
+            switches.append(node)
+            stack.extend(node[1].values())
+            stack.append(node[2])
+    tests_x = set()
+    for node in reversed(switches):  # children before parents
+        f, cases, default = node
+        if f == x or id(default) in tests_x or not tests_x.isdisjoint(map(id, cases.values())):
+            tests_x.add(id(node))
+
+    by_focus = {}
+    for key in keys:
+        top = _skip_focus(root, x, key)
+        rebuild = []
+        stack = [top]
+        while stack:
+            node = stack.pop()
+            if id(node) in tests_x:
+                f, cases, default = node
+                cases = {s: _skip_focus(child, x, key) for s, child in cases.items()}
+                default = _skip_focus(default, x, key)
+                rebuild.append((node, f, cases, default))
+                stack.extend(cases.values())
+                stack.append(default)
+        built = {}
+        for node, f, cases, default in reversed(rebuild):
+            for s, child in cases.items():
+                cases[s] = built.get(id(child), child)  # an existing key: safe mid-iteration
+            built[id(node)] = (f, cases, built.get(id(default), default))
+        by_focus[key] = built.get(id(top), top)
+    return by_focus
+
+
 def predict(model: TranslitModel, features) -> list[str]:
     """The leaf label of every ``width``-long window of ``features``, in
     order: one label for a single window, none for the ``width - 1``
     symbols of a padded empty word. Symbols never seen in training fail
-    every equality test and follow the false branch."""
+    every equality test and follow the false branch. A window whose
+    focus symbol is a table key starts at that key's resolved switches
+    (``model.by_focus``); any other focus symbol, PAD included, starts
+    at the root."""
     width = model.window.width
     if len(features) < width - 1:
         raise WidthMismatchError(f"feature length {len(features)} < model width {width} - 1")
     root = model.switches
+    start = model.by_focus.get
+    x = model.window.x
     labels = []
     for i in range(len(features) - width + 1):
-        node = root
+        node = start(features[i + x], root)
         while type(node) is tuple:
             f, cases, default = node
             node = cases.get(features[i + f], default)

@@ -234,13 +234,16 @@ def train_direction(train_part: Corpus, window: WindowSpec, table: MappingTable)
 def predict_segments(model: TranslitModel, word: str) -> list[str]:
     """Per-character predicted target segments; characters without a row
     in the model's table contribute themselves unchanged. The tree labels
-    every window of the padded word in one walk, and the pass-through
-    characters then overwrite their labels."""
+    every window of the padded word in one walk. One set test then tells
+    whether the word holds any pass-through character; only a word that
+    does is scanned, and its pass-through characters overwrite their
+    labels."""
     segments = predict(model, window_features(word, model.window))
-    alphabet = model.table.entries
-    for i, ch in enumerate(word):
-        if ch not in alphabet:
-            segments[i] = ch
+    keys = model.keys
+    if not keys.issuperset(word):
+        for i, ch in enumerate(word):
+            if ch not in keys:
+                segments[i] = ch
     return segments
 
 

@@ -187,6 +187,17 @@ def test_training_without_usable_pair_is_data_error(tmp_path, capsys):
         assert not (tmp_path / "m.json").exists()
 
 
+def test_align_and_discover_without_usable_pair_are_data_errors(tmp_path, capsys):
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("икки суз\tikki so'z\n", encoding="utf-8")  # multi-word: dropped
+    out = tmp_path / "out.tsv"
+    for command, purpose in (("align", "align"), ("discover", "check")):
+        code = main([command, "--dir", "cyr2lat", "--corpus", str(corpus), "--out", str(out)])
+        assert code == 2
+        assert f"{corpus} has no usable pair to {purpose}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_malformed_table_is_data_error(tmp_path, lexicon_path):
     table = tmp_path / "t.tsv"
     table.write_text("а\ta\nа\tb\n", encoding="utf-8")

@@ -36,7 +36,7 @@ from uztranslit.featurizer import (
     window_features,
 )
 from uztranslit.gencorpus import gen_corpus
-from uztranslit.pipeline import SplitConfig, split_corpus, train_direction
+from uztranslit.pipeline import SplitConfig, predict_segments, split_corpus, train_direction
 
 CYR2LAT_TABLE = bundled_mapping_table(CYR2LAT)
 
@@ -751,6 +751,27 @@ def test_walk_over_a_sequence_labels_every_window(tree, symbols):
     assert predict(model, symbols) == expected
 
 
+def _long_chain(links, positions):
+    """An ne chain of ``links`` tests, link k testing position
+    ``k % positions`` for the symbol ``str(k)`` with leaf ``l<k>`` on eq,
+    ending in the leaf ``default``."""
+    nodes: list[list] = []
+    for k in range(links):
+        i = len(nodes)
+        nodes += [[k % positions, str(k), i + 1, i + 2], _leaf(f"l{k}")]
+    nodes.append(_leaf("default"))
+    return nodes
+
+
+def _stack_depth():
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
 @pytest.mark.parametrize("positions", [1, 2], ids=["one-position", "alternating"])
 def test_long_chain_file_compiles_in_one_pass(positions):
     """A 100,001-node ne chain loads and predicts with the interpreter's
@@ -758,19 +779,9 @@ def test_long_chain_file_compiles_in_one_pass(positions):
     it is one switch; alternating positions leave 50,000 nested switches,
     which the walk still follows in a loop."""
     links = 50_000
-    nodes: list[list] = []
-    for k in range(links):
-        i = len(nodes)
-        nodes += [[k % positions, str(k), i + 1, i + 2], _leaf(f"l{k}")]
-    nodes.append(_leaf("default"))
-    payload = _model_file(nodes)
-    depth = 0
-    frame = sys._getframe()
-    while frame is not None:
-        depth += 1
-        frame = frame.f_back
+    payload = _model_file(_long_chain(links, positions))
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(depth + 30)
+    sys.setrecursionlimit(_stack_depth() + 30)
     try:
         model = deserialize(payload)
         got = [predict(model, (str(k), str(k))) for k in (0, 1, 25_000, links - 1)]
@@ -782,6 +793,30 @@ def test_long_chain_file_compiles_in_one_pass(positions):
     if positions == 1:
         f, cases, default = model.switches
         assert (f, len(cases), default) == (0, links, "default")
+
+
+@pytest.mark.parametrize(
+    ("positions", "expected"),
+    [(1, ["0", "l0", "9", "l9", "1", "l1"]), (2, ["0", "l0", "9", "default", "1", "default"])],
+    ids=["one-position", "alternating"],
+)
+def test_long_chain_file_transliterates_in_one_pass(positions, expected):
+    """pipeline.predict_segments on the chain above, under the same
+    recursion limit. The focus is position 1, so on alternating positions
+    every key rebuilds the 25,000 switches on position 0 with their focus
+    tests resolved; on one position every key shares the root. Digits are
+    not table keys and pass through."""
+    payload = _model_file(_long_chain(50_000, positions))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 30)
+    try:
+        model = deserialize(payload)
+        got = predict_segments(model, "0а9б1а")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == expected
+    if positions == 1:
+        assert all(resolved is model.switches for resolved in model.by_focus.values())
 
 
 @pytest.mark.parametrize(("direction", "x", "y"), [(CYR2LAT, 2, 3), (LAT2CYR, 4, 3)])
@@ -802,3 +837,92 @@ def test_lexicon_models_match_reference_walk(lexicon, direction, x, y):
             mismatched.append(source)
     assert windows > 10_000
     assert mismatched == []
+
+
+# Per-key resolved switches: model.by_focus[key] is model.switches with
+# every test of the focus position resolved for that key, and predict
+# starts a window there when its focus symbol is a key.
+
+def _resolved(node, x, key):
+    """Reference resolution, recursive: a switch on ``x`` becomes its case
+    for ``key`` (or its default), and a subtree that tests ``x`` nowhere is
+    returned as the same object."""
+    while type(node) is tuple and node[0] == x:
+        node = node[1].get(key, node[2])
+    if type(node) is not tuple:
+        return node
+    f, cases, default = node
+    new_cases = {s: _resolved(child, x, key) for s, child in cases.items()}
+    new_default = _resolved(default, x, key)
+    if new_default is default and all(new_cases[s] is child for s, child in cases.items()):
+        return node
+    return (f, new_cases, new_default)
+
+
+def _switch_ids(node):
+    """Ids of every switch object in a compiled tree."""
+    ids = set()
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:
+            ids.add(id(node))
+            stack.extend(node[1].values())
+            stack.append(node[2])
+    return ids
+
+
+def _check_by_focus(model, symbols):
+    """by_focus holds one entry per table key, equal to the reference
+    resolution and sharing exactly the subtrees it shares; and predict
+    equals the reference walk on every window over ``symbols``, whatever
+    symbol sits at the focus."""
+    x = model.window.x
+    original = _switch_ids(model.switches)
+    assert set(model.by_focus) == set(model.table.entries)
+    for key, resolved in model.by_focus.items():
+        expected = _resolved(model.switches, x, key)
+        assert resolved == expected
+        assert _switch_ids(resolved) & original == _switch_ids(expected) & original
+    for features in itertools.product(symbols, repeat=model.window.width):
+        assert predict(model, features) == [_reference_predict(model, features)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_sample_sets(), x=st.integers(0, 3))
+def test_by_focus_matches_reference_on_trained_trees(case, x):
+    # the training symbols are keys of the cyr2lat table; "q" is not
+    width, samples = case
+    x = min(x, width - 1)
+    model = train(samples_of(samples, WindowSpec(x, width - 1 - x)), CYR2LAT_TABLE)
+    _check_by_focus(model, [*_SYMBOLS, "q"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree=_hand_made_trees)
+def test_by_focus_matches_reference_on_hand_made_files(tree):
+    # the focus is position 1; the keys are "а" and "б", and "в" is not one
+    _check_by_focus(deserialize(_model_file(_flatten(tree))), ["а", "б", PAD, "в"])
+
+
+@pytest.mark.parametrize(
+    ("tree", "by_focus"),
+    [
+        # a focus test below a test of the other position
+        ((0, "а", (1, "б", ["p"], ["q"]), ["r"]),
+         {"а": (0, {"а": "q"}, "r"), "б": (0, {"а": "p"}, "r")}),
+        # a key tested twice in one chain: the first test wins
+        ((1, "а", ["x"], (1, "а", ["z"], (1, "б", ["w"], ["d"]))),
+         {"а": "x", "б": "w"}),
+        # "б" is never tested, so it takes every default
+        ((1, "а", ["x"], (0, "б", ["y"], ["d"])),
+         {"а": "x", "б": (0, {"б": "y"}, "d")}),
+        # a tree that is a single leaf
+        (["only"], {"а": "only", "б": "only"}),
+    ],
+    ids=["focus-below-other", "key-tested-twice", "key-never-tested", "single-leaf"],
+)
+def test_by_focus_on_hand_made_files(tree, by_focus):
+    model = deserialize(_model_file(_flatten(tree)))
+    assert model.by_focus == by_focus
+    _check_by_focus(model, ["а", "б", PAD, "в"])

@@ -1,11 +1,11 @@
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from uztranslit import dtree, pipeline
 from uztranslit.alphabets import APOSTROPHE_VARIANTS, CYR2LAT, LAT2CYR, MappingTable
-from uztranslit.featurizer import WindowSpec
+from uztranslit.featurizer import WindowSpec, window_features
 from uztranslit.gencorpus import gen_corpus
 from uztranslit.pipeline import (
     REFERENCE_FRACTIONS,
@@ -205,6 +205,43 @@ def test_transliterate_empty_word(lexicon, cyr2lat_table, lat2cyr_table):
     for table, window in ((cyr2lat_table, WindowSpec(2, 3)), (lat2cyr_table, WindowSpec(4, 3))):
         model = train_direction(lexicon, window, table)
         assert transliterate_word(model, "") == ""
+
+
+def _overwrite_loop_segments(model, word):
+    """predict_segments as it was before the one-test-per-word guard: the
+    tree's labels, then every character without a table row overwrites
+    its own, checked one by one."""
+    segments = dtree.predict(model, window_features(word, model.window))
+    alphabet = model.table.entries
+    for i, ch in enumerate(word):
+        if ch not in alphabet:
+            segments[i] = ch
+    return segments
+
+
+@pytest.fixture(scope="module")
+def lexicon_models(lexicon, cyr2lat_table, lat2cyr_table):
+    """The README-default windows, trained on the whole lexicon."""
+    return [
+        train_direction(lexicon, WindowSpec(2, 3), cyr2lat_table),
+        train_direction(lexicon, WindowSpec(4, 3), lat2cyr_table),
+    ]
+
+
+# table keys of both directions, digits, apostrophes, the hyphen and
+# characters neither table holds
+_MIXED_CHARS = "бoлaқ'ʼғg-–0179§!xw ъё"
+
+
+@settings(max_examples=300, deadline=None)
+@given(word=st.text(alphabet=_MIXED_CHARS, max_size=12))
+@example(word="")
+@example(word="qo'l-2x!")
+@example(word="§12-бола!")
+@example(word="октябрь-oktabr")
+def test_predict_segments_matches_overwrite_loop(lexicon_models, word):
+    for model in lexicon_models:
+        assert pipeline.predict_segments(model, word) == _overwrite_loop_segments(model, word)
 
 
 def test_evaluate_hand_computed_counts():
