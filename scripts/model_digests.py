@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Print one line per grid cell: corpus, direction, x, y, the SHA-256 of
-the tree trained at that window (its node list as JSON) and the SHA-256
-of that model's transliterations (the list of ``transliterate_word``
-outputs as JSON).
+the trees trained at that window (the key -> node list map as JSON, in
+table order) and the SHA-256 of that model's transliterations (the list
+of ``transliterate_word`` outputs as JSON).
 
 The corpus is ``lexicon`` (the bundled lexicon) or ``synthetic:SIZE:SEED``
 (``gen_corpus(SIZE, SEED)``). The models are trained on the 70% part of
@@ -10,9 +10,8 @@ its 70/15/15 seed-42 split. They transliterate the source words of the
 held-out 30% and a few words with characters outside the table, and the
 empty word. Two checkouts that print the same lines train identical
 trees and transliterate identically, which is the gate for refactoring
-the trainer or the read path. Only the nodes are hashed, so the gate
-holds across file format changes that keep the tree (format 3 added the
-table, format 4 dropped the direction).
+the trainer or the read path. Only the trees are hashed, so the gate
+holds across file format changes that keep them.
 
 ``tests/data/digests.txt`` holds this script's lines for a fixed set of
 cells, and ``tests/test_digests.py`` recomputes every line of it through
@@ -73,7 +72,7 @@ def digest_line(corpus: str, parts, name: str, x: int, y: int) -> str:
     words = [word for word, _ in heldout.oriented(table.direction)] + EXTRA_WORDS
     model = train_direction(train_part, WindowSpec(x, y), table)
     outputs = [transliterate_word(model, word) for word in words]
-    return f"{corpus} {name} {x} {y} {_sha256(model.nodes)} {_sha256(outputs)}"
+    return f"{corpus} {name} {x} {y} {_sha256(model.trees)} {_sha256(outputs)}"
 
 
 def main(argv=None) -> int:

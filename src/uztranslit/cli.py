@@ -134,11 +134,12 @@ def cmd_train(args) -> int:
     model = pipeline.train_direction(corpus, window, table)
     payload = dtree.serialize(model)
     atomic_write(args.out, payload)
-    depth = dtree.tree_depth(model.nodes)
+    nodes = sum(map(len, model.trees.values()))
+    depth = max(map(dtree.tree_depth, model.trees.values()))
     print(
         f"trained {args.dir} model on {len(corpus.pairs)} pairs"
-        f" (window x={args.x} y={args.y}, tree depth {depth});"
-        f" wrote {args.out}",
+        f" (window x={args.x} y={args.y}, {len(model.trees)} key trees,"
+        f" {nodes} nodes, max depth {depth}); wrote {args.out}",
         file=sys.stderr,
     )
     return 0

@@ -1,89 +1,83 @@
-"""From-scratch decision tree over categorical character features.
+"""From-scratch decision trees over categorical character features.
+
+A model is one tree per key of its mapping table, grown on the samples
+whose focus character is that key. The paper grows one tree over every
+character; a tree per key never has to separate one focus letter from
+the others, which makes growth about 2.5 times cheaper (a 5x5 grid
+search on ``gen_corpus(5000, 42)``: 0.30 s -> 0.12 s on 2 cores, Python
+3.11), and its leaves carry only segments that key was aligned to, which
+the table licenses. A key training never saw gets the one-leaf tree
+``[[first candidate, {}]]``, whose empty counts say that no sample
+backs it.
 
 Nodes test equality of one window position against one symbol; the
 split chosen at each node is the one with the greatest Gini impurity
 decrease, evaluated exhaustively over every (position, symbol) pair
 present in the node's data. Growth is unbounded: a node stops only when
-pure, smaller than two samples, or indivisible because all its feature
-vectors are identical. An impure node whose best split decreases
-impurity by zero is still split (XOR-shaped label patterns need this;
-it is also what an unlimited-depth CART does), which is what guarantees
-a pure fit on conflict-free data. Ties are broken by lowest position,
-then lowest symbol, so training is fully deterministic.
+pure or indivisible because all its feature vectors are identical. An
+impure node whose best split decreases impurity by zero is still split
+(XOR-shaped label patterns need this, as in an unlimited-depth CART),
+which guarantees a pure fit on conflict-free data. Ties go to the lowest
+position, then the lowest symbol. A key's samples share their focus
+symbol, so no split on the focus position can leave both children
+non-empty, and no tree tests it. Equality tests do not depend on a
+character ordering, unlike numeric thresholds over some encoding.
 
-Unlike a numeric-threshold tree over some arbitrary character encoding,
-equality tests do not depend on a character ordering; the learning task
-is unchanged.
-
-Training takes its samples label-major, as extraction lays them out
-(``featurizer.Samples``): per label, a block of one column of symbols
-per window position, which is what every histogram scans, and the
-window the columns were cut at, which becomes the model's. Those blocks
-are the root's, and every open node owns its samples as such a label ->
-block map. A histogram is ``Counter(block[p])``, a C-level count of one
-column rather than a gather of scattered indices. A split hands a block
-the eq side holds all or none of to that child as it is and cuts a
-mixed block in two with ``compress``; the input columns are only read.
-Each split is checked to leave both children non-empty, so a tree on n
-samples has at most n - 1 splits whatever the running totals say.
+A tree grows from its key's label blocks (``featurizer.Samples``): per
+label, one column of symbols per window position. Every open node owns
+its samples as such a label -> block map, so a histogram is
+``Counter(block[p])``, a C-level count of one column. A split hands a
+block the eq side holds all or none of to that child as it is and cuts
+a mixed block in two with ``compress``; the input columns are only
+read. Each split is checked to leave both children non-empty, so a tree
+on n samples has at most n - 1 splits whatever the running totals say.
 
 Growth never rescans a node to score it. Each open node carries, per
 window position, a label -> ``Counter`` histogram of its blocks and, per
-symbol, three running integer totals over the node's labels l, with
-c_l the symbol's count in l and N_l the count of l: n_eq = sum c_l,
-sq_eq = sum c_l^2 and cross = sum c_l * N_l. They are all a split's
-score needs, so scoring a candidate reads three numbers. After a split
-only the blocks the split cut in the smaller child are scanned; a block
-it takes whole takes its histograms from the parent. The larger child
-is the parent minus the smaller (histogram subtraction, as in LightGBM,
-Ke et al. 2017), and its histograms and totals are the parent's,
-updated in place by walking only the labels the smaller child holds.
-Equality splits peel a small eq side off a long ne chain, so a tree
-costs about two scans of its samples rather than one per level, and
-most updates touch a label or two. Every score comes from the same integer counts through the
-same float expression in the same candidate order, so the chosen
-splits, and the serialized model, are bit-identical to those of a
-grower that rebuilds every node's histograms. The tree depends only on
-the multiset of samples, not on their order.
+symbol, three running integer totals over the node's labels l, with c_l
+the symbol's count in l and N_l the count of l: n_eq = sum c_l, sq_eq =
+sum c_l^2 and cross = sum c_l * N_l, which are all a split's score
+needs. After a split only the blocks the split cut in the smaller child
+are scanned; a block it takes whole takes its histograms from the
+parent. The larger child is the parent minus the smaller (histogram
+subtraction, as in LightGBM, Ke et al. 2017): the parent's histograms
+and totals, updated in place for the labels the smaller child holds.
+Every score comes from the same integer counts through the same float
+expression in the same candidate order, so the trees are bit-identical
+to those of a grower that rebuilds every node's histograms, and depend
+only on the multiset of samples.
 
-The tree is one flat list of nodes, the same in memory and on disk. An
+A tree is one flat list of nodes, the same in memory and on disk. An
 internal node is ``[f, s, eq, ne]``: window position ``f`` is tested
 for equality with symbol ``s``, and ``eq``/``ne`` are the list indices
 of the children taken when the test passes or fails. A leaf is
 ``[label, counts]``, its majority label and label histogram. The list
-is in pre-order with the eq subtree first, so the root is node 0 and
-every child index is greater than its parent's. Walking and validating
-the tree are therefore plain loops, and JSON nesting stays a few levels
-deep however deep the tree grows.
+is in pre-order with the eq subtree first, so the root is node 0, every
+child index is greater than its parent's, walking and validating are
+plain loops, and JSON nesting stays shallow however deep the tree.
 
-A model carries the mapping table it was trained under (format 4): the
-table's keys are the characters it classifies and fix its direction,
-which is the model's. Loading builds the table through MappingTable's
-checks.
+A model file (format 5) holds the mapping table, whose keys fix the
+model's direction, and ``trees``, one node list per key. Loading checks
+the table as a table file is checked, that the trees are exactly one
+per key, that each is well formed, that none tests the focus position,
+and that every leaf label under key ``ch`` is in
+``table.candidates(ch)``; every file that loads predicts only licensed
+segments.
 
-Prediction does not walk that list. Equality splits make long ne chains
-that test one position against one symbol after another, and such a
-chain is one multiway categorical split, as in C4.5 (Quinlan, 1993) and
-in compiled trees such as Treelite's (Cho & Li, 2018). On first use a
-model compiles its list, in one reverse pass, into nested switches
-``(f, {symbol: child}, default)`` whose leaves are labels, so a step is
-one dict lookup. Every test of the focus position ``x`` can then be
-decided before any window is seen, once per table key: ``by_focus``
-maps each key to the switches with those tests resolved for it, a
-subtree without such a test being shared rather than copied. A window
-whose focus symbol is a key starts there, and any other window at the
-root. The walk gives the binary walk's label for every file that loads.
-On the README-default lexicon models over the words of
-``gen_corpus(20000, 42)``, counting the focus lookup, it takes 1.30
-lookups per character (cyr2lat, 76% of characters ending at the focus
-lookup) and 3.50 (lat2cyr); the binary walk took 15.05 and 14.83
-equality tests. The file and the trainer know nothing of the switches.
-
-``predict`` takes a whole padded word (``featurizer.window_features``)
-and labels every ``width``-long window of it in one call: the window
-starting at ``i`` is read in place as ``features[i + f]``, so no window
-tuple is built and the width is checked once per word, not once per
-character.
+Prediction walks compiled switches, not node lists. A run of ne tests
+on one position is one multiway categorical split, as in C4.5 (Quinlan,
+1993) and in compiled trees such as Treelite's (Cho & Li, 2018). On
+first use a model compiles each tree, in one reverse pass, into nested
+``(f, {symbol: child}, default)`` switches whose leaves are labels.
+``predict`` takes a whole padded word (``featurizer.window_features``),
+reads the window at ``i`` in place as ``features[i + f]``, and starts it
+at its focus symbol's switches; a focus symbol that is no key (a digit,
+punctuation, the other script) labels itself. On the README-default
+models trained on the lexicon's 70% seed-42 split, over the words of
+``gen_corpus(20000, 42)``, a character takes 1.27 dict lookups (cyr2lat)
+and 2.78 (lat2cyr), the focus lookup included; the single tree took
+1.30 and 3.50 with its focus tests resolved per key, and 15.05 and
+14.83 equality tests as a binary walk.
 """
 
 from __future__ import annotations
@@ -97,7 +91,7 @@ from itertools import compress
 from .alphabets import Direction, MappingTable
 from .featurizer import Samples, WindowSpec
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 class EmptyTrainingSetError(ValueError):
@@ -116,6 +110,11 @@ class EmptyCountsError(ValueError):
     pass
 
 
+class UnlicensedSampleError(ValueError):
+    """A sample's focus is not a table key, its label is not one of that
+    key's candidates, or it is filed under another focus."""
+
+
 class StalledSplitError(RuntimeError):
     """A split left one child empty: the grower's counts are wrong."""
 
@@ -130,7 +129,7 @@ class ModelVersionError(ModelFormatError):
 
 @dataclass
 class TranslitModel:
-    nodes: list[list]  # [f, s, eq, ne] internals, [label, counts] leaves
+    trees: dict[str, list[list]]  # table key -> its tree's node list
     window: WindowSpec
     table: MappingTable
 
@@ -139,22 +138,10 @@ class TranslitModel:
         return self.table.direction
 
     @cached_property
-    def switches(self):
-        """The tree compiled for predict (see _compile); built on first
-        use and never serialized."""
-        return _compile(self.nodes)
-
-    @cached_property
-    def by_focus(self) -> dict:
-        """Table key -> ``switches`` with every test of the focus position
-        resolved for that key (see _by_focus); built on first use and
-        never serialized."""
-        return _by_focus(self.switches, self.window.x, self.table.entries)
-
-    @cached_property
-    def keys(self) -> frozenset:
-        """The table's keys: the characters the model classifies."""
-        return frozenset(self.table.entries)
+    def switches(self) -> dict:
+        """Table key -> its tree compiled for predict (see _compile);
+        built on first use and never serialized."""
+        return {key: _compile(nodes) for key, nodes in self.trees.items()}
 
 
 def gini(class_counts: dict[str, int]) -> float:
@@ -367,20 +354,37 @@ def _grow(blocks) -> list[list]:
 
 
 def train(samples: Samples, table: MappingTable) -> TranslitModel:
-    """Grow an unbounded-depth tree on ``samples``, at their window. The
-    tree depends on the samples, not on their order, and ``samples`` is
-    left as it is."""
+    """Grow one unbounded-depth tree per table key on that key's samples,
+    at their window. A key without samples gets the one-leaf tree
+    ``[[first candidate, {}]]``: the empty counts mark a key training
+    never saw. Each tree depends on its key's samples, not on their
+    order, and ``samples`` is left as it is."""
     window = samples.window
-    for label, block in samples.blocks.items():
-        lengths = {len(column) for column in block}
-        if len(block) != window.width or len(lengths) != 1 or 0 in lengths:
-            raise InconsistentFeatureWidthError(
-                f"label {label!r}: {len(block)} columns of lengths {sorted(lengths)}"
-                f" at window width {window.width}"
-            )
-    if not samples.blocks:
+    if not samples.blocks or not all(samples.blocks.values()):
         raise EmptyTrainingSetError("cannot train on an empty sample list")
-    return TranslitModel(nodes=_grow(samples.blocks), window=window, table=table)
+    for focus, blocks in samples.blocks.items():
+        candidates = table.candidates(focus)
+        if candidates is None or not set(blocks).issubset(candidates):
+            raise UnlicensedSampleError(
+                f"focus {focus!r}: labels {sorted(blocks)} are not among its table candidates"
+                f" {candidates}"
+            )
+        for label, block in blocks.items():
+            lengths = {len(column) for column in block}
+            if len(block) != window.width or len(lengths) != 1 or 0 in lengths:
+                raise InconsistentFeatureWidthError(
+                    f"focus {focus!r}, label {label!r}: {len(block)} columns of lengths"
+                    f" {sorted(lengths)} at window width {window.width}"
+                )
+            if block[window.x].count(focus) != len(block[window.x]):
+                raise UnlicensedSampleError(
+                    f"focus {focus!r}, label {label!r}: a sample has another focus symbol"
+                )
+    trees = {
+        key: _grow(samples.blocks[key]) if key in samples.blocks else [[candidates[0], {}]]
+        for key, candidates in table.entries.items()
+    }
+    return TranslitModel(trees=trees, window=window, table=table)
 
 
 def _compile(nodes: list[list]):
@@ -408,78 +412,22 @@ def _compile(nodes: list[list]):
     return compiled[0]
 
 
-def _skip_focus(node, x: int, key: str):
-    """Follow ``node``'s switches on position ``x`` as a window whose
-    focus symbol is ``key`` would, down to a leaf or a switch on another
-    position."""
-    while type(node) is tuple and node[0] == x:
-        node = node[1].get(key, node[2])
-    return node
-
-
-def _by_focus(root, x: int, keys) -> dict:
-    """Per key, ``root`` with every switch on the focus position ``x``
-    replaced by its case for the key, or its default.
-
-    One pass over the switches finds those that test ``x`` somewhere in
-    their subtree; every other subtree is shared with ``root``, not
-    copied. Per key, the switches to rebuild are collected from the top
-    down and rebuilt from the bottom up, so neither step recurses, and
-    only what that key can reach is visited."""
-    switches = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if type(node) is tuple:
-            switches.append(node)
-            stack.extend(node[1].values())
-            stack.append(node[2])
-    tests_x = set()
-    for node in reversed(switches):  # children before parents
-        f, cases, default = node
-        if f == x or id(default) in tests_x or not tests_x.isdisjoint(map(id, cases.values())):
-            tests_x.add(id(node))
-
-    by_focus = {}
-    for key in keys:
-        top = _skip_focus(root, x, key)
-        rebuild = []
-        stack = [top]
-        while stack:
-            node = stack.pop()
-            if id(node) in tests_x:
-                f, cases, default = node
-                cases = {s: _skip_focus(child, x, key) for s, child in cases.items()}
-                default = _skip_focus(default, x, key)
-                rebuild.append((node, f, cases, default))
-                stack.extend(cases.values())
-                stack.append(default)
-        built = {}
-        for node, f, cases, default in reversed(rebuild):
-            for s, child in cases.items():
-                cases[s] = built.get(id(child), child)  # an existing key: safe mid-iteration
-            built[id(node)] = (f, cases, built.get(id(default), default))
-        by_focus[key] = built.get(id(top), top)
-    return by_focus
-
-
 def predict(model: TranslitModel, features) -> list[str]:
-    """The leaf label of every ``width``-long window of ``features``, in
+    """The label of every ``width``-long window of ``features``, in
     order: one label for a single window, none for the ``width - 1``
-    symbols of a padded empty word. Symbols never seen in training fail
-    every equality test and follow the false branch. A window whose
-    focus symbol is a table key starts at that key's resolved switches
-    (``model.by_focus``); any other focus symbol, PAD included, starts
-    at the root."""
+    symbols of a padded empty word. A window whose focus symbol is a
+    table key walks that key's tree, in which symbols never seen in
+    training fail every equality test and follow the false branch; any
+    other focus symbol labels itself."""
     width = model.window.width
     if len(features) < width - 1:
         raise WidthMismatchError(f"feature length {len(features)} < model width {width} - 1")
-    root = model.switches
-    start = model.by_focus.get
+    start = model.switches.get
     x = model.window.x
     labels = []
     for i in range(len(features) - width + 1):
-        node = start(features[i + x], root)
+        focus = features[i + x]
+        node = start(focus, focus)
         while type(node) is tuple:
             f, cases, default = node
             node = cases.get(features[i + f], default)
@@ -498,14 +446,17 @@ def tree_depth(nodes: list[list]) -> int:
     return max(depth)
 
 
-def _check_nodes(nodes, width: int) -> None:
+def _check_nodes(nodes, window: WindowSpec, candidates) -> None:
     """Raise ModelFormatError unless ``nodes`` is a non-empty list of
     well-formed nodes forming one tree rooted at node 0: child indices
     point forward and in range, which makes every walk end at a leaf, and
     every other node is the child of exactly one node, which _compile
-    relies on."""
+    relies on. No node tests the focus position ``x``, every leaf label
+    is one of ``candidates``, and leaf counts are positive, except that a
+    tree of one leaf may have none: the tree of a key training never
+    saw."""
     if not isinstance(nodes, list) or not nodes:
-        raise ModelFormatError("model has no nodes")
+        raise ModelFormatError("tree has no nodes")
     n = len(nodes)
     has_parent = bytearray(n)
     for i, node in enumerate(nodes):
@@ -513,10 +464,12 @@ def _check_nodes(nodes, width: int) -> None:
             raise ModelFormatError(f"node {i} is not a 2- or 4-element list")
         if len(node) == 4:
             f, s, eq, ne = node
-            if type(f) is not int or not 0 <= f < width:
+            if type(f) is not int or not 0 <= f < window.width:
                 raise ModelFormatError(
-                    f"node {i}: feature index {f!r} outside window width {width}"
+                    f"node {i}: feature index {f!r} outside window width {window.width}"
                 )
+            if f == window.x:
+                raise ModelFormatError(f"node {i} tests the focus position {f}")
             if not isinstance(s, str):
                 raise ModelFormatError(f"node {i}: test symbol is not a string")
             for child in (eq, ne):
@@ -527,10 +480,10 @@ def _check_nodes(nodes, width: int) -> None:
                 has_parent[child] = 1
         else:
             label, counts = node
-            if not isinstance(label, str):
-                raise ModelFormatError(f"node {i}: leaf label is not a string")
+            if not isinstance(label, str) or label not in candidates:
+                raise ModelFormatError(f"node {i}: leaf label {label!r} is not a table candidate")
             # JSON object keys are always strings; only the counts vary.
-            if not isinstance(counts, dict) or not counts or not all(
+            if not isinstance(counts, dict) or not (counts or n == 1) or not all(
                 type(c) is int and c > 0 for c in counts.values()
             ):
                 raise ModelFormatError(f"node {i}: leaf counts are not positive ints")
@@ -559,7 +512,7 @@ def serialize(model: TranslitModel) -> bytes:
         "format_version": FORMAT_VERSION,
         "window": {"x": model.window.x, "y": model.window.y},
         "table": model.table.entries,
-        "nodes": model.nodes,
+        "trees": model.trees,
     }
     text = json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
     return text.encode("utf-8")
@@ -583,7 +536,7 @@ def deserialize(data: bytes) -> TranslitModel:
     try:
         x, y = obj["window"]["x"], obj["window"]["y"]
         rows = obj["table"]
-        nodes = obj["nodes"]
+        trees = obj["trees"]
     except (KeyError, TypeError) as err:
         raise ModelFormatError(f"model file missing fields: {err}") from err
     if type(x) is not int or type(y) is not int:
@@ -593,8 +546,18 @@ def deserialize(data: bytes) -> TranslitModel:
     except ValueError as err:
         raise ModelFormatError(f"model window: {err}") from err
     table = _check_table(rows)
-    _check_nodes(nodes, window.width)
-    return TranslitModel(nodes=nodes, window=window, table=table)
+    if not isinstance(trees, dict):
+        raise ModelFormatError("model trees are not an object")
+    if trees.keys() != table.entries.keys():
+        raise ModelFormatError(
+            f"model trees are not one per table key: {sorted(trees.keys() ^ table.entries.keys())}"
+        )
+    for key, nodes in trees.items():
+        try:
+            _check_nodes(nodes, window, frozenset(table.entries[key]))
+        except ModelFormatError as err:
+            raise ModelFormatError(f"tree of {key!r}: {err}") from err
+    return TranslitModel(trees=trees, window=window, table=table)
 
 
 def load_model(path) -> TranslitModel:

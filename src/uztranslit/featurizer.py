@@ -11,19 +11,22 @@ pads the word once, and the window of character ``i`` is the
 every window in place (``dtree.predict``), so a word costs one tuple
 however long it is.
 
-Training keeps its samples label-major (``Samples``): one block per
-label, in order of first occurrence, and in each block one column per
-window position, ``block[p][i]`` being position ``p`` of the label's
-``i``-th sample in word order. The tree grower starts from these blocks
-as they are. ``extract_samples`` builds every column of a whole aligned
-part in C-level passes over one stream of padded words, with no
-per-sample tuple, and then groups the columns by label once. A smaller
-window's blocks are a slice of a wider window's (``Samples.narrowed``),
-so a grid search extracts and groups once, at its widest window, and
-each cell deduplicates each label's block on its own. Extraction also
-makes every equal symbol one shared string object, which keeps the
-grower's histogram counting inside a few cache lines instead of one str
-object per window cell.
+Training keeps its samples key-major (``Samples``): one group per focus
+character, in order of first occurrence, and in it one block per label,
+again in order of first occurrence. A block holds one column per window
+position, ``block[p][i]`` being position ``p`` of that label's ``i``-th
+sample under that focus, in word order. A sample's focus symbol is its
+source character at every window, so one grouping serves every window,
+and each focus character's label blocks are what its own tree
+(``dtree.train``) starts from. ``extract_samples`` builds every column
+of a whole aligned part in C-level passes over one stream of padded
+words, with no per-sample tuple, and then groups the columns by focus
+and label in one pass. A smaller window's blocks are a slice of a wider
+window's (``Samples.narrowed``), so a grid search extracts and groups
+once, at its widest window, and each cell deduplicates each block on
+its own. Extraction also makes every equal symbol one shared string
+object, which keeps the grower's histogram counting inside a few cache
+lines instead of one str object per window cell.
 
 The padding sentinel is deliberately not "∅": the empty-string class
 and out-of-word padding are different roles and must stay distinct in
@@ -53,23 +56,35 @@ class WindowSpec:
         if not (0 <= self.x <= 10 and 0 <= self.y <= 10):
             raise ValueError(f"window bounds out of range: x={self.x}, y={self.y}")
 
-    @cached_property  # read on every prediction
+    # width, head and tail are read on every prediction
+    @cached_property
     def width(self) -> int:
         return self.x + 1 + self.y
+
+    @cached_property
+    def head(self) -> tuple[str, ...]:
+        """The x PADs before a padded word."""
+        return (PAD,) * self.x
+
+    @cached_property
+    def tail(self) -> tuple[str, ...]:
+        """The y PADs after a padded word."""
+        return (PAD,) * self.y
 
 
 @dataclass(frozen=True)
 class Samples:
-    """Training samples, label-major: ``blocks`` maps each label, in
-    order of first occurrence, to its block, a tuple of one column per
+    """Training samples, key-major: ``blocks`` maps each focus character,
+    in order of first occurrence, to its label -> block map, labels again
+    in order of first occurrence. A block is a tuple of one column per
     window position; ``block[p][i]`` is position ``p`` of the label's
-    ``i``-th sample. ``len()`` is the number of samples."""
+    ``i``-th sample under that focus. ``len()`` is the number of samples."""
 
     window: WindowSpec
-    blocks: dict  # label -> one sequence of symbols per window position
+    blocks: dict  # focus -> label -> one sequence of symbols per window position
 
     def __len__(self) -> int:
-        return sum(len(block[0]) for block in self.blocks.values())
+        return sum(len(block[0]) for labels in self.blocks.values() for block in labels.values())
 
     def narrowed(self, window: WindowSpec) -> Samples:
         """The same samples at ``window``, which must fit inside this
@@ -78,24 +93,27 @@ class Samples:
         if skip < 0 or window.y > self.window.y:
             raise ValueError(f"window {window} does not fit inside {self.window}")
         stop = skip + window.width
-        return Samples(window, {label: block[skip:stop] for label, block in self.blocks.items()})
+        return Samples(window, {
+            focus: {label: block[skip:stop] for label, block in labels.items()}
+            for focus, labels in self.blocks.items()
+        })
 
 
 def window_features(chars, window: WindowSpec) -> tuple[str, ...]:
     """``chars`` padded for its windows: x PADs, the characters, y PADs.
     Character ``i``'s window is ``padded[i : i + window.width]``."""
-    return (PAD,) * window.x + tuple(chars) + (PAD,) * window.y
+    return (*window.head, *chars, *window.tail)
 
 
 def extract_samples(alignments: list[AlignedPair], window: WindowSpec) -> Samples:
-    """One sample per source character of every pair, grouped by label,
-    in word order within each label.
+    """One sample per source character of every pair, grouped by focus
+    character and then by label, in word order within each block.
 
     The padded words are laid end to end in one stream, and a mask marks
     where each window starts (one per character; none at the last
     ``width - 1`` symbols of a padded word). Column ``p`` is then the
-    stream shifted by ``p`` and compressed by the mask, and each label's
-    block takes its samples out of every column with one ``itemgetter``."""
+    stream shifted by ``p`` and compressed by the mask, and each block
+    takes its samples out of every column with one ``itemgetter``."""
     stream = list(chain.from_iterable(
         window_features(pair.source_chars, window) for pair in alignments
     ))
@@ -108,18 +126,21 @@ def extract_samples(alignments: list[AlignedPair], window: WindowSpec) -> Sample
     columns = tuple(
         tuple(compress(islice(stream, p, None), starts)) for p in range(window.width)
     )
-    groups: dict[str, list[int]] = {}
-    for i, label in enumerate(chain.from_iterable(pair.target_segments for pair in alignments)):
-        groups.setdefault(label, []).append(i)
-    blocks = {}
-    for label, group in groups.items():
+    # column x holds each sample's focus symbol
+    labels = chain.from_iterable(pair.target_segments for pair in alignments)
+    groups: dict[tuple[str, str], list[int]] = {}
+    for i, key in enumerate(zip(columns[window.x], labels)):
+        groups.setdefault(key, []).append(i)
+    blocks: dict[str, dict] = {}
+    for (focus, label), group in groups.items():
         if len(group) == 1:
             # an itemgetter of one index returns an item, not a tuple
             i = group[0]
-            blocks[label] = tuple(column[i : i + 1] for column in columns)
+            block = tuple(column[i : i + 1] for column in columns)
         else:
             take = itemgetter(*group)
-            blocks[label] = tuple(map(take, columns))
+            block = tuple(map(take, columns))
+        blocks.setdefault(focus, {})[label] = block
     return Samples(window, blocks)
 
 
@@ -129,14 +150,16 @@ def dedup_samples(samples: Samples) -> Samples:
     Samples with equal windows but different labels are all kept;
     silently dropping one side would bias the classifier.
 
-    A duplicate always carries the same label, so each label's block is
+    A duplicate always carries the same focus and label, so each block is
     deduplicated on its own: its rows are hashed once, as the keys of one
     dict, with no label in the key. A block without a duplicate is kept
     as the same object; the others are cut back into columns from the
     surviving rows, in first-occurrence order.
     """
     blocks = {}
-    for label, block in samples.blocks.items():
-        rows = dict.fromkeys(zip(*block))
-        blocks[label] = block if len(rows) == len(block[0]) else tuple(zip(*rows))
+    for focus, labels in samples.blocks.items():
+        kept = blocks[focus] = {}
+        for label, block in labels.items():
+            rows = dict.fromkeys(zip(*block))
+            kept[label] = block if len(rows) == len(block[0]) else tuple(zip(*rows))
     return Samples(samples.window, blocks)

@@ -10,8 +10,8 @@ them would inflate scores invisibly.
 
 Training aligns under a mapping table, and the model carries that table:
 its direction is the model's, and its keys are the characters the model
-classifies, from the same windows training extracts. Every other
-character passes through unchanged.
+classifies, each with its own tree, from the same windows training
+extracts. Every other character passes through unchanged.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .alphabets import CYRILLIC, Direction, MappingTable, normalize_word
 from .alphabets import bundled_script_spec  # noqa: F401
 from .aligner import align_corpus
 from .dtree import TranslitModel, predict
-from .featurizer import Samples, WindowSpec, dedup_samples, extract_samples, window_features
+from .featurizer import WindowSpec, dedup_samples, extract_samples, window_features
 
 log = logging.getLogger(__name__)
 
@@ -101,6 +101,15 @@ class EvalReport:
         for inp, out, expected in self.errors:
             lines.append(f"error\t{inp}\t{out}\t{expected}")
         return "\n".join(lines) + "\n"
+
+
+@dataclass
+class CrossValidation:
+    """Out-of-fold scores, pooled as ``evaluate`` pools, and per fold."""
+
+    char_f1: float
+    word_accuracy: float
+    folds: list[EvalReport]
 
 
 @dataclass
@@ -220,31 +229,18 @@ def _align_training(train_part: Corpus, table: MappingTable):
     return alignments
 
 
-def _train_window(samples: Samples, table: MappingTable) -> TranslitModel:
-    """dedup -> train; the model carries the samples' window and the table."""
+def train_direction(train_part: Corpus, window: WindowSpec, table: MappingTable) -> TranslitModel:
+    """align -> extract -> dedup -> train at one window, in the table's
+    direction; the model carries the window and the table."""
+    samples = extract_samples(_align_training(train_part, table), window)
     return dtree.train(dedup_samples(samples), table)
 
 
-def train_direction(train_part: Corpus, window: WindowSpec, table: MappingTable) -> TranslitModel:
-    """align -> extract -> dedup -> train at one window, in the table's
-    direction."""
-    return _train_window(extract_samples(_align_training(train_part, table), window), table)
-
-
 def predict_segments(model: TranslitModel, word: str) -> list[str]:
-    """Per-character predicted target segments; characters without a row
-    in the model's table contribute themselves unchanged. The tree labels
-    every window of the padded word in one walk. One set test then tells
-    whether the word holds any pass-through character; only a word that
-    does is scanned, and its pass-through characters overwrite their
-    labels."""
-    segments = predict(model, window_features(word, model.window))
-    keys = model.keys
-    if not keys.issuperset(word):
-        for i, ch in enumerate(word):
-            if ch not in keys:
-                segments[i] = ch
-    return segments
+    """Per-character predicted target segments, from one walk over the
+    padded word: each table key through its own tree, and every other
+    character unchanged."""
+    return predict(model, window_features(word, model.window))
 
 
 def transliterate_word(model: TranslitModel, word: str) -> str:
@@ -334,13 +330,48 @@ def grid_search(
     cells: list[GridCell] = []
     best_key = best_model = None
     for x, y in grid:
-        model = _train_window(wide.narrowed(WindowSpec(x, y)), table)
+        model = dtree.train(dedup_samples(wide.narrowed(WindowSpec(x, y))), table)
         report = _report_from_alignments(model, val_alignments, val_unalignable)
         cells.append(GridCell(x=x, y=y, validation_f1=report.char_f1))
         key = (-report.char_f1, x + y, x)
         if best_model is None or key < best_key:
             best_key, best_model = key, model
     return best_model, cells
+
+
+def kfold(corpus: Corpus, k: int, seed: int) -> list[Corpus]:
+    """Deterministic shuffle, as in split_corpus, cut into ``k``
+    contiguous folds whose sizes differ by at most one."""
+    if not 2 <= k <= len(corpus.pairs):
+        raise ValueError(f"cannot cut {len(corpus.pairs)} pairs into {k} folds")
+    order = list(corpus.pairs)
+    random.Random(seed).shuffle(order)
+    bounds = [len(order) * i // k for i in range(k + 1)]
+    return [
+        Corpus(order[start:stop], f"{corpus.provenance} [fold {i + 1}/{k} seed={seed}]")
+        for i, (start, stop) in enumerate(zip(bounds, bounds[1:]))
+    ]
+
+
+def cross_validate(
+    corpus: Corpus, window: WindowSpec, table: MappingTable, k: int = 10, seed: int = 42
+) -> CrossValidation:
+    """k-fold cross-validation (Kohavi, IJCAI 1995) at one window, in the
+    table's direction: each fold is scored by ``evaluate`` with the model
+    trained on the other k - 1 folds, so every word is scored once."""
+    folds = kfold(corpus, k, seed)
+    reports = []
+    correct = chars = 0
+    for i, fold in enumerate(folds):
+        rest = Corpus([pair for other in folds[:i] + folds[i + 1 :] for pair in other.pairs])
+        reports.append(evaluate(train_direction(rest, window, table), fold, table))
+        # every character of a fold is scored once, so the count is exact
+        fold_chars = sum(len(source) for source, _ in fold.oriented(table.direction))
+        correct += round(reports[-1].char_f1 * fold_chars)
+        chars += fold_chars
+    # every word a model gets wrong is one of its errors
+    words_right = len(corpus) - sum(len(report.errors) for report in reports)
+    return CrossValidation(correct / chars if chars else 1.0, words_right / len(corpus), reports)
 
 
 def format_grid_tsv(cells) -> str:

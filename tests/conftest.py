@@ -3,7 +3,7 @@ from typing import NamedTuple
 import pytest
 
 from uztranslit import alphabets, gencorpus, pipeline
-from uztranslit.alphabets import CYR2LAT, LAT2CYR
+from uztranslit.alphabets import CYR2LAT, LAT2CYR, MappingTable
 from uztranslit.featurizer import Samples, WindowSpec
 
 
@@ -36,30 +36,46 @@ class Row(NamedTuple):
     label: str
 
 
-def by_label(rows) -> list:
-    """``rows`` grouped stably by label: labels in order of first
-    occurrence, each label's rows in their given order. This is the
-    order in which ``Samples`` holds them."""
+def by_key(rows, x: int) -> list:
+    """``rows`` grouped stably by focus symbol (position ``x``) and then
+    by label: focus symbols in order of first occurrence, within each its
+    labels in order of first occurrence, and each group's rows in their
+    given order. This is the order in which ``Samples`` holds them."""
     groups: dict = {}
     for row in rows:
-        groups.setdefault(row[1], []).append(row)
-    return [row for group in groups.values() for row in group]
+        groups.setdefault(row[0][x], {}).setdefault(row[1], []).append(row)
+    return [row for labels in groups.values() for group in labels.values() for row in group]
 
 
-def samples_of(rows, window: WindowSpec) -> Samples:
-    """The label-major ``Samples`` of ``(features, label)`` rows at
-    ``window``; a label whose rows have another width gets a block that
-    ``dtree.train`` rejects."""
+def blocks_of(rows) -> dict:
+    """The label -> block map of ``(features, label)`` rows, the input of
+    one tree's grower (``dtree._grow``)."""
     grouped: dict = {}
     for features, label in rows:
         grouped.setdefault(label, []).append(features)
-    return Samples(window, {label: tuple(zip(*vectors)) for label, vectors in grouped.items()})
+    return {label: tuple(zip(*vectors)) for label, vectors in grouped.items()}
+
+
+def samples_of(rows, window: WindowSpec) -> Samples:
+    """The key-major ``Samples`` of ``(features, label)`` rows at
+    ``window``; a label whose rows have another width gets a block that
+    ``dtree.train`` rejects."""
+    grouped: dict = {}
+    for row in rows:
+        grouped.setdefault(row[0][window.x], []).append(row)
+    return Samples(window, {focus: blocks_of(group) for focus, group in grouped.items()})
 
 
 def rows_of(samples: Samples) -> list[Row]:
-    """``samples`` as one row per sample, label by label."""
+    """``samples`` as one row per sample, focus by focus, label by label."""
     return [
         Row(features, label)
-        for label, block in samples.blocks.items()
+        for labels in samples.blocks.values()
+        for label, block in labels.items()
         for features in zip(*block)
     ]
+
+
+def open_table(keys, labels) -> MappingTable:
+    """A table that licenses every label in ``labels`` for every key."""
+    return MappingTable({key: tuple(labels) for key in keys})

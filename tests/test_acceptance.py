@@ -11,11 +11,11 @@ import time
 
 import pytest
 
-from conftest import Row, by_label, rows_of, samples_of
+from conftest import Row, blocks_of, by_key, open_table, rows_of, samples_of
 from uztranslit import pipeline
 from uztranslit.aligner import align_word
 from uztranslit.alphabets import CYR2LAT, LAT2CYR, bundled_mapping_table
-from uztranslit.dtree import deserialize, predict, serialize, train
+from uztranslit.dtree import _grow, deserialize, predict, serialize, train
 from uztranslit.featurizer import (
     PAD,
     WindowSpec,
@@ -90,8 +90,8 @@ def test_criterion_2_golden_features():
         (("и", "ч", "о", "қ"), "o"),
         (("ч", "о", "қ", PAD), "q"),
     ]
-    # the seven rows of the word, each label's rows in word order
-    assert [(s.features, s.label) for s in samples] == by_label(expected)
+    # the seven rows of the word, each character's rows in word order
+    assert [(s.features, s.label) for s in samples] == by_key(expected, 2)
     print("ACCEPTANCE 2: context-window features, all 7 rows: PASS")
 
 
@@ -126,16 +126,19 @@ def test_criterion_4_pure_fit(lexicon, synthetic_5000):
     model2 = train_direction(lexicon, WindowSpec(2, 3), CYR2LAT_TABLE)
     report2 = _eval(model2, lexicon, CYR2LAT_TABLE)
     assert report2.char_f1 == 1.0
-    # random conflict-free sample sets
+    # random conflict-free sample sets; the focus (position 1) is a
+    # letter, as every source character is
     rng = random.Random(7)
-    symbols = list("абвгдежз") + [PAD]
+    letters = list("абвгдежз")
+    symbols = letters + [PAD]
+    labels = ["", "a", "b", "ch"]
     for _ in range(25):
         kept = {}
         for _ in range(rng.randint(1, 80)):
-            features = tuple(rng.choice(symbols) for _ in range(3))
-            kept.setdefault(features, Row(features, rng.choice(["", "a", "b", "ch"])))
+            features = (rng.choice(symbols), rng.choice(letters), rng.choice(symbols))
+            kept.setdefault(features, Row(features, rng.choice(labels)))
         samples = list(kept.values())
-        model3 = train(samples_of(samples, WindowSpec(1, 1)), CYR2LAT_TABLE)
+        model3 = train(samples_of(samples, WindowSpec(1, 1)), open_table(letters, labels))
         assert all(predict(model3, s.features) == [s.label] for s in samples)
     print("ACCEPTANCE 4: pure fit on conflict-free samples: PASS")
 
@@ -225,6 +228,7 @@ def _oracle_best_decrease(samples):
 
 
 def test_criterion_8_gini_split_oracle():
+    # the grower that every key's tree comes from, on random sample sets
     rng = random.Random(20260810)
     symbols = list("абвгде") + [PAD]
     labels = ["", "a", "b", "sh"]
@@ -236,9 +240,8 @@ def test_criterion_8_gini_split_oracle():
             Row(tuple(rng.choice(symbols) for _ in range(width)), rng.choice(labels))
             for _ in range(rng.randint(2, 50))
         ]
-        model = train(samples_of(samples, WindowSpec(0, width - 1)), CYR2LAT_TABLE)
+        nodes = _grow(blocks_of(samples))
         oracle = _oracle_best_decrease(samples)
-        nodes = model.nodes
         if len(nodes[0]) == 2:  # the root is a leaf
             assert oracle <= 1e-12
             continue
@@ -282,15 +285,21 @@ def test_criterion_8_gini_split_oracle():
 
 def test_criterion_9_serialization_roundtrip():
     rng = random.Random(4242)
-    symbols = list("абвгдеёжз") + [PAD]
+    letters = list("абвгдеёжз")
+    symbols = letters + [PAD]
     labels = ["", "a", "b", "ch", "o'"]
+    table = open_table(letters, labels)
     for _ in range(100):
         width = rng.randint(1, 5)
+        # the focus (position 0) is a letter, as every source character is
         samples = [
-            Row(tuple(rng.choice(symbols) for _ in range(width)), rng.choice(labels))
+            Row(
+                (rng.choice(letters), *(rng.choice(symbols) for _ in range(width - 1))),
+                rng.choice(labels),
+            )
             for _ in range(rng.randint(1, 120))
         ]
-        model = train(samples_of(samples, WindowSpec(0, width - 1)), CYR2LAT_TABLE)
+        model = train(samples_of(samples, WindowSpec(0, width - 1)), table)
         clone = deserialize(serialize(model))
         for _ in range(1000):
             vector = tuple(rng.choice(symbols) for _ in range(width))

@@ -55,8 +55,10 @@ def test_transliterate_empty_word_prints_empty_line(trained_model, capsys):
 def test_out_of_range_feature_index_is_data_error(tmp_path, trained_model, capsys):
     obj = json.loads(trained_model.read_bytes())
     width = obj["window"]["x"] + 1 + obj["window"]["y"]
+    nodes = obj["trees"]["ц"]
+    assert len(nodes[0]) == 4  # ц: s or ts, by context
     for bad_index in (width, -1):
-        obj["nodes"][0][0] = bad_index
+        nodes[0][0] = bad_index
         broken = tmp_path / f"broken{bad_index}.json"
         broken.write_text(json.dumps(obj, ensure_ascii=False), encoding="utf-8")
         code = main(["transliterate", "--model", str(broken), "--word", "цирк"])
@@ -91,12 +93,12 @@ def test_v3_model_is_data_error(tmp_path, trained_model, capsys):
 
 def test_model_with_shared_child_is_data_error(tmp_path, capsys):
     # nodes 0 and 1 both point at leaf 2: a DAG, not a tree
-    nodes = [[0, "ц", 1, 2], [0, "и", 2, 3], ["s", {"s": 1}], ["i", {"i": 1}]]
+    nodes = [[1, "ц", 1, 2], [1, "и", 2, 3], ["s", {"s": 1}], ["ts", {"ts": 1}]]
     broken = tmp_path / "shared.json"
     broken.write_text(
-        json.dumps({"format_version": 4,
-                    "table": {"ц": ["s"], "и": ["i"]}, "window": {"x": 0, "y": 0},
-                    "nodes": nodes},
+        json.dumps({"format_version": 5,
+                    "table": {"ц": ["s", "ts"], "и": ["i"]}, "window": {"x": 0, "y": 1},
+                    "trees": {"ц": nodes, "и": [["i", {}]]}},
                    ensure_ascii=False),
         encoding="utf-8",
     )
@@ -107,12 +109,44 @@ def test_model_with_shared_child_is_data_error(tmp_path, capsys):
     assert "node 2 has more than one parent" in captured.err
 
 
+def _break_ts_leaf(obj):
+    """Relabel a "ts" leaf of ц's tree as "x", which ц does not license."""
+    leaf = next(node for node in obj["trees"]["ц"] if node[0] == "ts")
+    leaf[0] = "x"
+
+
+@pytest.mark.parametrize(
+    ("breaks", "message"),
+    [
+        (_break_ts_leaf, "leaf label 'x' is not a table candidate"),
+        (lambda obj: obj["trees"].update(q=[["q", {"q": 1}]]),
+         "model trees are not one per table key: ['q']"),
+        (lambda obj: obj["trees"].pop("ц"), "model trees are not one per table key: ['ц']"),
+        (lambda obj: obj["trees"]["ц"][0].__setitem__(0, 2),
+         "tree of 'ц': node 0 tests the focus position 2"),
+        (lambda obj: obj.update(format_version=4, nodes=obj.pop("trees")["ц"]),
+         "format_version 4; this build reads 5, so retrain the model"),
+    ],
+    ids=["unlicensed-leaf", "non-key-tree", "missing-key-tree", "tests-focus", "format-4"],
+)
+def test_invalid_key_trees_are_data_errors(tmp_path, trained_model, capsys, breaks, message):
+    obj = json.loads(trained_model.read_bytes())
+    breaks(obj)
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(obj, ensure_ascii=False), encoding="utf-8")
+    code = main(["transliterate", "--model", str(broken), "--word", "цирк"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_deeply_nested_model_is_data_error(tmp_path, capsys):
     depth = 200_000
     broken = tmp_path / "deep.json"
     broken.write_text(
-        '{"format_version":4,"table":{"ц":["s"]},'
-        '"window":{"x":0,"y":0},"nodes":' + "[" * depth + "]" * depth + "}",
+        '{"format_version":5,"table":{"ц":["s"]},'
+        '"window":{"x":0,"y":0},"trees":{"ц":' + "[" * depth + "]" * depth + "}}",
         encoding="utf-8",
     )
     code = main(["transliterate", "--model", str(broken), "--word", "цирк"])

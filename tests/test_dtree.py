@@ -8,9 +8,9 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import Row, rows_of, samples_of
+from conftest import Row, blocks_of, open_table, rows_of, samples_of
 from uztranslit import dtree
-from uztranslit.aligner import align_word
+from uztranslit.aligner import align_corpus, align_word
 from uztranslit.alphabets import CYR2LAT, LAT2CYR, MappingTable, bundled_mapping_table
 from uztranslit.dtree import (
     EmptyCountsError,
@@ -18,8 +18,9 @@ from uztranslit.dtree import (
     InconsistentFeatureWidthError,
     ModelFormatError,
     ModelVersionError,
-    TranslitModel,
+    UnlicensedSampleError,
     WidthMismatchError,
+    _grow,
     _majority_label,
     deserialize,
     gini,
@@ -39,6 +40,10 @@ from uztranslit.gencorpus import gen_corpus
 from uztranslit.pipeline import SplitConfig, predict_segments, split_corpus, train_direction
 
 CYR2LAT_TABLE = bundled_mapping_table(CYR2LAT)
+_LETTERS = ["а", "б", "в"]
+_LABELS = ["", "a", "b", "ch"]
+# licenses every test label for the letters а to е; PAD is never a key
+OPEN_TABLE = open_table("абвгде", _LABELS)
 
 
 def table7_samples(cyr2lat_table):
@@ -73,48 +78,72 @@ def test_pure_fit_on_table7(cyr2lat_table):
 
 
 def test_single_sample_single_leaf():
-    model = train(samples_of([Row(("ф",), "b")], WindowSpec(0, 0)), CYR2LAT_TABLE)
-    assert predict(model, ("ф",)) == ["b"]
-    assert predict(model, ("ю",)) == ["b"]  # sole leaf catches everything
+    model = train(samples_of([Row(("ф",), "f")], WindowSpec(0, 0)), CYR2LAT_TABLE)
+    assert model.trees["ф"] == [["f", {"f": 1}]]
+    assert predict(model, ("ф",)) == ["f"]
+    # every other key was never seen: one leaf, its first candidate, no counts
+    assert set(model.trees) == set(CYR2LAT_TABLE.entries)
+    assert model.trees["ю"] == [["yu", {}]]
+    assert predict(model, ("ю",)) == ["yu"]
+    # a symbol that is no key labels itself
+    assert predict(model, ("q",)) == ["q"]
 
 
 def test_unsplittable_node_majority_vote():
     f = ("х", "у")
-    samples = [Row(f, "a"), Row(f, "a"), Row(f, "b")]
+    samples = [Row(f, "u"), Row(f, "u"), Row(f, "-u")]
     model = train(samples_of(samples, WindowSpec(1, 0)), CYR2LAT_TABLE)
-    assert predict(model, f) == ["a"]
+    assert predict(model, f) == ["u"]
 
 
 def test_majority_tie_breaks_lexicographically():
-    f = ("х",)
-    model = train(samples_of([Row(f, "b"), Row(f, "a")], WindowSpec(0, 0)), CYR2LAT_TABLE)
-    assert predict(model, f) == ["a"]
+    f = ("е",)
+    model = train(samples_of([Row(f, "ye"), Row(f, "e")], WindowSpec(0, 0)), CYR2LAT_TABLE)
+    assert predict(model, f) == ["e"]
 
 
 def test_empty_training_set():
     with pytest.raises(EmptyTrainingSetError):
         train(samples_of([], WindowSpec(1, 1)), CYR2LAT_TABLE)
+    # a key without labels
+    with pytest.raises(EmptyTrainingSetError):
+        train(Samples(WindowSpec(0, 0), {"а": {}}), CYR2LAT_TABLE)
 
 
 def test_inconsistent_width_rejected():
-    samples = [Row(("а", "б", "в"), "x"), Row(("а", "б"), "y")]
+    samples = [Row(("а", "б", "в"), "b"), Row(("а", "б"), "b")]
     with pytest.raises(InconsistentFeatureWidthError):
         train(samples_of(samples, WindowSpec(1, 1)), CYR2LAT_TABLE)
     # the right number of columns, one of them a symbol short
-    blocks = {"x": (("а",), ("б",), ("в",)), "y": (("а", "а"), ("б", "б"), ("в",))}
+    blocks = {"б": {"b": (("а", "а"), ("б", "б"), ("в",))}}
     with pytest.raises(InconsistentFeatureWidthError):
         train(Samples(WindowSpec(1, 1), blocks), CYR2LAT_TABLE)
     # a label without samples
     with pytest.raises(InconsistentFeatureWidthError):
-        train(Samples(WindowSpec(0, 0), {"x": (("а",),), "y": ((),)}), CYR2LAT_TABLE)
+        train(Samples(WindowSpec(0, 0), {"а": {"a": ((),)}}), CYR2LAT_TABLE)
 
 
-def test_split_that_leaves_a_child_empty_is_an_error(monkeypatch, cyr2lat_table):
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        {"q": {"q": (("q",),)}},  # the focus is no key
+        {"а": {"b": (("а",),)}},  # the label is not a candidate of the focus
+        {"а": {"a": (("б",),)}},  # filed under another focus
+    ],
+    ids=["focus-not-key", "label-not-candidate", "other-focus"],
+)
+def test_unlicensed_samples_rejected(blocks):
+    with pytest.raises(UnlicensedSampleError):
+        train(Samples(WindowSpec(0, 0), blocks), CYR2LAT_TABLE)
+
+
+def test_split_that_leaves_a_child_empty_is_an_error(monkeypatch, synthetic_small, cyr2lat_table):
     # Without the subtraction the larger child keeps its parent's counts
     # and picks a split that moves nothing; growth must stop with an
     # error, and within the time bound rather than by exhausting memory.
     monkeypatch.setattr(dtree, "_subtract", lambda *args: None)
-    samples = samples_of(table7_samples(cyr2lat_table), WindowSpec(2, 1))
+    alignments, _ = align_corpus(synthetic_small.pairs, cyr2lat_table)
+    samples = dedup_samples(extract_samples(alignments, WindowSpec(2, 1)))
 
     def out_of_time(signum, frame):
         raise TimeoutError("growth did not stop within 5 s")
@@ -137,24 +166,30 @@ def test_predict_width_mismatch(cyr2lat_table):
     assert predict(model, window_features("", model.window)) == []
 
 
-def test_unseen_symbols_follow_false_branch(cyr2lat_table):
-    model = train(samples_of(table7_samples(cyr2lat_table), WindowSpec(2, 1)), CYR2LAT_TABLE)
-    # '9' was never in training; prediction still lands on some leaf
-    [label] = predict(model, ("9", "9", "9", "9"))
-    assert isinstance(label, str)
+def test_unseen_symbols_follow_false_branch(synthetic_small, cyr2lat_table):
+    model = train_direction(synthetic_small, WindowSpec(2, 1), cyr2lat_table)
+    # '9' was never in training; each key's window still lands on a leaf
+    # of its own tree, a segment the table licenses for it
+    for key, candidates in cyr2lat_table.entries.items():
+        assert predict(model, ("9", "9", key, "9"))[0] in candidates
 
 
-def test_internal_nodes_have_both_sides(cyr2lat_table):
-    model = train(samples_of(table7_samples(cyr2lat_table), WindowSpec(2, 1)), CYR2LAT_TABLE)
-    nodes = model.nodes
-    children = []
-    for i, node in enumerate(nodes):
-        if len(node) == 4:
-            # pre-order, eq subtree first: eq is the next node, ne follows it
-            assert node[2] == i + 1 < node[3] < len(nodes)
-            children += node[2:]
-    # every node but the root is the child of exactly one node
-    assert sorted(children) == list(range(1, len(nodes)))
+def test_internal_nodes_have_both_sides(lexicon, cyr2lat_table):
+    model = train_direction(lexicon, WindowSpec(2, 3), cyr2lat_table)
+    splits = 0
+    for nodes in model.trees.values():
+        children = []
+        for i, node in enumerate(nodes):
+            if len(node) == 4:
+                # pre-order, eq subtree first: eq is the next node, ne follows it
+                assert node[2] == i + 1 < node[3] < len(nodes)
+                # the focus is the same in all of a key's samples
+                assert node[0] != model.window.x
+                children += node[2:]
+                splits += 1
+        # every node but the root is the child of exactly one node
+        assert sorted(children) == list(range(1, len(nodes)))
+    assert splits > 10
 
 
 def test_training_deterministic(cyr2lat_table):
@@ -166,13 +201,24 @@ def test_training_deterministic(cyr2lat_table):
 
 def _random_samples(rng, n, width, n_symbols=6, n_labels=4):
     symbols = [chr(ord("а") + k) for k in range(n_symbols)] + [PAD]
-    labels = ["", "a", "b", "ch"][:n_labels]
+    labels = _LABELS[:n_labels]
     return [
         Row(
             tuple(rng.choice(symbols) for _ in range(width)),
             rng.choice(labels),
         )
         for _ in range(n)
+    ]
+
+
+def _focus_on_letters(samples, x):
+    """``samples`` with a PAD at the focus position ``x`` replaced by "в":
+    a source character is never PAD, and every letter is a key of
+    OPEN_TABLE."""
+    return [
+        Row(s.features[:x] + ("в",) + s.features[x + 1 :], s.label)
+        if s.features[x] == PAD else s
+        for s in samples
     ]
 
 
@@ -188,14 +234,14 @@ def _conflict_free(samples):
 @given(seed=st.integers(0, 10_000), n=st.integers(1, 60))
 def test_pure_fit_property(seed, n):
     rng = random.Random(seed)
-    samples = _random_samples(rng, n, width=3)
+    samples = _focus_on_letters(_random_samples(rng, n, width=3), 1)
     # keep the first label seen per feature vector: conflict-free by construction
     kept = {}
     for s in samples:
         kept.setdefault(s.features, s)
     samples = list(kept.values())
     assert _conflict_free(samples)
-    model = train(samples_of(samples, WindowSpec(1, 1)), CYR2LAT_TABLE)
+    model = train(samples_of(samples, WindowSpec(1, 1)), OPEN_TABLE)
     assert all(predict(model, s.features) == [s.label] for s in samples)
 
 
@@ -227,8 +273,8 @@ def _oracle_best_decrease(samples):
     return best
 
 
-def _chosen_decrease(samples, model):
-    root = model.nodes[0]
+def _chosen_decrease(samples, nodes):
+    root = nodes[0]
     if len(root) != 4:
         return None
     feature_index, test_symbol = root[:2]
@@ -255,10 +301,8 @@ def test_split_matches_bruteforce_oracle():
     checked = 0
     for _ in range(100):
         samples = _random_samples(rng, rng.randint(2, 50), width=rng.randint(1, 4))
-        window = WindowSpec(0, len(samples[0].features) - 1)
-        model = train(samples_of(samples, window), CYR2LAT_TABLE)
         oracle = _oracle_best_decrease(samples)
-        chosen = _chosen_decrease(samples, model)
+        chosen = _chosen_decrease(samples, _grow(blocks_of(samples)))
         if chosen is None:
             # trainer refused to split; oracle must agree nothing helps
             assert oracle <= 1e-12
@@ -283,9 +327,9 @@ def test_serialize_roundtrip_identical_predictions(cyr2lat_table):
 def test_serialized_pad_literal():
     # PAD carries the whole signal here, so it must become a test symbol
     samples = [
-        Row((PAD, "а"), "x"),
-        Row(("б", "а"), "y"),
-        Row(("в", "а"), "y"),
+        Row((PAD, "е"), "ye"),
+        Row(("б", "е"), "e"),
+        Row(("в", "е"), "e"),
     ]
     payload = serialize(train(samples_of(samples, WindowSpec(1, 0)), CYR2LAT_TABLE))
     assert '[0,"∅-PAD",1,2]' in payload.decode("utf-8")
@@ -302,12 +346,17 @@ def test_future_version_rejected(cyr2lat_table):
     samples = samples_of(table7_samples(cyr2lat_table), WindowSpec(2, 1))
     payload = serialize(train(samples, CYR2LAT_TABLE))
     obj = json.loads(payload)
-    # version 1 stored a nested tree, version 2 a table fingerprint and
-    # version 3 a direction beside the table; such files must be retrained
+    # version 1 stored a nested tree, version 2 a table fingerprint,
+    # version 3 a direction beside the table and version 4 one tree for
+    # every key; such files must be retrained
     for version in (99, 1):
         obj["format_version"] = version
         with pytest.raises(ModelVersionError, match="retrain"):
             deserialize(json.dumps(obj).encode("utf-8"))
+    obj["format_version"] = 4
+    obj["nodes"] = obj.pop("trees")["з"]
+    with pytest.raises(ModelVersionError, match="retrain"):
+        deserialize(json.dumps(obj).encode("utf-8"))
     obj["format_version"] = 3
     obj["direction"] = ["cyrillic", "latin"]
     with pytest.raises(ModelVersionError, match="retrain"):
@@ -321,9 +370,9 @@ def test_future_version_rejected(cyr2lat_table):
 
 def test_structural_corruption_rejected():
     with pytest.raises(ModelFormatError):
-        deserialize('{"format_version": 4, '
+        deserialize('{"format_version": 5, '
                     '"window": {"x": 1, "y": 1}, "table": {"а": ["a"]}, '
-                    '"nodes": [[0, "x", 1]]}'.encode("utf-8"))
+                    '"trees": {"а": [[0, "x", 1]]}}'.encode("utf-8"))
 
 
 def test_save_load_model(tmp_path, cyr2lat_table):
@@ -340,23 +389,24 @@ def test_model_direction_follows_table_keys():
     table = MappingTable({"a": ("а",)})
     assert table.direction == LAT2CYR
     payload = serialize(train(samples_of([Row(("a",), "а")], WindowSpec(0, 0)), table))
-    assert sorted(json.loads(payload)) == ["format_version", "nodes", "table", "window"]
+    assert sorted(json.loads(payload)) == ["format_version", "table", "trees", "window"]
     assert deserialize(payload).direction == LAT2CYR
 
 
 def test_cyrillic_keyed_model_file_loads_as_cyr2lat():
     obj = {
-        "format_version": 4,
+        "format_version": 5,
         "window": {"x": 0, "y": 0},
         "table": {"х": ["x"], "ш": ["sh"]},
-        "nodes": [["x", {"x": 1}]],
+        "trees": {"х": [["x", {"x": 1}]], "ш": [["sh", {}]]},
     }
     assert deserialize(json.dumps(obj).encode("utf-8")).direction == CYR2LAT
 
 
-_LEAVES = [["a", {"a": 1}], ["b", {"b": 1}]]
+_LEAVES = [["о", {"о": 1}], ["ў", {"ў": 1}]]
 _SPLIT = [0, "x", 1, 2]
 _MISSING = object()
+_X_TREE = [["х", {}]]  # a key training never saw
 
 
 @pytest.mark.parametrize(
@@ -381,13 +431,20 @@ _MISSING = object()
         pytest.param("nodes", [[0, "x", 1, 1], *_LEAVES], id="child-twice"),
         pytest.param("nodes", [[0, "x", 1, 2], [0, "y", 2, 3], *_LEAVES], id="leaf-shared"),
         pytest.param("nodes", [_SPLIT, *_LEAVES, _LEAVES[0]], id="node-orphaned"),
-        pytest.param("nodes", [_SPLIT, [1, {"a": 1}], _LEAVES[1]], id="label-not-str"),
-        pytest.param("nodes", [_SPLIT, ["a", {}], _LEAVES[1]], id="counts-empty"),
-        pytest.param("nodes", [_SPLIT, ["a", [["a", 1]]], _LEAVES[1]], id="counts-not-map"),
-        pytest.param("nodes", [_SPLIT, ["a", {"a": 0}], _LEAVES[1]], id="count-zero"),
-        pytest.param("nodes", [_SPLIT, ["a", {"a": -1}], _LEAVES[1]], id="count-negative"),
-        pytest.param("nodes", [_SPLIT, ["a", {"a": True}], _LEAVES[1]], id="count-bool"),
-        pytest.param("nodes", [_SPLIT, ["a", {"a": 1.0}], _LEAVES[1]], id="count-float"),
+        pytest.param("nodes", [_SPLIT, [1, {"о": 1}], _LEAVES[1]], id="label-not-str"),
+        pytest.param("nodes", [_SPLIT, ["х", {"х": 1}], _LEAVES[1]], id="label-unlicensed"),
+        pytest.param("nodes", [_SPLIT, ["о", {}], _LEAVES[1]], id="counts-empty"),
+        pytest.param("nodes", [_SPLIT, ["о", [["о", 1]]], _LEAVES[1]], id="counts-not-map"),
+        pytest.param("nodes", [_SPLIT, ["о", {"о": 0}], _LEAVES[1]], id="count-zero"),
+        pytest.param("nodes", [_SPLIT, ["о", {"о": -1}], _LEAVES[1]], id="count-negative"),
+        pytest.param("nodes", [_SPLIT, ["о", {"о": True}], _LEAVES[1]], id="count-bool"),
+        pytest.param("nodes", [_SPLIT, ["о", {"о": 1.0}], _LEAVES[1]], id="count-float"),
+        pytest.param("nodes", [[1, "x", 1, 2], *_LEAVES], id="tests-focus"),
+        pytest.param("trees", {"x": _X_TREE}, id="trees-missing-key"),
+        pytest.param("trees", {"x": _X_TREE, "o": [_LEAVES[0]], "q": [_LEAVES[0]]},
+                     id="trees-non-key"),
+        pytest.param("trees", [["x", _X_TREE]], id="trees-not-object"),
+        pytest.param("trees", _MISSING, id="trees-missing"),
         pytest.param("window", {"x": 1.0, "y": 0}, id="x-float"),
         pytest.param("window", {"x": True, "y": 0}, id="x-bool"),
         pytest.param("window", {"x": 1, "y": 0.0}, id="y-float"),
@@ -405,18 +462,21 @@ _MISSING = object()
     ],
 )
 def test_bad_feature_index_rejected(field, value):
-    """Bad feature indices, every other malformed node list, and
-    malformed windows and tables, from a base object that loads."""
+    """Bad feature indices, every other malformed node list (as the tree
+    of key "o"), a tree set that is not one tree per key, and malformed
+    windows and tables, from a base object that loads."""
     obj = {
-        "format_version": 4,
+        "format_version": 5,
         "window": {"x": 1, "y": 0},
         "table": {"x": ["х"], "o": ["о", "ў"]},
-        "nodes": [_SPLIT, *_LEAVES],
+        "trees": {"x": _X_TREE, "o": [_SPLIT, *_LEAVES]},
     }
     loaded = deserialize(json.dumps(obj).encode("utf-8"))
-    assert loaded.nodes == obj["nodes"]
+    assert loaded.trees == obj["trees"]
     assert loaded.table.entries == {"x": ("х",), "o": ("о", "ў")}
-    if value is _MISSING:
+    if field == "nodes":
+        obj["trees"]["o"] = value
+    elif value is _MISSING:
         del obj[field]
     else:
         obj[field] = value
@@ -427,7 +487,8 @@ def test_bad_feature_index_rejected(field, value):
 # Reference grower: the rescanning implementation that histogram
 # subtraction replaced, kept verbatim. Every node rebuilds its histograms
 # and label counts from its sample indices, which makes it slow but
-# obviously correct; train() must produce the same bytes.
+# obviously correct; _grow must produce the same nodes, and train() the
+# same tree for every key.
 
 def _best_split(feats, labs, indices, counts, width):
     """Exhaustively score every (position, symbol) equality split.
@@ -481,7 +542,7 @@ def _best_split(feats, labs, indices, counts, width):
     return p, symbol, eq_idx, ne_idx
 
 
-def _grow(feats, labs, width) -> list[list]:
+def _grow_reference(feats, labs, width) -> list[list]:
     # Iterative with an explicit stack; equality-split chains get deep
     # enough to threaten the interpreter recursion limit. Nodes are
     # appended in pre-order, eq subtree first; a child's index goes into
@@ -511,13 +572,13 @@ def _grow(feats, labs, width) -> list[list]:
     return nodes
 
 
-def _reference_bytes(samples, window):
-    nodes = _grow([s.features for s in samples], [s.label for s in samples], window.width)
-    return serialize(TranslitModel(nodes=nodes, window=window, table=CYR2LAT_TABLE))
+def _reference_nodes(samples):
+    return _grow_reference(
+        [s.features for s in samples], [s.label for s in samples], len(samples[0].features)
+    )
 
 
-_SYMBOLS = ["а", "б", "в", PAD]
-_LABELS = ["", "a", "b", "ch"]
+_SYMBOLS = [*_LETTERS, PAD]
 
 
 @st.composite
@@ -550,10 +611,8 @@ def _sample_sets(draw):
 @settings(max_examples=200, deadline=None)
 @given(case=_sample_sets())
 def test_matches_reference_grower(case):
-    width, samples = case
-    window = WindowSpec(0, width - 1)
-    got = serialize(train(samples_of(samples, window), CYR2LAT_TABLE))
-    assert got == _reference_bytes(samples, window)
+    _, samples = case
+    assert _grow(blocks_of(samples)) == _reference_nodes(samples)
 
 
 _MANY_SYMBOLS = ["а", "б", "в", "г", "д", "е", "ж", PAD]
@@ -585,59 +644,12 @@ def _many_label_sets(draw):
 @settings(max_examples=200, deadline=None)
 @given(case=_many_label_sets())
 def test_matches_reference_grower_with_many_labels(case):
-    width, samples = case
-    window = WindowSpec(0, width - 1)
-    got = serialize(train(samples_of(samples, window), CYR2LAT_TABLE))
-    assert got == _reference_bytes(samples, window)
+    _, samples = case
+    assert _grow(blocks_of(samples)) == _reference_nodes(samples)
 
 
-def test_xor_block_matches_reference_grower():
-    samples = [
-        Row((a, b), "a" if a == b else "b") for a in ("а", "б") for b in ("а", "б")
-    ]
-    window = WindowSpec(1, 0)
-    model = train(samples_of(samples, window), CYR2LAT_TABLE)
-    assert len(model.nodes[0]) == 4  # the root splits
-    assert serialize(model) == _reference_bytes(samples, window)
-    assert all(predict(model, s.features) == [s.label] for s in samples)
-
-
-@pytest.mark.parametrize(("x", "y"), [(0, 0), (1, 2), (3, 1)])
-def test_matches_reference_grower_on_synthetic(synthetic_small, cyr2lat_table, x, y):
-    from uztranslit.aligner import align_corpus
-
-    alignments, _ = align_corpus(synthetic_small.pairs, cyr2lat_table)
-    window = WindowSpec(x, y)
-    samples = dedup_samples(extract_samples(alignments, window))
-    got = serialize(train(samples, CYR2LAT_TABLE))
-    assert got == _reference_bytes(rows_of(samples), window)
-
-
-@settings(max_examples=100, deadline=None)
-@given(case=_sample_sets(), rng=st.randoms(use_true_random=False))
-def test_training_ignores_sample_order(case, rng):
-    # The tree depends only on the multiset of (window, label) samples,
-    # so neither the label order nor the order within a block matters.
-    width, samples = case
-    window = WindowSpec(0, width - 1)
-    shuffled = list(samples)
-    rng.shuffle(shuffled)
-    given_samples = samples_of(samples, window)
-    # list columns, which a grower could write into; train only reads them
-    as_lists = {label: [list(c) for c in block] for label, block in given_samples.blocks.items()}
-    got = serialize(train(Samples(window, as_lists), CYR2LAT_TABLE))
-    assert as_lists == {
-        label: [list(c) for c in block] for label, block in given_samples.blocks.items()
-    }
-    assert serialize(train(samples_of(shuffled, window), CYR2LAT_TABLE)) == got
-
-
-# Reference walk: the binary index walk that the compiled switches
-# replaced. predict must return the same label for every valid file and
-# every feature vector.
-
-def _reference_predict(model, features):
-    nodes = model.nodes
+def _walk(nodes, features):
+    """The label of ``features`` under one tree's node list."""
     node = nodes[0]
     while len(node) == 4:
         f, s, eq, ne = node
@@ -645,37 +657,107 @@ def _reference_predict(model, features):
     return node[0]
 
 
+def test_xor_block_matches_reference_grower():
+    samples = [
+        Row((a, b), "a" if a == b else "b") for a in ("а", "б") for b in ("а", "б")
+    ]
+    nodes = _grow(blocks_of(samples))
+    assert len(nodes[0]) == 4  # the root splits
+    assert nodes == _reference_nodes(samples)
+    assert all(_walk(nodes, s.features) == s.label for s in samples)
+
+
+@pytest.mark.parametrize(("x", "y"), [(0, 0), (1, 2), (3, 1)])
+def test_matches_reference_grower_on_synthetic(synthetic_small, cyr2lat_table, x, y):
+    """Each key's tree is the reference grower's on that key's
+    deduplicated samples, and a key without samples gets its one leaf."""
+    alignments, _ = align_corpus(synthetic_small.pairs, cyr2lat_table)
+    window = WindowSpec(x, y)
+    samples = dedup_samples(extract_samples(alignments, window))
+    model = train(samples, cyr2lat_table)
+    assert list(model.trees) == list(cyr2lat_table.entries)
+    by_focus = {}
+    for row in rows_of(samples):
+        by_focus.setdefault(row.features[x], []).append(row)
+    assert len(by_focus) > 20
+    for key, candidates in cyr2lat_table.entries.items():
+        if key in by_focus:
+            assert model.trees[key] == _reference_nodes(by_focus[key]), key
+        else:
+            assert model.trees[key] == [[candidates[0], {}]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_sample_sets(), rng=st.randoms(use_true_random=False))
+def test_training_ignores_sample_order(case, rng):
+    # A tree depends only on the multiset of (window, label) samples, so
+    # neither the key or label order nor the order within a block matters.
+    width, samples = case
+    window = WindowSpec(0, width - 1)
+    samples = _focus_on_letters(samples, 0)
+    shuffled = list(samples)
+    rng.shuffle(shuffled)
+    given_samples = samples_of(samples, window)
+    # list columns, which a grower could write into; train only reads them
+    as_lists = {
+        focus: {label: [list(c) for c in block] for label, block in labels.items()}
+        for focus, labels in given_samples.blocks.items()
+    }
+    got = serialize(train(Samples(window, as_lists), OPEN_TABLE))
+    assert as_lists == {
+        focus: {label: [list(c) for c in block] for label, block in labels.items()}
+        for focus, labels in given_samples.blocks.items()
+    }
+    assert serialize(train(samples_of(shuffled, window), OPEN_TABLE)) == got
+
+
+# Reference walk: the binary index walk of the focus symbol's tree, which
+# the compiled switches replaced. predict must return the same label for
+# every valid file and every feature vector.
+
+def _reference_predict(model, features):
+    focus = features[model.window.x]
+    if focus not in model.trees:
+        return focus
+    return _walk(model.trees[focus], features)
+
+
 def _leaf(label):
     return [label, {label: 1}]
 
 
-def _model_file(nodes, window=WindowSpec(1, 0)):
+_FILE_TABLE = {"а": [*_LABELS, "d", "w", "x", "z"], "б": _LABELS}
+
+
+def _model_file(trees, window=WindowSpec(0, 2), table=_FILE_TABLE):
     obj = {
-        "format_version": 4,
+        "format_version": 5,
         "window": {"x": window.x, "y": window.y},
-        "table": {"а": ["a"], "б": ["b"]},
-        "nodes": nodes,
+        "table": table,
+        "trees": trees,
     }
     return json.dumps(obj, ensure_ascii=False).encode("utf-8")
 
 
 def test_chain_compiles_to_one_switch_where_the_earlier_test_wins():
-    # position 0 is tested for "а" twice; the second test is unreachable
-    nodes = [[0, "а", 1, 2], _leaf("x"), [0, "а", 3, 4], _leaf("z"),
-             [0, "б", 5, 6], _leaf("w"), _leaf("d")]
-    model = deserialize(_model_file(nodes, WindowSpec(0, 0)))
-    assert model.switches == (0, {"а": "x", "б": "w"}, "d")
+    # position 1 is tested for "а" twice; the second test is unreachable
+    nodes = [[1, "а", 1, 2], _leaf("x"), [1, "а", 3, 4], _leaf("z"),
+             [1, "б", 5, 6], _leaf("w"), _leaf("d")]
+    model = deserialize(_model_file({"а": nodes, "б": [_leaf("b")]}, WindowSpec(0, 1)))
+    assert model.switches == {"а": (1, {"а": "x", "б": "w"}, "d"), "б": "b"}
     for symbol in ("а", "б", "в"):
-        assert predict(model, (symbol,)) == [_reference_predict(model, (symbol,))]
+        assert predict(model, ("а", symbol)) == [_reference_predict(model, ("а", symbol))]
 
 
 @settings(max_examples=100, deadline=None)
 @given(case=_sample_sets())
 def test_compiled_walk_matches_reference_on_trained_trees(case):
     width, samples = case
-    model = train(samples_of(samples, WindowSpec(0, width - 1)), CYR2LAT_TABLE)
-    # every vector over the training symbols and one unseen symbol
-    for features in itertools.product([*_SYMBOLS, "г"], repeat=width):
+    window = WindowSpec(0, width - 1)
+    model = train(samples_of(_focus_on_letters(samples, 0), window), OPEN_TABLE)
+    # every vector over the training symbols, a key that training never
+    # saw and a symbol that is no key, which like PAD labels itself
+    for features in itertools.product([*_SYMBOLS, "г", "q"], repeat=width):
         assert predict(model, features) == [_reference_predict(model, features)]
 
 
@@ -707,15 +789,15 @@ def _flatten(tree) -> list[list]:
     return nodes
 
 
-# Chains of one to six links over two positions and three symbols, so a
-# chain often repeats a symbol or alternates positions, and an eq subtree
-# is often a chain itself.
+# Chains of one to six links over the two context positions of the
+# window (0, 2) and three symbols, so a chain often repeats a symbol or
+# alternates positions, and an eq subtree is often a chain itself.
 _hand_made_trees = st.recursive(
     st.sampled_from(_LABELS).map(_leaf),
     lambda sub: st.builds(
         _chain,
         st.lists(
-            st.tuples(st.integers(0, 1), st.sampled_from(["а", "б", PAD]), sub),
+            st.tuples(st.integers(1, 2), st.sampled_from(["а", "б", PAD]), sub),
             min_size=1,
             max_size=6,
         ),
@@ -723,26 +805,29 @@ _hand_made_trees = st.recursive(
     ),
     max_leaves=25,
 )
+_hand_made_files = st.builds(
+    lambda a, b: deserialize(_model_file({"а": _flatten(a), "б": _flatten(b)})),
+    _hand_made_trees,
+    _hand_made_trees,
+)
 
 
 @settings(max_examples=150, deadline=None)
-@given(tree=_hand_made_trees)
-def test_compiled_walk_matches_reference_on_hand_made_files(tree):
-    model = deserialize(_model_file(_flatten(tree)))
-    for features in itertools.product(["а", "б", PAD, "в"], repeat=2):
+@given(model=_hand_made_files)
+def test_compiled_walk_matches_reference_on_hand_made_files(model):
+    for features in itertools.product(["а", "б", PAD, "в"], repeat=3):
         assert predict(model, features) == [_reference_predict(model, features)]
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    tree=_hand_made_trees,
-    symbols=st.lists(st.sampled_from(["а", "б", PAD, "в"]), min_size=1, max_size=12),
+    model=_hand_made_files,
+    symbols=st.lists(st.sampled_from(["а", "б", PAD, "в"]), min_size=2, max_size=12),
 )
-def test_walk_over_a_sequence_labels_every_window(tree, symbols):
+def test_walk_over_a_sequence_labels_every_window(model, symbols):
     """One call over a sequence longer than the width, with PAD and the
     unseen symbol "в" anywhere in it, labels each of its windows as the
     reference walk labels that window's slice."""
-    model = deserialize(_model_file(_flatten(tree)))
     width = model.window.width
     expected = [
         _reference_predict(model, symbols[i : i + width])
@@ -751,16 +836,18 @@ def test_walk_over_a_sequence_labels_every_window(tree, symbols):
     assert predict(model, symbols) == expected
 
 
-def _long_chain(links, positions):
-    """An ne chain of ``links`` tests, link k testing position
-    ``k % positions`` for the symbol ``str(k)`` with leaf ``l<k>`` on eq,
-    ending in the leaf ``default``."""
+def _long_chain_file(links, positions):
+    """A model file whose key "а" holds an ne chain of ``links`` tests,
+    link k testing position ``1 + k % positions`` of the window (0, 2)
+    for the symbol ``str(k)`` with leaf ``l<k>`` on eq, ending in the leaf
+    ``default``; key "б" holds one leaf."""
     nodes: list[list] = []
     for k in range(links):
         i = len(nodes)
-        nodes += [[k % positions, str(k), i + 1, i + 2], _leaf(f"l{k}")]
+        nodes += [[1 + k % positions, str(k), i + 1, i + 2], _leaf(f"l{k}")]
     nodes.append(_leaf("default"))
-    return nodes
+    table = {"а": [f"l{k}" for k in range(links)] + ["default"], "б": ["b"]}
+    return _model_file({"а": nodes, "б": [_leaf("b")]}, table=table)
 
 
 def _stack_depth():
@@ -774,49 +861,45 @@ def _stack_depth():
 
 @pytest.mark.parametrize("positions", [1, 2], ids=["one-position", "alternating"])
 def test_long_chain_file_compiles_in_one_pass(positions):
-    """A 100,001-node ne chain loads and predicts with the interpreter's
-    recursion limit barely above the current stack depth. On one position
-    it is one switch; alternating positions leave 50,000 nested switches,
-    which the walk still follows in a loop."""
+    """A key whose tree is a 100,001-node ne chain loads and predicts with
+    the interpreter's recursion limit barely above the current stack
+    depth. On one position it is one switch; alternating positions leave
+    50,000 nested switches, which the walk still follows in a loop."""
     links = 50_000
-    payload = _model_file(_long_chain(links, positions))
+    payload = _long_chain_file(links, positions)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 30)
     try:
         model = deserialize(payload)
-        got = [predict(model, (str(k), str(k))) for k in (0, 1, 25_000, links - 1)]
-        unseen = predict(model, ("x", "x"))
+        got = [predict(model, ("а", str(k), str(k))) for k in (0, 1, 25_000, links - 1)]
+        unseen = predict(model, ("а", "x", "x"))
     finally:
         sys.setrecursionlimit(limit)
     assert got == [["l0"], ["l1"], ["l25000"], [f"l{links - 1}"]]
     assert unseen == ["default"]
     if positions == 1:
-        f, cases, default = model.switches
-        assert (f, len(cases), default) == (0, links, "default")
+        f, cases, default = model.switches["а"]
+        assert (f, len(cases), default) == (1, links, "default")
 
 
 @pytest.mark.parametrize(
     ("positions", "expected"),
-    [(1, ["0", "l0", "9", "l9", "1", "l1"]), (2, ["0", "l0", "9", "default", "1", "default"])],
+    [(1, ["l0", "0", "l9", "9", "b"]), (2, ["l0", "0", "default", "9", "b"])],
     ids=["one-position", "alternating"],
 )
 def test_long_chain_file_transliterates_in_one_pass(positions, expected):
     """pipeline.predict_segments on the chain above, under the same
-    recursion limit. The focus is position 1, so on alternating positions
-    every key rebuilds the 25,000 switches on position 0 with their focus
-    tests resolved; on one position every key shares the root. Digits are
-    not table keys and pass through."""
-    payload = _model_file(_long_chain(50_000, positions))
+    recursion limit. Each "а" walks the chain and "б" its one leaf; the
+    digits are not table keys and pass through."""
+    payload = _long_chain_file(50_000, positions)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 30)
     try:
         model = deserialize(payload)
-        got = predict_segments(model, "0а9б1а")
+        got = predict_segments(model, "а0а9б")
     finally:
         sys.setrecursionlimit(limit)
     assert got == expected
-    if positions == 1:
-        assert all(resolved is model.switches for resolved in model.by_focus.values())
 
 
 @pytest.mark.parametrize(("direction", "x", "y"), [(CYR2LAT, 2, 3), (LAT2CYR, 4, 3)])
@@ -839,51 +922,30 @@ def test_lexicon_models_match_reference_walk(lexicon, direction, x, y):
     assert mismatched == []
 
 
-# Per-key resolved switches: model.by_focus[key] is model.switches with
-# every test of the focus position resolved for that key, and predict
-# starts a window there when its focus symbol is a key.
+# By focus: model.switches holds, per table key, that key's tree compiled
+# for predict, and predict starts a window at its focus symbol's entry.
 
-def _resolved(node, x, key):
-    """Reference resolution, recursive: a switch on ``x`` becomes its case
-    for ``key`` (or its default), and a subtree that tests ``x`` nowhere is
-    returned as the same object."""
-    while type(node) is tuple and node[0] == x:
-        node = node[1].get(key, node[2])
-    if type(node) is not tuple:
-        return node
-    f, cases, default = node
-    new_cases = {s: _resolved(child, x, key) for s, child in cases.items()}
-    new_default = _resolved(default, x, key)
-    if new_default is default and all(new_cases[s] is child for s, child in cases.items()):
-        return node
-    return (f, new_cases, new_default)
-
-
-def _switch_ids(node):
-    """Ids of every switch object in a compiled tree."""
-    ids = set()
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        if type(node) is tuple:
-            ids.add(id(node))
-            stack.extend(node[1].values())
-            stack.append(node[2])
-    return ids
+def _reference_compile(nodes, i=0):
+    """Reference compilation, recursive: a leaf becomes its label, and a
+    test joins the switch its ne child compiled to when that switch tests
+    the same position, its own symbol overriding a deeper test of it."""
+    node = nodes[i]
+    if len(node) == 2:
+        return node[0]
+    f, s, eq, ne = node
+    rest = _reference_compile(nodes, ne)
+    if type(rest) is tuple and rest[0] == f:
+        return (f, {**rest[1], s: _reference_compile(nodes, eq)}, rest[2])
+    return (f, {s: _reference_compile(nodes, eq)}, rest)
 
 
 def _check_by_focus(model, symbols):
-    """by_focus holds one entry per table key, equal to the reference
-    resolution and sharing exactly the subtrees it shares; and predict
-    equals the reference walk on every window over ``symbols``, whatever
-    symbol sits at the focus."""
-    x = model.window.x
-    original = _switch_ids(model.switches)
-    assert set(model.by_focus) == set(model.table.entries)
-    for key, resolved in model.by_focus.items():
-        expected = _resolved(model.switches, x, key)
-        assert resolved == expected
-        assert _switch_ids(resolved) & original == _switch_ids(expected) & original
+    """switches holds one entry per table key, equal to the reference
+    compilation of that key's tree; and predict equals the reference walk
+    on every window over ``symbols``, whatever symbol sits at the focus."""
+    assert list(model.switches) == list(model.table.entries)
+    for key, compiled in model.switches.items():
+        assert compiled == _reference_compile(model.trees[key])
     for features in itertools.product(symbols, repeat=model.window.width):
         assert predict(model, features) == [_reference_predict(model, features)]
 
@@ -891,38 +953,46 @@ def _check_by_focus(model, symbols):
 @settings(max_examples=100, deadline=None)
 @given(case=_sample_sets(), x=st.integers(0, 3))
 def test_by_focus_matches_reference_on_trained_trees(case, x):
-    # the training symbols are keys of the cyr2lat table; "q" is not
+    # "г" is a key training never saw and "q" is no key
     width, samples = case
     x = min(x, width - 1)
-    model = train(samples_of(samples, WindowSpec(x, width - 1 - x)), CYR2LAT_TABLE)
-    _check_by_focus(model, [*_SYMBOLS, "q"])
+    samples = _focus_on_letters(samples, x)
+    model = train(samples_of(samples, WindowSpec(x, width - 1 - x)), OPEN_TABLE)
+    _check_by_focus(model, [*_SYMBOLS, "г", "q"])
 
 
 @settings(max_examples=150, deadline=None)
-@given(tree=_hand_made_trees)
-def test_by_focus_matches_reference_on_hand_made_files(tree):
-    # the focus is position 1; the keys are "а" and "б", and "в" is not one
-    _check_by_focus(deserialize(_model_file(_flatten(tree))), ["а", "б", PAD, "в"])
+@given(model=_hand_made_files)
+def test_by_focus_matches_reference_on_hand_made_files(model):
+    # the focus is position 0; the keys are "а" and "б", and "в" is not one
+    _check_by_focus(model, ["а", "б", PAD, "в"])
 
 
 @pytest.mark.parametrize(
-    ("tree", "by_focus"),
+    ("trees", "switches"),
     [
-        # a focus test below a test of the other position
-        ((0, "а", (1, "б", ["p"], ["q"]), ["r"]),
-         {"а": (0, {"а": "q"}, "r"), "б": (0, {"а": "p"}, "r")}),
-        # a key tested twice in one chain: the first test wins
-        ((1, "а", ["x"], (1, "а", ["z"], (1, "б", ["w"], ["d"]))),
-         {"а": "x", "б": "w"}),
-        # "б" is never tested, so it takes every default
-        ((1, "а", ["x"], (0, "б", ["y"], ["d"])),
-         {"а": "x", "б": (0, {"б": "y"}, "d")}),
-        # a tree that is a single leaf
-        (["only"], {"а": "only", "б": "only"}),
+        # a test of the focus below a test of another position: no tree of
+        # a key's samples holds one, and loading refuses it
+        ({"а": (1, "а", (0, "б", ["a"], ["b"]), ["ch"]), "б": ["b"]}, None),
+        # a symbol tested twice in one chain: the first test wins
+        ({"а": (1, "а", ["x"], (1, "а", ["z"], (1, "б", ["w"], ["d"]))), "б": ["b"]},
+         {"а": (1, {"а": "x", "б": "w"}, "d"), "б": "b"}),
+        # "б" was never seen in training: its one leaf, with no counts
+        ({"а": (2, PAD, ["a"], ["b"]), "б": [["b", {}]]},
+         {"а": (2, {PAD: "a"}, "b"), "б": "b"}),
+        # every tree a single leaf
+        ({"а": ["a"], "б": [""]}, {"а": "a", "б": ""}),
     ],
     ids=["focus-below-other", "key-tested-twice", "key-never-tested", "single-leaf"],
 )
-def test_by_focus_on_hand_made_files(tree, by_focus):
-    model = deserialize(_model_file(_flatten(tree)))
-    assert model.by_focus == by_focus
+def test_by_focus_on_hand_made_files(trees, switches):
+    payload = _model_file({
+        key: tree if isinstance(tree[0], list) else _flatten(tree) for key, tree in trees.items()
+    })
+    if switches is None:
+        with pytest.raises(ModelFormatError, match="tests the focus position 0"):
+            deserialize(payload)
+        return
+    model = deserialize(payload)
+    assert model.switches == switches
     _check_by_focus(model, ["а", "б", PAD, "в"])

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import Row, by_label, rows_of, samples_of
+from conftest import Row, by_key, rows_of, samples_of
 from uztranslit.aligner import AlignedPair, align_word
 from uztranslit.featurizer import (
     PAD,
@@ -29,8 +29,8 @@ def table7_samples(cyr2lat_table):
 
 def test_table7_reproduced_exactly(cyr2lat_table):
     samples = table7_samples(cyr2lat_table)
-    # both "q" rows come first, then the others in word order
-    assert [(s.features, s.label) for s in samples] == by_label(TABLE7)
+    # both "қ" rows come first, then the others in word order
+    assert [(s.features, s.label) for s in samples] == by_key(TABLE7, 2)
 
 
 def test_single_letter_word_padded_both_sides():
@@ -89,7 +89,7 @@ def test_extracted_windows_equal_window_features(word, x, y):
     assert [padded[i : i + window.width] for i in range(len(word))] == expected
     labels = tuple(str(i) for i in range(len(word)))
     samples = rows_of(extract_samples([AlignedPair(tuple(word), labels)], window))
-    assert samples == [Row(f, label) for f, label in zip(expected, labels)]
+    assert samples == by_key([Row(f, label) for f, label in zip(expected, labels)], x)
 
 
 def _reference_rows(alignments, window):
@@ -126,33 +126,39 @@ def test_columns_match_row_wise_reference(words, x, y, wider_x, wider_y):
     window = WindowSpec(x, y)
     extracted = extract_samples(alignments, window)
     reference = _reference_rows(alignments, window)
-    assert rows_of(extracted) == by_label(reference)
+    assert rows_of(extracted) == by_key(reference, x)
     assert len(extracted) == sum(len(word) for word in words)
     kept = dedup_samples(extracted)
     # the first occurrence of every (window, label) row
-    kept_reference = by_label(dict.fromkeys(reference))
+    kept_reference = by_key(dict.fromkeys(reference), x)
     assert kept.window == window
     assert rows_of(kept) == kept_reference
     assert len(kept) == len(kept_reference)
     wide = extract_samples(alignments, WindowSpec(x + wider_x, y + wider_y))
     narrowed = wide.narrowed(window)
     assert narrowed == extracted
-    assert list(narrowed.blocks) == list(extracted.blocks)
+    assert [(focus, list(labels)) for focus, labels in narrowed.blocks.items()] == [
+        (focus, list(labels)) for focus, labels in extracted.blocks.items()
+    ]
 
 
 def test_labels_in_first_occurrence_order_samples_in_word_order():
     pairs = [
         AlignedPair(tuple("аба"), ("a", "b", "a")),
-        AlignedPair(tuple("ва"), ("v", "a")),
-        AlignedPair(tuple("б"), ("b",)),
+        AlignedPair(tuple("ева"), ("ye", "v", "a")),
+        AlignedPair(tuple("бе"), ("b", "e")),
     ]
     samples = extract_samples(pairs, WindowSpec(1, 0))
-    assert list(samples.blocks) == ["a", "b", "v"]
-    assert samples.blocks["a"] == ((PAD, "б", "в"), ("а", "а", "а"))
-    assert samples.blocks["b"] == (("а", PAD), ("б", "б"))
+    # focus characters, and each one's labels, in order of first occurrence
+    assert [(focus, list(labels)) for focus, labels in samples.blocks.items()] == [
+        ("а", ["a"]), ("б", ["b"]), ("е", ["ye", "e"]), ("в", ["v"]),
+    ]
+    assert samples.blocks["а"]["a"] == ((PAD, "б", "в"), ("а", "а", "а"))
+    assert samples.blocks["б"]["b"] == (("а", PAD), ("б", "б"))
     # a label of one sample is a block of one-symbol columns
-    assert samples.blocks["v"] == ((PAD,), ("в",))
-    assert len(samples) == 6
+    assert samples.blocks["е"]["ye"] == ((PAD,), ("е",))
+    assert samples.blocks["е"]["e"] == (("б",), ("е",))
+    assert len(samples) == 8
 
 
 def test_narrowed_rejects_a_wider_window():
@@ -168,7 +174,7 @@ def test_dedup_keeps_first_occurrence_order():
     kept = dedup_samples(samples)
     assert rows_of(kept) == [Row(b, "x"), Row(a, "x"), Row(a, "y")]
     # a block without a duplicate is not copied
-    assert kept.blocks["y"] is samples.blocks["y"]
+    assert kept.blocks["а"]["y"] is samples.blocks["а"]["y"]
 
 
 def test_window_bounds_validated():

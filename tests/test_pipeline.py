@@ -1,10 +1,18 @@
 import json
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from uztranslit import dtree, pipeline
-from uztranslit.alphabets import APOSTROPHE_VARIANTS, CYR2LAT, LAT2CYR, MappingTable
+from uztranslit.aligner import align_word
+from uztranslit.alphabets import (
+    APOSTROPHE_VARIANTS,
+    CYR2LAT,
+    LAT2CYR,
+    MappingTable,
+    bundled_mapping_table,
+)
 from uztranslit.featurizer import WindowSpec, window_features
 from uztranslit.gencorpus import gen_corpus
 from uztranslit.pipeline import (
@@ -13,8 +21,11 @@ from uztranslit.pipeline import (
     Corpus,
     SplitConfig,
     apply_case_pattern,
+    cross_validate,
     evaluate,
     grid_search,
+    kfold,
+    predict_segments,
     round_trip_check,
     split_corpus,
     split_sizes,
@@ -208,14 +219,19 @@ def test_transliterate_empty_word(lexicon, cyr2lat_table, lat2cyr_table):
 
 
 def _overwrite_loop_segments(model, word):
-    """predict_segments as it was before the one-test-per-word guard: the
-    tree's labels, then every character without a table row overwrites
-    its own, checked one by one."""
-    segments = dtree.predict(model, window_features(word, model.window))
-    alphabet = model.table.entries
+    """The reference for predict_segments: every character is its own
+    segment, and then each table key's is overwritten by the leaf its
+    window reaches in the binary walk of that key's node list."""
+    padded = window_features(word, model.window)
+    segments = list(word)
     for i, ch in enumerate(word):
-        if ch not in alphabet:
-            segments[i] = ch
+        if ch in model.table.entries:
+            nodes = model.trees[ch]
+            node = nodes[0]
+            while len(node) == 4:
+                f, s, eq, ne = node
+                node = nodes[eq if padded[i + f] == s else ne]
+            segments[i] = node[0]
     return segments
 
 
@@ -242,6 +258,46 @@ _MIXED_CHARS = "бoлaқ'ʼғg-–0179§!xw ъё"
 def test_predict_segments_matches_overwrite_loop(lexicon_models, word):
     for model in lexicon_models:
         assert pipeline.predict_segments(model, word) == _overwrite_loop_segments(model, word)
+
+
+@pytest.fixture(scope="module")
+def synthetic_models(cyr2lat_table, lat2cyr_table):
+    corpus = gen_corpus(300, seed=8)
+    return [train_direction(corpus, WindowSpec(2, 2), t) for t in (cyr2lat_table, lat2cyr_table)]
+
+
+# every key of both tables, digits, hyphens, apostrophes, and characters
+# neither table holds
+_LICENSING_CHARS = "".join(
+    sorted(set(bundled_mapping_table(CYR2LAT).entries) | set(bundled_mapping_table(LAT2CYR).entries))
+) + "0179-–'ʼ§! "
+
+
+@settings(max_examples=300, deadline=None)
+@given(word=st.text(alphabet=_LICENSING_CHARS, max_size=12))
+@example(word="")
+@example(word="qo'l-2x!")
+@example(word="қўл-2х!")
+def test_every_segment_is_licensed(synthetic_models, word):
+    """Each table key gets a segment the table allows for it, whatever
+    its neighbours; every other character passes through."""
+    for model in synthetic_models:
+        segments = predict_segments(model, word)
+        assert len(segments) == len(word)
+        for ch, segment in zip(word, segments):
+            candidates = model.table.candidates(ch)
+            assert segment in candidates if candidates else segment == ch
+
+
+def test_lexicon_models_keep_the_hyphen(lexicon_models):
+    """The single lat2cyr tree of earlier versions dropped this hyphen
+    (қўл2х!). Under cyr2lat the hyphen is the only key of qo'l-2x!, and
+    its table licenses nothing but "-" for it; the single cyr2lat tree
+    trained on the lexicon's 70% split gave qo'ls2x!."""
+    cyr2lat, lat2cyr = lexicon_models
+    assert transliterate_word(cyr2lat, "qo'l-2x!") == "qo'l-2x!"
+    assert transliterate_word(lat2cyr, "qo'l-2x!") == "қўл-2х!"
+    assert transliterate_word(cyr2lat, "қўл-2х!") == "qo'l-2x!"
 
 
 def test_evaluate_hand_computed_counts():
@@ -370,6 +426,54 @@ def test_grid_search_takes_one_shot_iterables(synthetic_small, cyr2lat_table):
     assert len(from_lists[1]) == 4
     assert from_iterators[1] == from_lists[1]
     assert dtree.serialize(from_iterators[0]) == dtree.serialize(from_lists[0])
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(1, 60), k=st.integers(2, 12), seed=st.integers(0, 1000))
+def test_folds_partition_the_corpus(n, k, seed):
+    corpus = Corpus([(f"сўз{i}", f"so'z{i}") for i in range(n)])
+    if k > n:
+        with pytest.raises(ValueError, match="folds"):
+            kfold(corpus, k, seed)
+        return
+    folds = kfold(corpus, k, seed)
+    assert len(folds) == k
+    sizes = [len(fold) for fold in folds]
+    assert max(sizes) - min(sizes) <= 1
+    # contiguous cuts of the shuffle split_corpus makes
+    order = list(corpus.pairs)
+    random.Random(seed).shuffle(order)
+    assert [pair for fold in folds for pair in fold.pairs] == order
+    assert kfold(corpus, k, seed) == folds
+
+
+def test_kfold_needs_two_folds():
+    with pytest.raises(ValueError, match="folds"):
+        kfold(Corpus([("а", "a"), ("б", "b")]), 1, 42)
+
+
+def test_cross_validate_scores_every_word_once_out_of_fold(lexicon, cyr2lat_table):
+    window = WindowSpec(1, 1)
+    result = cross_validate(lexicon, window, cyr2lat_table, k=5, seed=3)
+    assert cross_validate(lexicon, window, cyr2lat_table, k=5, seed=3) == result
+    assert len(result.folds) == 5
+    # an independent count: each fold's words, by the model of the others
+    folds = kfold(lexicon, 5, 3)
+    correct = chars = words_right = 0
+    for i, fold in enumerate(folds):
+        rest = Corpus([pair for other in folds[:i] + folds[i + 1 :] for pair in other.pairs])
+        model = train_direction(rest, window, cyr2lat_table)
+        assert result.folds[i] == evaluate(model, fold, cyr2lat_table)
+        for source, target in fold.pairs:
+            gold = align_word(source, target, cyr2lat_table).target_segments
+            right = sum(map(str.__eq__, gold, predict_segments(model, source)))
+            correct += right
+            chars += len(source)
+            words_right += right == len(source)
+    assert result.char_f1 == correct / chars
+    assert result.word_accuracy == words_right / len(lexicon)
+    assert 0.9 < result.char_f1 < 1.0
+    assert cross_validate(lexicon, window, cyr2lat_table, k=5, seed=4) != result
 
 
 def test_round_trip_synthetic(cyr2lat_table, lat2cyr_table, synthetic_small):
