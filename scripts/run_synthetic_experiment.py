@@ -4,10 +4,11 @@
 Generates a corpus, splits it 70/15/15, grid-searches the context
 window in both directions, scores on the test split the model each
 search trained for its best window, and checks the round trip. With
-default settings this takes a couple of minutes and should end with
-validation and test F1 at or near 1.0 and a perfect round trip;
-anything less points at a regression in the aligner, featurizer, or
-tree.
+default settings the whole run takes about 2 s of wall time (1.8-1.9 s
+on 2 cores with Python 3.11.7: the cyr2lat grid 0.3 s, the lat2cyr
+grid 1.1-1.3 s) and should end with validation and test F1 at or near
+1.0 and a perfect round trip; anything less points at a regression in
+the aligner, featurizer, or tree.
 
 Usage: python scripts/run_synthetic_experiment.py [--size 5000] [--seed 42]
        [--max-window 4]
@@ -32,7 +33,7 @@ def run_direction(name, direction, parts, max_window):
     table = bundled_mapping_table(direction)
     train_part, val_part, test_part = parts
     started = time.monotonic()
-    model, cells = grid_search(
+    model, cells, _ = grid_search(
         train_part,
         val_part,
         table,

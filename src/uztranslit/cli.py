@@ -190,7 +190,7 @@ def cmd_grid_search(args) -> int:
     if not corpus.pairs:
         raise DataError(f"{args.corpus} has no usable pair to search on")
     train_part, val_part, test_part = pipeline.split_corpus(corpus, config)
-    model, cells = pipeline.grid_search(
+    model, cells, varying = pipeline.grid_search(
         train_part,
         val_part,
         table,
@@ -200,7 +200,13 @@ def cmd_grid_search(args) -> int:
     _emit(pipeline.format_grid_tsv(cells), args.out)
     best_f1 = max(c.validation_f1 for c in cells)
     best = model.window
-    print(f"best window: x={best.x} y={best.y} (validation F1 {best_f1:.6f})", file=sys.stderr)
+    vary = f"{len(varying)} of {len(table.entries)} keys vary"
+    if varying:
+        vary += ": " + " ".join(varying)
+    print(
+        f"best window: x={best.x} y={best.y} (validation F1 {best_f1:.6f}; {vary})",
+        file=sys.stderr,
+    )
     if args.best_model:
         atomic_write(args.best_model, dtree.serialize(model))
         test_report = pipeline.evaluate(model, test_part, table)

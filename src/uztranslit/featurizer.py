@@ -23,10 +23,12 @@ of a whole aligned part in C-level passes over one stream of padded
 words, with no per-sample tuple, and then groups the columns by focus
 and label in one pass. A smaller window's blocks are a slice of a wider
 window's (``Samples.narrowed``), so a grid search extracts and groups
-once, at its widest window, and each cell deduplicates each block on
-its own. Extraction also makes every equal symbol one shared string
-object, which keeps the grower's histogram counting inside a few cache
-lines instead of one str object per window cell.
+once, at its widest window. Each cell deduplicates only the blocks of
+the keys whose samples carry more than one label (``Samples.only``):
+every other key's tree is the same one leaf at every window.
+Extraction also makes every equal symbol one shared string object,
+which keeps the grower's histogram counting inside a few cache lines
+instead of one str object per window cell.
 
 The padding sentinel is deliberately not "∅": the empty-string class
 and out-of-word padding are different roles and must stay distinct in
@@ -97,6 +99,13 @@ class Samples:
             focus: {label: block[skip:stop] for label, block in labels.items()}
             for focus, labels in self.blocks.items()
         })
+
+    def only(self, keys) -> Samples:
+        """The samples whose focus character is one of ``keys``."""
+        keys = set(keys)
+        return Samples(
+            self.window, {focus: labels for focus, labels in self.blocks.items() if focus in keys}
+        )
 
 
 def window_features(chars, window: WindowSpec) -> tuple[str, ...]:

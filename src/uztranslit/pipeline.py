@@ -22,6 +22,7 @@ import random
 import unicodedata
 from dataclasses import dataclass, field
 from itertools import product
+from typing import NamedTuple
 
 from . import dtree
 from .alphabets import CYRILLIC, Direction, MappingTable, normalize_word
@@ -29,7 +30,7 @@ from .alphabets import CYRILLIC, Direction, MappingTable, normalize_word
 from .alphabets import bundled_script_spec  # noqa: F401
 from .aligner import align_corpus
 from .dtree import TranslitModel, predict
-from .featurizer import WindowSpec, dedup_samples, extract_samples, window_features
+from .featurizer import Samples, WindowSpec, dedup_samples, extract_samples, window_features
 
 log = logging.getLogger(__name__)
 
@@ -117,6 +118,15 @@ class GridCell:
     x: int
     y: int
     validation_f1: float
+
+
+class GridSearch(NamedTuple):
+    """A grid search's best model, every cell's score, and the keys whose
+    training samples carry two or more labels, in table order."""
+
+    model: TranslitModel
+    cells: list[GridCell]
+    varying: tuple[str, ...]
 
 
 @dataclass
@@ -304,19 +314,43 @@ def evaluate(model: TranslitModel, heldout: Corpus, table: MappingTable) -> Eval
     return _report_from_alignments(model, alignments, unalignable)
 
 
+def _correct(model: TranslitModel, gold: Samples) -> int:
+    """How many of ``gold``'s windows ``model`` gives their gold label.
+    ``gold`` must be at the model's window."""
+    return sum(
+        predict(model, row)[0] == label
+        for labels in gold.blocks.values()
+        for label, block in labels.items()
+        for row in zip(*block)
+    )
+
+
 def grid_search(
     train_part: Corpus,
     validation_part: Corpus,
     table: MappingTable,
     x_values,
     y_values,
-) -> tuple[TranslitModel, list[GridCell]]:
-    """Train one model per (x, y) cell; return the model of the cell with
-    the best validation F1 (ties go to the smallest x+y, then the
-    smallest x) and every cell's score. An empty grid is a ValueError.
+) -> GridSearch:
+    """Score every (x, y) cell by validation F1, as ``evaluate`` scores
+    the model ``train_direction`` trains at that window; return the
+    model of the best cell (ties go to the smallest x+y, then the
+    smallest x), every cell's score and the keys that vary. An empty
+    grid is a ValueError.
 
-    Windows are extracted once, at the grid's widest x and y; each cell
-    trains on a slice of those columns."""
+    The training and the validation alignments are each extracted once,
+    at the grid's widest x and y; the validation labels are the gold
+    segments, and each cell takes a slice of both (``Samples.narrowed``).
+    A key's tree is grown on that key's samples alone, so a key whose
+    training samples carry one label, or that training never holds, is
+    one leaf with the same label at every window. Only the other keys,
+    the *varying* ones, are deduplicated, trained and scored per cell.
+    The fixed keys' correct count and the number of validation
+    characters (those of unalignable pairs included) are the same in
+    every cell, so the cells rank by the varying keys' count alone. The
+    best cell's model is then trained on every key, the fixed keys are
+    scored with it once, and each cell's F1 is its correct count over
+    the number of characters, the division ``evaluate`` makes."""
     grid = list(product(x_values, y_values))
     if not grid:
         raise ValueError("the window grid is empty")
@@ -325,18 +359,27 @@ def grid_search(
     val_alignments, val_failures = align_corpus(
         validation_part.oriented(table.direction), table
     )
-    val_unalignable = [(f.source, f.target) for f in val_failures]
+    gold = extract_samples(val_alignments, widest)
+    total = len(gold) + sum(len(failure.source) for failure in val_failures)
 
-    cells: list[GridCell] = []
-    best_key = best_model = None
-    for x, y in grid:
-        model = dtree.train(dedup_samples(wide.narrowed(WindowSpec(x, y))), table)
-        report = _report_from_alignments(model, val_alignments, val_unalignable)
-        cells.append(GridCell(x=x, y=y, validation_f1=report.char_f1))
-        key = (-report.char_f1, x + y, x)
-        if best_model is None or key < best_key:
-            best_key, best_model = key, model
-    return best_model, cells
+    varying = tuple(key for key in table.entries if len(wide.blocks.get(key, ())) > 1)
+    train_varying, gold_varying = wide.only(varying), gold.only(varying)
+    correct = dict.fromkeys(grid, 0)  # cell -> the varying keys' correct count
+    if varying:
+        for x, y in grid:
+            window = WindowSpec(x, y)
+            model = dtree.train(dedup_samples(train_varying.narrowed(window)), table)
+            correct[x, y] = _correct(model, gold_varying.narrowed(window))
+    # over one total, a larger count divides to a larger F1
+    x, y = min(grid, key=lambda cell: (-correct[cell], cell[0] + cell[1], cell[0]))
+    best = WindowSpec(x, y)
+    model = dtree.train(dedup_samples(wide.narrowed(best)), table)
+    fixed = _correct(model, gold.only(set(gold.blocks) - set(varying)).narrowed(best))
+    cells = [
+        GridCell(x=x, y=y, validation_f1=(fixed + correct[x, y]) / total if total else 1.0)
+        for x, y in grid
+    ]
+    return GridSearch(model, cells, varying)
 
 
 def kfold(corpus: Corpus, k: int, seed: int) -> list[Corpus]:

@@ -3,6 +3,7 @@ from typing import NamedTuple
 import pytest
 
 from uztranslit import alphabets, gencorpus, pipeline
+from uztranslit.aligner import align_word
 from uztranslit.alphabets import CYR2LAT, LAT2CYR, MappingTable
 from uztranslit.featurizer import Samples, WindowSpec
 
@@ -79,3 +80,14 @@ def rows_of(samples: Samples) -> list[Row]:
 def open_table(keys, labels) -> MappingTable:
     """A table that licenses every label in ``labels`` for every key."""
     return MappingTable({key: tuple(labels) for key in keys})
+
+
+def varying_keys(part: pipeline.Corpus, table: MappingTable) -> tuple[str, ...]:
+    """The table keys, in table order, that the pairs of ``part`` align
+    to more than one segment, each pair aligned on its own."""
+    labels: dict = {}
+    for source, target in part.oriented(table.direction):
+        pair = align_word(source, target, table)
+        for char, segment in zip(pair.source_chars, pair.target_segments):
+            labels.setdefault(char, set()).add(segment)
+    return tuple(key for key in table.entries if len(labels.get(key, ())) > 1)

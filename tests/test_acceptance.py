@@ -152,7 +152,7 @@ def test_criterion_5_generalization_at_desk_scale(synthetic_5000):
         750,
         750,
     )
-    model, cells = grid_search(
+    model, cells, _ = grid_search(
         train_part,
         val_part,
         CYR2LAT_TABLE,

@@ -4,6 +4,7 @@ import stat
 
 import pytest
 
+from conftest import varying_keys
 from uztranslit import dtree, pipeline
 from uztranslit.alphabets import _data_path
 from uztranslit.cli import main
@@ -398,7 +399,15 @@ def test_grid_search_small(tmp_path, capsys):
     loaded = dtree.load_model(model)
     assert loaded.direction == ("cyrillic", "latin")
     x, y = loaded.window.x, loaded.window.y
-    assert f"best window: x={x} y={y} " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"best window: x={x} y={y} " in err
+    # the keys whose training samples carry more than one label
+    config = pipeline.SplitConfig(0.7, 0.15, 0.15, seed=42)
+    train_part = pipeline.split_corpus(pipeline.load_corpus(corpus_path), config)[0]
+    varying = varying_keys(train_part, loaded.table)
+    assert varying
+    vary = f"; {len(varying)} of {len(loaded.table.entries)} keys vary: {' '.join(varying)})"
+    assert vary in err
 
 
 @pytest.mark.parametrize(

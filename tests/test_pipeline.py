@@ -1,9 +1,11 @@
 import json
 import random
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import varying_keys
 from uztranslit import dtree, pipeline
 from uztranslit.aligner import align_word
 from uztranslit.alphabets import (
@@ -19,6 +21,7 @@ from uztranslit.pipeline import (
     REFERENCE_FRACTIONS,
     AllPairsUnalignableError,
     Corpus,
+    GridCell,
     SplitConfig,
     apply_case_pattern,
     cross_validate,
@@ -345,7 +348,7 @@ def test_micro_identity_property(seed, x, y, cyr2lat_table):
 def test_grid_search_single_cell(synthetic_small, cyr2lat_table):
     config = SplitConfig(0.7, 0.15, 0.15, seed=1)
     train_part, val_part, _ = split_corpus(synthetic_small, config)
-    model, cells = grid_search(
+    model, cells, _ = grid_search(
         train_part, val_part, cyr2lat_table, x_values=[2], y_values=[3]
     )
     assert model.window == WindowSpec(2, 3)
@@ -360,7 +363,7 @@ def test_grid_search_tiebreak_prefers_smallest_window(cyr2lat_table):
              ("гул", "gul"), ("зар", "zar"), ("мард", "mard"), ("дон", "don")]
     train_part = Corpus(pairs)
     val_part = Corpus(pairs[:4])
-    model, cells = grid_search(
+    model, cells, _ = grid_search(
         train_part, val_part, cyr2lat_table,
         x_values=range(0, 3), y_values=range(0, 3),
     )
@@ -377,7 +380,7 @@ def test_grid_search_empty_grid_rejected(cyr2lat_table):
 def test_grid_search_dominance(synthetic_small, cyr2lat_table):
     config = SplitConfig(0.7, 0.15, 0.15, seed=5)
     train_part, val_part, _ = split_corpus(synthetic_small, config)
-    model, cells = grid_search(
+    model, cells, _ = grid_search(
         train_part, val_part, cyr2lat_table,
         x_values=range(0, 3), y_values=range(0, 3),
     )
@@ -389,30 +392,120 @@ def test_grid_search_dominance(synthetic_small, cyr2lat_table):
 
 
 def test_every_grid_cell_matches_train_direction(synthetic_small, cyr2lat_table, monkeypatch):
-    """Each cell's model, trained from the grid's one wide extraction, has
-    the bytes and validation F1 of a model trained at that window alone.
-    The axes are unordered and of unequal length, so the widest window
-    is neither the first nor the last cell."""
+    """Each cell scores what ``evaluate`` scores for the model
+    ``train_direction`` trains at that window alone. A cell trains only
+    the keys whose training samples carry more than one label, and grows
+    that model's trees for them; the model returned is that model at the
+    best window. The axes are unordered and of unequal length, so the
+    widest window is neither the first nor the last cell."""
     config = SplitConfig(0.7, 0.15, 0.15, seed=3)
     train_part, val_part, _ = split_corpus(synthetic_small, config)
     trained = []
     train = dtree.train
 
     def keep(samples, table):
-        trained.append(train(samples, table))
-        return trained[-1]
+        trained.append((set(samples.blocks), train(samples, table)))
+        return trained[-1][1]
 
     monkeypatch.setattr(dtree, "train", keep)
-    _, cells = grid_search(
+    model, cells, varying = grid_search(
         train_part, val_part, cyr2lat_table, x_values=[1, 3, 0], y_values=[2, 0]
     )
     monkeypatch.undo()
     assert [(c.x, c.y) for c in cells] == [(1, 2), (1, 0), (3, 2), (3, 0), (0, 2), (0, 0)]
-    assert len(trained) == len(cells)
-    for cell, model in zip(cells, trained):
+    assert varying == varying_keys(train_part, cyr2lat_table)
+    assert varying
+    # one training per cell, then the returned model
+    assert len(trained) == len(cells) + 1
+    for cell, (keys, per_cell) in zip(cells, trained):
         alone = train_direction(train_part, WindowSpec(cell.x, cell.y), cyr2lat_table)
-        assert dtree.serialize(model) == dtree.serialize(alone)
         assert cell.validation_f1 == evaluate(alone, val_part, cyr2lat_table).char_f1
+        assert keys == set(varying)
+        assert per_cell.window == alone.window
+        assert {key: per_cell.trees[key] for key in varying} == {
+            key: alone.trees[key] for key in varying
+        }
+    assert trained[-1][1] is model
+    best = train_direction(train_part, model.window, cyr2lat_table)
+    assert dtree.serialize(model) == dtree.serialize(best)
+
+
+def _reference_grid(train_part, val_part, table, x_values, y_values):
+    """Brute force: train_direction and evaluate at every cell, then the
+    best cell by (-F1, x + y, x)."""
+    cells = []
+    for x, y in product(x_values, y_values):
+        model = train_direction(train_part, WindowSpec(x, y), table)
+        cells.append((GridCell(x, y, evaluate(model, val_part, table).char_f1), model))
+    _, best_model = min(
+        cells, key=lambda item: (-item[0].validation_f1, item[0].x + item[0].y, item[0].x)
+    )
+    return best_model, [cell for cell, _ in cells]
+
+
+@st.composite
+def grid_cases(draw):
+    """A small training and validation part under one bundled table, with
+    the grid axes. Training words use a few keys, mostly ones with more
+    than one candidate, each with any of its candidates or with one
+    candidate each (then no key varies); a key may be left out of
+    training; validation words take any candidate of every key, and may
+    end in a pair the table cannot align."""
+    table = bundled_mapping_table(draw(st.sampled_from([CYR2LAT, LAT2CYR])))
+    several = sorted(key for key, candidates in table.entries.items() if len(candidates) > 1)
+    keys = draw(st.lists(st.sampled_from(several), min_size=1, max_size=3, unique=True))
+    keys += [key for key in draw(st.lists(st.sampled_from(sorted(table.entries)), max_size=2))
+             if key not in keys]
+    one_label = draw(st.booleans())
+    trained = {
+        key: [draw(st.sampled_from(table.entries[key]))] if one_label else table.entries[key]
+        for key in keys
+    }
+    if len(keys) > 1 and draw(st.booleans()):
+        del trained[keys[-1]]  # a key training never holds
+
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def words(labels, n):
+        pairs = []
+        for _ in range(rng.randint(1, n)):
+            word = [rng.choice(sorted(labels)) for _ in range(rng.randint(1, 6))]
+            segments = [rng.choice(labels[key]) for key in word]
+            pairs.append(("".join(word), "".join(segments)))
+        return pairs
+
+    train_pairs = words(trained, 12)
+    val_pairs = words({key: table.entries[key] for key in keys}, 6)
+    if draw(st.booleans()):
+        val_pairs.append((keys[0], "#"))  # no candidate writes "#"
+    axis = st.lists(st.integers(0, 2), min_size=1, max_size=3)
+    return table, train_pairs, val_pairs, draw(axis), draw(axis)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=grid_cases())
+# ц is always ts in training, but s in validation, and ш never trains
+@example(case=(bundled_mapping_table(CYR2LAT),
+               [("цех", "tsex"), ("ецо", "yetso"), ("бес", "bes")],
+               [("цуш", "sush"), ("ец", "ye#")], [0, 1], [0, 2]))
+# no key varies: every cell trains nothing and scores the same
+@example(case=(bundled_mapping_table(LAT2CYR), [("bola", "бола"), ("non", "нон")],
+               [("til", "тил"), ("lola", "лола")], [2, 0], [1, 0]))
+def test_grid_search_matches_brute_force(case):
+    """grid_search equals the brute-force grid: the same cells and the
+    same model. Pairs are written (source, target) in the table's
+    direction."""
+    table, train_pairs, val_pairs, x_values, y_values = case
+    if table.direction == LAT2CYR:
+        train_pairs = [(target, source) for source, target in train_pairs]
+        val_pairs = [(target, source) for source, target in val_pairs]
+    train_part, val_part = Corpus(train_pairs), Corpus(val_pairs)
+    model, cells, _ = grid_search(train_part, val_part, table, x_values, y_values)
+    reference_model, reference_cells = _reference_grid(
+        train_part, val_part, table, x_values, y_values
+    )
+    assert cells == reference_cells
+    assert dtree.serialize(model) == dtree.serialize(reference_model)
 
 
 def test_grid_search_takes_one_shot_iterables(synthetic_small, cyr2lat_table):
