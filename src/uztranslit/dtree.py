@@ -3,12 +3,10 @@
 A model is one tree per key of its mapping table, grown on the samples
 whose focus character is that key. The paper grows one tree over every
 character; a tree per key never has to separate one focus letter from
-the others, which makes growth about 2.5 times cheaper (a 5x5 grid
-search on ``gen_corpus(5000, 42)``: 0.30 s -> 0.12 s on 2 cores, Python
-3.11), and its leaves carry only segments that key was aligned to, which
-the table licenses. A key training never saw gets the one-leaf tree
-``[[first candidate, {}]]``, whose empty counts say that no sample
-backs it.
+the others, which makes growth cheaper, and its leaves carry only
+segments that key was aligned to, which the table licenses. A key
+training never saw gets the one-leaf tree ``[[first candidate, {}]]``,
+whose empty counts say that no sample backs it.
 
 Nodes test equality of one window position against one symbol; the
 split chosen at each node is the one with the greatest Gini impurity
@@ -23,22 +21,22 @@ symbol, so no split on the focus position can leave both children
 non-empty, and no tree tests it. Equality tests do not depend on a
 character ordering, unlike numeric thresholds over some encoding.
 
-A tree grows from its key's label blocks (``featurizer.Samples``): per
-label, one column of symbols per window position. Every open node owns
-its samples as such a label -> block map, so a histogram is
-``Counter(block[p])``, a C-level count of one column. A split hands a
-block the eq side holds all or none of to that child as it is and cuts
-a mixed block in two with ``compress``; the input columns are only
+A tree grows from its key's samples (``featurizer.Samples``): per
+label, a list of rows, each one sample's window tuple. Every open node
+owns its samples as such a label -> rows map, so a histogram is
+``Counter(map(itemgetter(p), rows))``, a C-level count of one position.
+A split hands a label the eq side holds all or none of to that child as
+it is and cuts a mixed one in two with ``compress``; the rows are only
 read. Each split is checked to leave both children non-empty, so a tree
 on n samples has at most n - 1 splits whatever the running totals say.
 
 Growth never rescans a node to score it. Each open node carries, per
-window position, a label -> ``Counter`` histogram of its blocks and, per
+window position, a label -> ``Counter`` histogram of its rows and, per
 symbol, three running integer totals over the node's labels l, with c_l
 the symbol's count in l and N_l the count of l: n_eq = sum c_l, sq_eq =
 sum c_l^2 and cross = sum c_l * N_l, which are all a split's score
-needs. After a split only the blocks the split cut in the smaller child
-are scanned; a block it takes whole takes its histograms from the
+needs. After a split only the labels the split cut in the smaller child
+are scanned; a label it takes whole takes its histograms from the
 parent. The larger child is the parent minus the smaller (histogram
 subtraction, as in LightGBM, Ke et al. 2017): the parent's histograms
 and totals, updated in place for the labels the smaller child holds.
@@ -75,9 +73,7 @@ at its focus symbol's switches; a focus symbol that is no key (a digit,
 punctuation, the other script) labels itself. On the README-default
 models trained on the lexicon's 70% seed-42 split, over the words of
 ``gen_corpus(20000, 42)``, a character takes 1.27 dict lookups (cyr2lat)
-and 2.78 (lat2cyr), the focus lookup included; the single tree took
-1.30 and 3.50 with its focus tests resolved per key, and 15.05 and
-14.83 equality tests as a binary walk.
+and 2.78 (lat2cyr), the focus lookup included.
 """
 
 from __future__ import annotations
@@ -87,6 +83,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
+from operator import itemgetter, not_
 
 from .alphabets import Direction, MappingTable
 from .featurizer import Samples, WindowSpec
@@ -159,10 +156,11 @@ def _majority_label(class_counts: dict[str, int]) -> str:
 
 
 def _label_hists(blocks) -> list[dict]:
-    """Per position, label -> Counter of that label's block column."""
+    """Per position, label -> Counter of that label's rows at it."""
+    width = len(next(iter(blocks.values()))[0])
     return [
-        {label: Counter(column) for label, column in zip(blocks, columns)}
-        for columns in zip(*blocks.values())
+        {label: Counter(map(itemgetter(p), rows)) for label, rows in blocks.items()}
+        for p in range(width)
     ]
 
 
@@ -237,23 +235,22 @@ def _subtract(hists, totals, small_hists, counts, small_counts) -> None:
 
 
 def _partition(blocks, p, symbol, per_label):
-    """Split a label -> block map on ``block[p][i] == symbol``, given the
-    node's label -> Counter histograms at ``p``. A block the equality
-    side holds none or all of goes to that child as it is; a mixed block
-    is cut in two, every column keeping its order."""
+    """Split a label -> rows map on ``row[p] == symbol``, given the node's
+    label -> Counter histograms at ``p``. A label the equality side holds
+    none or all of goes to that child as it is; a mixed one is cut in
+    two, both sides keeping their order."""
     eq_blocks = {}
     ne_blocks = {}
-    for label, block in blocks.items():
+    for label, rows in blocks.items():
         n_eq = per_label[label][symbol]
         if n_eq == 0:
-            ne_blocks[label] = block
-        elif n_eq == len(block[p]):
-            eq_blocks[label] = block
+            ne_blocks[label] = rows
+        elif n_eq == len(rows):
+            eq_blocks[label] = rows
         else:
-            eq_rows = [s == symbol for s in block[p]]
-            ne_rows = [not eq for eq in eq_rows]
-            eq_blocks[label] = [list(compress(column, eq_rows)) for column in block]
-            ne_blocks[label] = [list(compress(column, ne_rows)) for column in block]
+            eq_rows = list(map(symbol.__eq__, map(itemgetter(p), rows)))
+            eq_blocks[label] = list(compress(rows, eq_rows))
+            ne_blocks[label] = list(compress(rows, map(not_, eq_rows)))
     return eq_blocks, ne_blocks
 
 
@@ -296,14 +293,14 @@ def _grow(blocks) -> list[list]:
     # nodes in pre-order, eq subtree first, which is the list order.
     nodes: list[list] = []
     # Each entry names the parent node and the slot that receives the
-    # entry's index once it is appended, then the node's label blocks and
+    # entry's index once it is appended, then the node's label -> rows map and
     # the histograms and totals its parent hands down, or None.
     stack = [(None, 0, blocks, None, None)]
     while stack:
         parent, slot, blocks, hists, totals = stack.pop()
         if parent is not None:
             parent[slot] = len(nodes)
-        counts = {label: len(block[0]) for label, block in blocks.items()}
+        counts = {label: len(rows) for label, rows in blocks.items()}
         n = sum(counts.values())
         split = None
         if len(counts) > 1:
@@ -319,27 +316,27 @@ def _grow(blocks) -> list[list]:
         node = [p, symbol, 0, 0]
         nodes.append(node)
         eq_blocks, ne_blocks = _partition(blocks, p, symbol, hists[p])
-        # Counted from the blocks, not the totals, so that each split
+        # Counted from the rows, not the totals, so that each split
         # provably shrinks both children.
-        n_eq = sum(len(block[0]) for block in eq_blocks.values())
+        n_eq = sum(map(len, eq_blocks.values()))
         if not 0 < n_eq < n:
             raise StalledSplitError(
                 f"split on position {p} = {symbol!r} sends {n_eq} of {n} samples to eq"
             )
 
-        # Count only the smaller child, and of it only the blocks the split
-        # cut: a block it takes whole takes its histograms from the parent,
+        # Count only the smaller child, and of it only the labels the split
+        # cut: a label it takes whole takes its histograms from the parent,
         # whose _subtract drops them. The larger child's histograms and
         # totals are the parent's, turned into its own by what the smaller
         # one took.
         small_is_eq = 2 * n_eq <= n
         small_blocks = eq_blocks if small_is_eq else ne_blocks
-        small_counts = {label: len(block[0]) for label, block in small_blocks.items()}
+        small_counts = {label: len(rows) for label, rows in small_blocks.items()}
         small_hists = [
             {
                 label: per_label[label] if small_counts[label] == counts[label]
-                else Counter(block[q])
-                for label, block in small_blocks.items()
+                else Counter(map(itemgetter(q), rows))
+                for label, rows in small_blocks.items()
             }
             for q, per_label in enumerate(hists)
         ]
@@ -369,14 +366,14 @@ def train(samples: Samples, table: MappingTable) -> TranslitModel:
                 f"focus {focus!r}: labels {sorted(blocks)} are not among its table candidates"
                 f" {candidates}"
             )
-        for label, block in blocks.items():
-            lengths = {len(column) for column in block}
-            if len(block) != window.width or len(lengths) != 1 or 0 in lengths:
+        for label, rows in blocks.items():
+            widths = set(map(len, rows))
+            if widths != {window.width}:
                 raise InconsistentFeatureWidthError(
-                    f"focus {focus!r}, label {label!r}: {len(block)} columns of lengths"
-                    f" {sorted(lengths)} at window width {window.width}"
+                    f"focus {focus!r}, label {label!r}: rows of widths {sorted(widths)}"
+                    f" at window width {window.width}"
                 )
-            if block[window.x].count(focus) != len(block[window.x]):
+            if set(map(itemgetter(window.x), rows)) != {focus}:
                 raise UnlicensedSampleError(
                     f"focus {focus!r}, label {label!r}: a sample has another focus symbol"
                 )

@@ -11,24 +11,21 @@ pads the word once, and the window of character ``i`` is the
 every window in place (``dtree.predict``), so a word costs one tuple
 however long it is.
 
-Training keeps its samples key-major (``Samples``): one group per focus
-character, in order of first occurrence, and in it one block per label,
-again in order of first occurrence. A block holds one column per window
-position, ``block[p][i]`` being position ``p`` of that label's ``i``-th
-sample under that focus, in word order. A sample's focus symbol is its
-source character at every window, so one grouping serves every window,
-and each focus character's label blocks are what its own tree
-(``dtree.train``) starts from. ``extract_samples`` builds every column
-of a whole aligned part in C-level passes over one stream of padded
-words, with no per-sample tuple, and then groups the columns by focus
-and label in one pass. A smaller window's blocks are a slice of a wider
-window's (``Samples.narrowed``), so a grid search extracts and groups
-once, at its widest window. Each cell deduplicates only the blocks of
-the keys whose samples carry more than one label (``Samples.only``):
-every other key's tree is the same one leaf at every window.
-Extraction also makes every equal symbol one shared string object,
-which keeps the grower's histogram counting inside a few cache lines
-instead of one str object per window cell.
+Training keeps every sample as its window tuple, key-major
+(``Samples``): one group per focus character, in order of first
+occurrence, and in it one list of rows per label, again in order of
+first occurrence, each row one sample's window, in word order. A
+sample's focus symbol is its source character at every window, so one
+grouping serves every window, and each focus character's label -> rows
+map is what its own tree (``dtree.train``) grows from. A smaller
+window's rows are slices of a wider window's (``Samples.narrowed``), so
+a grid search extracts and groups once, at its widest window. Each cell
+deduplicates only the rows of the keys whose samples carry more than one
+label (``Samples.only``): every other key's tree is the same one leaf at
+every window. Extraction also makes every equal symbol one shared string
+object, which keeps the grower's histogram counting inside a few cache
+lines instead of one str object per window cell; a character outside
+Latin-1 is otherwise a new object in every word.
 
 The padding sentinel is deliberately not "∅": the empty-string class
 and out-of-word padding are different roles and must stay distinct in
@@ -39,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, islice
 from operator import itemgetter
 
 from .aligner import AlignedPair
@@ -77,26 +73,26 @@ class WindowSpec:
 @dataclass(frozen=True)
 class Samples:
     """Training samples, key-major: ``blocks`` maps each focus character,
-    in order of first occurrence, to its label -> block map, labels again
-    in order of first occurrence. A block is a tuple of one column per
-    window position; ``block[p][i]`` is position ``p`` of the label's
-    ``i``-th sample under that focus. ``len()`` is the number of samples."""
+    in order of first occurrence, to its label -> rows map, labels again
+    in order of first occurrence. A row is one sample's window tuple, and
+    a label's rows are in word order. ``len()`` is the number of
+    samples."""
 
     window: WindowSpec
-    blocks: dict  # focus -> label -> one sequence of symbols per window position
+    blocks: dict  # focus -> label -> list of window tuples
 
     def __len__(self) -> int:
-        return sum(len(block[0]) for labels in self.blocks.values() for block in labels.values())
+        return sum(len(rows) for labels in self.blocks.values() for rows in labels.values())
 
     def narrowed(self, window: WindowSpec) -> Samples:
         """The same samples at ``window``, which must fit inside this
-        one: each block is a slice of this one's."""
+        one: each row is a slice of this one's."""
         skip = self.window.x - window.x
         if skip < 0 or window.y > self.window.y:
             raise ValueError(f"window {window} does not fit inside {self.window}")
-        stop = skip + window.width
+        cut = itemgetter(slice(skip, skip + window.width))
         return Samples(window, {
-            focus: {label: block[skip:stop] for label, block in labels.items()}
+            focus: {label: list(map(cut, rows)) for label, rows in labels.items()}
             for focus, labels in self.blocks.items()
         })
 
@@ -116,40 +112,16 @@ def window_features(chars, window: WindowSpec) -> tuple[str, ...]:
 
 def extract_samples(alignments: list[AlignedPair], window: WindowSpec) -> Samples:
     """One sample per source character of every pair, grouped by focus
-    character and then by label, in word order within each block.
-
-    The padded words are laid end to end in one stream, and a mask marks
-    where each window starts (one per character; none at the last
-    ``width - 1`` symbols of a padded word). Column ``p`` is then the
-    stream shifted by ``p`` and compressed by the mask, and each block
-    takes its samples out of every column with one ``itemgetter``."""
-    stream = list(chain.from_iterable(
-        window_features(pair.source_chars, window) for pair in alignments
-    ))
+    character and then by label, in word order within each label."""
+    width, x = window.width, window.x
     canonical: dict[str, str] = {}
-    stream = list(map(canonical.setdefault, stream, stream))
-    tail = (0,) * (window.width - 1)
-    starts = list(chain.from_iterable(
-        (1,) * len(pair.source_chars) + tail for pair in alignments
-    ))
-    columns = tuple(
-        tuple(compress(islice(stream, p, None), starts)) for p in range(window.width)
-    )
-    # column x holds each sample's focus symbol
-    labels = chain.from_iterable(pair.target_segments for pair in alignments)
-    groups: dict[tuple[str, str], list[int]] = {}
-    for i, key in enumerate(zip(columns[window.x], labels)):
-        groups.setdefault(key, []).append(i)
     blocks: dict[str, dict] = {}
-    for (focus, label), group in groups.items():
-        if len(group) == 1:
-            # an itemgetter of one index returns an item, not a tuple
-            i = group[0]
-            block = tuple(column[i : i + 1] for column in columns)
-        else:
-            take = itemgetter(*group)
-            block = tuple(map(take, columns))
-        blocks.setdefault(focus, {})[label] = block
+    for pair in alignments:
+        chars = pair.source_chars
+        padded = window_features(map(canonical.setdefault, chars, chars), window)
+        for i, label in enumerate(pair.target_segments):
+            row = padded[i : i + width]
+            blocks.setdefault(row[x], {}).setdefault(label, []).append(row)
     return Samples(window, blocks)
 
 
@@ -157,18 +129,11 @@ def dedup_samples(samples: Samples) -> Samples:
     """Drop exact (window, label) duplicates, keeping first occurrence.
 
     Samples with equal windows but different labels are all kept;
-    silently dropping one side would bias the classifier.
-
-    A duplicate always carries the same focus and label, so each block is
-    deduplicated on its own: its rows are hashed once, as the keys of one
-    dict, with no label in the key. A block without a duplicate is kept
-    as the same object; the others are cut back into columns from the
-    surviving rows, in first-occurrence order.
+    silently dropping one side would bias the classifier. A duplicate
+    always carries the same focus and label, so each label's rows are
+    deduplicated on their own, as the keys of one dict.
     """
-    blocks = {}
-    for focus, labels in samples.blocks.items():
-        kept = blocks[focus] = {}
-        for label, block in labels.items():
-            rows = dict.fromkeys(zip(*block))
-            kept[label] = block if len(rows) == len(block[0]) else tuple(zip(*rows))
-    return Samples(samples.window, blocks)
+    return Samples(samples.window, {
+        focus: {label: list(dict.fromkeys(rows)) for label, rows in labels.items()}
+        for focus, labels in samples.blocks.items()
+    })

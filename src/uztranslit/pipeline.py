@@ -320,8 +320,8 @@ def _correct(model: TranslitModel, gold: Samples) -> int:
     return sum(
         predict(model, row)[0] == label
         for labels in gold.blocks.values()
-        for label, block in labels.items()
-        for row in zip(*block)
+        for label, rows in labels.items()
+        for row in rows
     )
 
 

@@ -49,18 +49,18 @@ def by_key(rows, x: int) -> list:
 
 
 def blocks_of(rows) -> dict:
-    """The label -> block map of ``(features, label)`` rows, the input of
+    """The label -> rows map of ``(features, label)`` rows, the input of
     one tree's grower (``dtree._grow``)."""
     grouped: dict = {}
     for features, label in rows:
         grouped.setdefault(label, []).append(features)
-    return {label: tuple(zip(*vectors)) for label, vectors in grouped.items()}
+    return grouped
 
 
 def samples_of(rows, window: WindowSpec) -> Samples:
     """The key-major ``Samples`` of ``(features, label)`` rows at
-    ``window``; a label whose rows have another width gets a block that
-    ``dtree.train`` rejects."""
+    ``window``; rows of another width are kept, for ``dtree.train`` to
+    reject."""
     grouped: dict = {}
     for row in rows:
         grouped.setdefault(row[0][window.x], []).append(row)
@@ -72,8 +72,8 @@ def rows_of(samples: Samples) -> list[Row]:
     return [
         Row(features, label)
         for labels in samples.blocks.values()
-        for label, block in labels.items()
-        for features in zip(*block)
+        for label, rows in labels.items()
+        for features in rows
     ]
 
 

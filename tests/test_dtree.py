@@ -114,21 +114,21 @@ def test_inconsistent_width_rejected():
     samples = [Row(("а", "б", "в"), "b"), Row(("а", "б"), "b")]
     with pytest.raises(InconsistentFeatureWidthError):
         train(samples_of(samples, WindowSpec(1, 1)), CYR2LAT_TABLE)
-    # the right number of columns, one of them a symbol short
-    blocks = {"б": {"b": (("а", "а"), ("б", "б"), ("в",))}}
+    # one row of the wrong width
+    blocks = {"б": {"b": [("а", "б", "в"), ("а", "б")]}}
     with pytest.raises(InconsistentFeatureWidthError):
         train(Samples(WindowSpec(1, 1), blocks), CYR2LAT_TABLE)
-    # a label without samples
+    # a label without rows
     with pytest.raises(InconsistentFeatureWidthError):
-        train(Samples(WindowSpec(0, 0), {"а": {"a": ((),)}}), CYR2LAT_TABLE)
+        train(Samples(WindowSpec(0, 0), {"а": {"a": []}}), CYR2LAT_TABLE)
 
 
 @pytest.mark.parametrize(
     "blocks",
     [
-        {"q": {"q": (("q",),)}},  # the focus is no key
-        {"а": {"b": (("а",),)}},  # the label is not a candidate of the focus
-        {"а": {"a": (("б",),)}},  # filed under another focus
+        {"q": {"q": [("q",)]}},  # the focus is no key
+        {"а": {"b": [("а",)]}},  # the label is not a candidate of the focus
+        {"а": {"a": [("б",)]}},  # filed under another focus
     ],
     ids=["focus-not-key", "label-not-candidate", "other-focus"],
 )
@@ -691,21 +691,21 @@ def test_matches_reference_grower_on_synthetic(synthetic_small, cyr2lat_table, x
 @given(case=_sample_sets(), rng=st.randoms(use_true_random=False))
 def test_training_ignores_sample_order(case, rng):
     # A tree depends only on the multiset of (window, label) samples, so
-    # neither the key or label order nor the order within a block matters.
+    # neither the key or label order nor the order within a label matters.
     width, samples = case
     window = WindowSpec(0, width - 1)
     samples = _focus_on_letters(samples, 0)
     shuffled = list(samples)
     rng.shuffle(shuffled)
     given_samples = samples_of(samples, window)
-    # list columns, which a grower could write into; train only reads them
+    # list rows, which a grower could write into; train only reads them
     as_lists = {
-        focus: {label: [list(c) for c in block] for label, block in labels.items()}
+        focus: {label: [list(row) for row in rows] for label, rows in labels.items()}
         for focus, labels in given_samples.blocks.items()
     }
     got = serialize(train(Samples(window, as_lists), OPEN_TABLE))
     assert as_lists == {
-        focus: {label: [list(c) for c in block] for label, block in labels.items()}
+        focus: {label: [list(row) for row in rows] for label, rows in labels.items()}
         for focus, labels in given_samples.blocks.items()
     }
     assert serialize(train(samples_of(shuffled, window), OPEN_TABLE)) == got
