@@ -28,18 +28,18 @@ owns its samples as such a label -> rows map, so a histogram is
 A split hands a label the eq side holds all or none of to that child as
 it is and cuts a mixed one in two with ``compress``; the rows are only
 read. Each split is checked to leave both children non-empty, so a tree
-on n samples has at most n - 1 splits whatever the running totals say.
+on n samples has at most n - 1 splits whatever the histograms say.
 
-Growth never rescans a node to score it. Each open node carries, per
-window position, a label -> ``Counter`` histogram of its rows and, per
-symbol, three running integer totals over the node's labels l, with c_l
-the symbol's count in l and N_l the count of l: n_eq = sum c_l, sq_eq =
-sum c_l^2 and cross = sum c_l * N_l, which are all a split's score
-needs. After a split only the labels the split cut in the smaller child
-are scanned; a label it takes whole takes its histograms from the
-parent. The larger child is the parent minus the smaller (histogram
-subtraction, as in LightGBM, Ke et al. 2017): the parent's histograms
-and totals, updated in place for the labels the smaller child holds.
+Growth never rescans a node's rows to score it. Besides its rows, each
+open node carries only its histograms: per window position, label ->
+``Counter``. Scoring a position sums them per symbol over the node's
+labels l, with c_l the symbol's count in l and N_l the count of l, into
+n_eq = sum c_l, sq_eq = sum c_l^2 and cross = sum c_l * N_l, which are
+all a split's score needs. After a split only the labels the split cut
+in the smaller child are counted; a label it takes whole takes its
+histograms from the parent. The larger child is the parent minus the
+smaller (histogram subtraction, as in LightGBM, Ke et al. 2017): the
+parent's histograms, shrunk in place by what the smaller child took.
 Every score comes from the same integer counts through the same float
 expression in the same candidate order, so the trees are bit-identical
 to those of a grower that rebuilds every node's histograms, and depend
@@ -164,74 +164,24 @@ def _label_hists(blocks) -> list[dict]:
     ]
 
 
-def _totals(hists, counts) -> list[dict]:
-    """Per position, symbol -> [n_eq, sq_eq, cross]: over the node's labels
-    l, with c the symbol's count in l and N_l the count of l, the sums of
-    c, c * c and c * N_l, which are all _best_split reads."""
-    totals = []
-    for per_label in hists:
-        per_symbol: dict = {}
-        for label, hist in per_label.items():
-            n_l = counts[label]
-            for symbol, c in hist.items():
-                total = per_symbol.get(symbol)
-                if total is None:
-                    per_symbol[symbol] = [c, c * c, c * n_l]
-                else:
-                    total[0] += c
-                    total[1] += c * c
-                    total[2] += c * n_l
-        totals.append(per_symbol)
-    return totals
-
-
-def _subtract(hists, totals, small_hists, counts, small_counts) -> None:
-    """Turn a node's histograms and totals into its larger child's, in
-    place, given the smaller child's histograms and label counts.
-
-    Only the labels the smaller child holds change. For such a label l,
-    every symbol of it moves, since N_l drops to N'_l: with c its count
-    and a the smaller child's, n_eq loses a, sq_eq gains c'^2 - c^2 and
-    cross gains c' * N'_l - c * N_l, where c' = c - a. Counts and
-    symbols that reach zero are deleted, and so is a label the smaller
-    child took whole."""
-    for per_label, per_symbol, small_per_label in zip(hists, totals, small_hists):
-        for label, small_hist in small_per_label.items():
-            hist = per_label[label]
-            n_l = counts[label]
-            left_n_l = n_l - small_counts[label]
-            if not left_n_l:
-                # a == c for every symbol, so c' and N'_l are zero
-                del per_label[label]
-                for symbol, c in hist.items():
-                    total = per_symbol[symbol]
-                    n_eq = total[0] - c
-                    if n_eq:
-                        total[0] = n_eq
-                        total[1] -= c * c
-                        total[2] -= c * n_l
-                    else:
-                        del per_symbol[symbol]
-                continue
-            emptied = []
-            for symbol, c in hist.items():
-                a = small_hist.get(symbol, 0)
-                left = c - a
-                total = per_symbol[symbol]
-                if a:
-                    if left:
-                        hist[symbol] = left  # an existing key: safe mid-iteration
-                    else:
-                        emptied.append(symbol)
-                    n_eq = total[0] - a
-                    if not n_eq:
-                        del per_symbol[symbol]
-                        continue
-                    total[0] = n_eq
-                    total[1] += left * left - c * c
-                total[2] += left * left_n_l - c * n_l
-            for symbol in emptied:
-                del hist[symbol]
+def _subtract(hists, small_blocks, counts) -> list[dict]:
+    """Return the histograms of a node's smaller child, given its label ->
+    rows map, and turn the node's histograms into the larger child's in
+    place. A label the smaller child takes whole moves over as it is; a
+    label the split cuts is counted once and taken away with ``-=``, which
+    drops the counts that reach zero, so every symbol left in a histogram
+    occurs in its rows."""
+    small_hists = []
+    for q, per_label in enumerate(hists):
+        small_per_label = {}
+        for label, rows in small_blocks.items():
+            if len(rows) == counts[label]:
+                small_per_label[label] = per_label.pop(label)
+            else:
+                hist = small_per_label[label] = Counter(map(itemgetter(q), rows))
+                per_label[label] -= hist
+        small_hists.append(small_per_label)
+    return small_hists
 
 
 def _partition(blocks, p, symbol, per_label):
@@ -254,7 +204,7 @@ def _partition(blocks, p, symbol, per_label):
     return eq_blocks, ne_blocks
 
 
-def _best_split(totals, counts, n):
+def _best_split(hists, counts, n):
     """Exhaustively score every (position, symbol) equality split.
 
     Returns (position, symbol), or None when every sample carries the
@@ -269,15 +219,29 @@ def _best_split(totals, counts, n):
     sq = sum(c * c for c in counts.values())
     best_decrease = -1.0
     best = None
-    for p, per_symbol in enumerate(totals):
+    for p, per_label in enumerate(hists):
+        # Per symbol, over the node's labels l, with c the symbol's count
+        # in l and N_l the count of l: [n_eq, sq_eq, cross], the sums of
+        # c, c * c and c * N_l.
+        per_symbol: dict = {}
+        for label, hist in per_label.items():
+            n_l = counts[label]
+            for symbol, c in hist.items():
+                total = per_symbol.get(symbol)
+                if total is None:
+                    per_symbol[symbol] = [c, c * c, c * n_l]
+                else:
+                    total[0] += c
+                    total[1] += c * c
+                    total[2] += c * n_l
         for symbol in sorted(per_symbol):
             n_eq, sq_eq, cross = per_symbol[symbol]
             if n_eq == n:
                 continue  # equality side would swallow the node
             n_ne = n - n_eq
             # sum((N_l - c_l) ** 2) over the node's labels, expanded into
-            # the running totals; the integers are exact, so the floats
-            # below are those of the direct sum
+            # the sums above; the integers are exact, so the floats below
+            # are those of the direct sum
             sq_ne = sq - 2 * cross + sq_eq
             weighted = (n_eq - sq_eq / n_eq + n_ne - sq_ne / n_ne) / n
             decrease = parent_gini - weighted
@@ -293,11 +257,11 @@ def _grow(blocks) -> list[list]:
     # nodes in pre-order, eq subtree first, which is the list order.
     nodes: list[list] = []
     # Each entry names the parent node and the slot that receives the
-    # entry's index once it is appended, then the node's label -> rows map and
-    # the histograms and totals its parent hands down, or None.
-    stack = [(None, 0, blocks, None, None)]
+    # entry's index once it is appended, then the node's label -> rows map
+    # and the histograms its parent hands down, or None.
+    stack = [(None, 0, blocks, None)]
     while stack:
-        parent, slot, blocks, hists, totals = stack.pop()
+        parent, slot, blocks, hists = stack.pop()
         if parent is not None:
             parent[slot] = len(nodes)
         counts = {label: len(rows) for label, rows in blocks.items()}
@@ -306,9 +270,7 @@ def _grow(blocks) -> list[list]:
         if len(counts) > 1:
             if hists is None:
                 hists = _label_hists(blocks)
-            if totals is None:
-                totals = _totals(hists, counts)
-            split = _best_split(totals, counts, n)
+            split = _best_split(hists, counts, n)
         if split is None:
             nodes.append([_majority_label(counts), counts])
             continue
@@ -316,7 +278,7 @@ def _grow(blocks) -> list[list]:
         node = [p, symbol, 0, 0]
         nodes.append(node)
         eq_blocks, ne_blocks = _partition(blocks, p, symbol, hists[p])
-        # Counted from the rows, not the totals, so that each split
+        # Counted from the rows, not the histograms, so that each split
         # provably shrinks both children.
         n_eq = sum(map(len, eq_blocks.values()))
         if not 0 < n_eq < n:
@@ -324,29 +286,13 @@ def _grow(blocks) -> list[list]:
                 f"split on position {p} = {symbol!r} sends {n_eq} of {n} samples to eq"
             )
 
-        # Count only the smaller child, and of it only the labels the split
-        # cut: a label it takes whole takes its histograms from the parent,
-        # whose _subtract drops them. The larger child's histograms and
-        # totals are the parent's, turned into its own by what the smaller
-        # one took.
+        # Count only the smaller child; the larger child's histograms are
+        # the parent's, less what the smaller one took.
         small_is_eq = 2 * n_eq <= n
-        small_blocks = eq_blocks if small_is_eq else ne_blocks
-        small_counts = {label: len(rows) for label, rows in small_blocks.items()}
-        small_hists = [
-            {
-                label: per_label[label] if small_counts[label] == counts[label]
-                else Counter(map(itemgetter(q), rows))
-                for label, rows in small_blocks.items()
-            }
-            for q, per_label in enumerate(hists)
-        ]
-        _subtract(hists, totals, small_hists, counts, small_counts)
-        if small_is_eq:
-            stack.append((node, 3, ne_blocks, hists, totals))
-            stack.append((node, 2, eq_blocks, small_hists, None))
-        else:
-            stack.append((node, 3, ne_blocks, small_hists, None))
-            stack.append((node, 2, eq_blocks, hists, totals))
+        small_hists = _subtract(hists, eq_blocks if small_is_eq else ne_blocks, counts)
+        eq_hists, ne_hists = (small_hists, hists) if small_is_eq else (hists, small_hists)
+        stack.append((node, 3, ne_blocks, ne_hists))
+        stack.append((node, 2, eq_blocks, eq_hists))
     return nodes
 
 

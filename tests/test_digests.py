@@ -32,5 +32,5 @@ def test_trees_and_outputs_match_committed_digests():
         if corpus not in parts:
             parts[corpus] = model_digests.corpus_parts(corpus)
         regenerated.append(model_digests.digest_line(corpus, parts[corpus], name, int(x), int(y)))
-    assert len(committed) == 70
+    assert len(committed) == 74
     assert regenerated == committed
