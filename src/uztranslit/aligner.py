@@ -12,10 +12,12 @@ candidates the table allows.
 The search's first descent is greedy: each character takes its first
 candidate that matches the target where the previous ones end. When
 that walk ends exactly at the end of the target it is the search's
-answer, and ``align_word`` returns it without setting up the search;
-on the bundled lexicon it aligns every pair in both directions. Only
-the other words pay for the backtracking search, which starts over
-from the first character.
+answer, and ``align_word`` returns it without setting up the search:
+the walk reads the source string and the table's rows directly, and
+the per-character candidate lists and the unknown-character check are
+built only when it fails. On the bundled lexicon it aligns every pair
+in both directions. Only the other words pay for the backtracking
+search, which starts over from the first character.
 """
 
 from __future__ import annotations
@@ -90,28 +92,29 @@ def align_word(source: str, target: str, table: MappingTable) -> AlignedPair:
     """
     if not source:
         raise ValueError("source word is empty")
-    chars = tuple(source)
-    candidate_lists = list(map(table.entries.get, chars))
-    if None in candidate_lists:
-        position = candidate_lists.index(None)
-        raise UnknownSourceCharError(source, target, chars[position], position)
-
-    n = len(chars)
+    entries = table.entries
     target_len = len(target)
     # The greedy walk: the search's first descent, before any state is dead.
     segments: list[str] = []
     j = 0
-    for candidates in candidate_lists:
-        for candidate in candidates:
+    for ch in source:
+        for candidate in entries.get(ch, ()):
             if target.startswith(candidate, j):
                 segments.append(candidate)
                 j += len(candidate)
                 break
         else:
             break
-    if j == target_len and len(segments) == n:
-        return AlignedPair(source_chars=chars, target_segments=tuple(segments))
+    if j == target_len and len(segments) == len(source):
+        return AlignedPair(source_chars=tuple(source), target_segments=tuple(segments))
 
+    chars = tuple(source)
+    candidate_lists = list(map(entries.get, chars))
+    if None in candidate_lists:
+        position = candidate_lists.index(None)
+        raise UnknownSourceCharError(source, target, chars[position], position)
+
+    n = len(chars)
     segments = [""] * n
     fail_position = 0
     success = False

@@ -23,27 +23,31 @@ character ordering, unlike numeric thresholds over some encoding.
 
 A tree grows from its key's samples (``featurizer.Samples``): per
 label, a list of rows, each one sample's window tuple. Every open node
-owns its samples as such a label -> rows map, so a histogram is
-``Counter(map(itemgetter(p), rows))``, a C-level count of one position.
-A split hands a label the eq side holds all or none of to that child as
-it is and cuts a mixed one in two with ``compress``; the rows are only
-read. Each split is checked to leave both children non-empty, so a tree
-on n samples has at most n - 1 splits whatever the histograms say.
+owns its samples as such a label -> rows map. A split hands a label the
+eq side holds all or none of to that child as it is and cuts a mixed
+one in two with ``compress``; the rows are only read. Each split is
+checked to leave both children non-empty, so a tree on n samples has at
+most n - 1 splits whatever the histograms say.
 
 Growth never rescans a node's rows to score it. Besides its rows, each
-open node carries only its histograms: per window position, label ->
-``Counter``. Scoring a position sums them per symbol over the node's
-labels l, with c_l the symbol's count in l and N_l the count of l, into
-n_eq = sum c_l, sq_eq = sum c_l^2 and cross = sum c_l * N_l, which are
-all a split's score needs. After a split only the labels the split cut
-in the smaller child are counted; a label it takes whole takes its
-histograms from the parent. The larger child is the parent minus the
-smaller (histogram subtraction, as in LightGBM, Ke et al. 2017): the
-parent's histograms, shrunk in place by what the smaller child took.
-Every score comes from the same integer counts through the same float
-expression in the same candidate order, so the trees are bit-identical
-to those of a grower that rebuilds every node's histograms, and depend
-only on the multiset of samples.
+open node carries only its histograms: per window position other than
+the focus position x, label -> ``Counter``. Every row of a key holds the
+key at x, so x is never counted, subtracted or scored. A root counts
+each label a column at a time: its cells in one list, and a column a
+strided slice of it, so counting makes no call per cell and no object
+per row. Scoring a position sums the histograms per symbol over the
+node's labels l, with c_l the symbol's count in l and N_l the count of
+l, into n_eq = sum c_l, sq_eq = sum c_l^2 and cross = sum c_l * N_l,
+which are all a split's score needs. After a split only the labels the
+split cut in the smaller child are counted, one position at a time; a
+label it takes whole takes its histograms from the parent. The larger
+child is the parent minus the smaller (histogram subtraction, as in
+LightGBM, Ke et al. 2017): the parent's histograms, shrunk in place by
+what the smaller child took. Every score comes from the same integer
+counts through the same float expression in the same candidate order, so
+the trees are bit-identical to those of a grower that rebuilds every
+node's histograms over every position, and depend only on the multiset
+of samples.
 
 A tree is one flat list of nodes, the same in memory and on disk. An
 internal node is ``[f, s, eq, ne]``: window position ``f`` is tested
@@ -82,7 +86,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
 from operator import itemgetter, not_
 
 from .alphabets import Direction, MappingTable
@@ -155,24 +159,30 @@ def _majority_label(class_counts: dict[str, int]) -> str:
     return min(label for label, count in class_counts.items() if count == best_count)
 
 
-def _label_hists(blocks) -> list[dict]:
-    """Per position, label -> Counter of that label's rows at it."""
-    width = len(next(iter(blocks.values()))[0])
-    return [
-        {label: Counter(map(itemgetter(p), rows)) for label, rows in blocks.items()}
-        for p in range(width)
-    ]
+def _label_hists(blocks, positions) -> dict:
+    """Per position of ``positions``, in their order, label -> Counter of
+    that label's rows at it, counted a column at a time. A column is a
+    strided slice of the label's cells laid out in one list, which makes
+    no object per row (``zip(*rows)`` makes an iterator per row, and so
+    many new objects set off the garbage collector)."""
+    hists = {p: {} for p in positions}
+    for label, rows in blocks.items():
+        cells = list(chain.from_iterable(rows))
+        width = len(rows[0])
+        for p, per_label in hists.items():
+            per_label[label] = Counter(cells[p::width])
+    return hists
 
 
-def _subtract(hists, small_blocks, counts) -> list[dict]:
+def _subtract(hists, small_blocks, counts) -> dict:
     """Return the histograms of a node's smaller child, given its label ->
     rows map, and turn the node's histograms into the larger child's in
     place. A label the smaller child takes whole moves over as it is; a
     label the split cuts is counted once and taken away with ``-=``, which
     drops the counts that reach zero, so every symbol left in a histogram
     occurs in its rows."""
-    small_hists = []
-    for q, per_label in enumerate(hists):
+    small_hists = {}
+    for q, per_label in hists.items():
         small_per_label = {}
         for label, rows in small_blocks.items():
             if len(rows) == counts[label]:
@@ -180,7 +190,7 @@ def _subtract(hists, small_blocks, counts) -> list[dict]:
             else:
                 hist = small_per_label[label] = Counter(map(itemgetter(q), rows))
                 per_label[label] -= hist
-        small_hists.append(small_per_label)
+        small_hists[q] = small_per_label
     return small_hists
 
 
@@ -205,12 +215,14 @@ def _partition(blocks, p, symbol, per_label):
 
 
 def _best_split(hists, counts, n):
-    """Exhaustively score every (position, symbol) equality split.
+    """Exhaustively score every equality split on a position the node's
+    histograms cover, against each symbol present there.
 
     Returns (position, symbol), or None when every sample carries the
-    same feature vector and no split can separate anything. A zero
-    impurity decrease does not stop growth; the split decrease is never
-    negative, so any valid split is taken when nothing better exists.
+    same symbol at each of those positions and no split can separate
+    anything. A zero impurity decrease does not stop growth; the split
+    decrease is never negative, so any valid split is taken when nothing
+    better exists.
     Candidates are scanned position ascending, symbol ascending, and
     only a strictly better decrease replaces the incumbent, which
     implements the tie-break.
@@ -219,7 +231,7 @@ def _best_split(hists, counts, n):
     sq = sum(c * c for c in counts.values())
     best_decrease = -1.0
     best = None
-    for p, per_label in enumerate(hists):
+    for p, per_label in hists.items():
         # Per symbol, over the node's labels l, with c the symbol's count
         # in l and N_l the count of l: [n_eq, sq_eq, cross], the sums of
         # c, c * c and c * N_l.
@@ -251,7 +263,9 @@ def _best_split(hists, counts, n):
     return best
 
 
-def _grow(blocks) -> list[list]:
+def _grow(blocks, positions) -> list[list]:
+    """The node list of the tree grown on a label -> rows map, whose
+    splits test only the window positions ``positions``, ascending."""
     # Iterative with an explicit stack; equality-split chains get deep
     # enough to threaten the interpreter recursion limit. The stack pops
     # nodes in pre-order, eq subtree first, which is the list order.
@@ -269,7 +283,7 @@ def _grow(blocks) -> list[list]:
         split = None
         if len(counts) > 1:
             if hists is None:
-                hists = _label_hists(blocks)
+                hists = _label_hists(blocks, positions)
             split = _best_split(hists, counts, n)
         if split is None:
             nodes.append([_majority_label(counts), counts])
@@ -323,8 +337,14 @@ def train(samples: Samples, table: MappingTable) -> TranslitModel:
                 raise UnlicensedSampleError(
                     f"focus {focus!r}, label {label!r}: a sample has another focus symbol"
                 )
+    # Every row of a key holds that key at x, so no split can test x.
+    positions = [p for p in range(window.width) if p != window.x]
     trees = {
-        key: _grow(samples.blocks[key]) if key in samples.blocks else [[candidates[0], {}]]
+        key: (
+            _grow(samples.blocks[key], positions)
+            if key in samples.blocks
+            else [[candidates[0], {}]]
+        )
         for key, candidates in table.entries.items()
     }
     return TranslitModel(trees=trees, window=window, table=table)

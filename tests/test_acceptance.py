@@ -240,7 +240,7 @@ def test_criterion_8_gini_split_oracle():
             Row(tuple(rng.choice(symbols) for _ in range(width)), rng.choice(labels))
             for _ in range(rng.randint(2, 50))
         ]
-        nodes = _grow(blocks_of(samples))
+        nodes = _grow(blocks_of(samples), range(width))
         oracle = _oracle_best_decrease(samples)
         if len(nodes[0]) == 2:  # the root is a leaf
             assert oracle <= 1e-12

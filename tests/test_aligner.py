@@ -45,9 +45,18 @@ def test_untileable_target(cyr2lat_table):
         align_word("аб", "xyz", cyr2lat_table)
 
 
-def test_unknown_source_char(cyr2lat_table):
+@pytest.mark.parametrize(
+    ("source", "target"),
+    [
+        ("аw", "aw"),
+        # the greedy walk dead-ends at б, before it reaches w
+        ("бw", "xw"),
+    ],
+    ids=["walk-reaches-it", "walk-dead-ends-first"],
+)
+def test_unknown_source_char(cyr2lat_table, source, target):
     with pytest.raises(UnknownSourceCharError) as excinfo:
-        align_word("аw", "aw", cyr2lat_table)
+        align_word(source, target, cyr2lat_table)
     assert excinfo.value.char == "w"
     assert excinfo.value.position == 1
 

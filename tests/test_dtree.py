@@ -300,9 +300,11 @@ def test_split_matches_bruteforce_oracle():
     rng = random.Random(2024)
     checked = 0
     for _ in range(100):
-        samples = _random_samples(rng, rng.randint(2, 50), width=rng.randint(1, 4))
+        n = rng.randint(2, 50)
+        width = rng.randint(1, 4)
+        samples = _random_samples(rng, n, width=width)
         oracle = _oracle_best_decrease(samples)
-        chosen = _chosen_decrease(samples, _grow(blocks_of(samples)))
+        chosen = _chosen_decrease(samples, _grow(blocks_of(samples), range(width)))
         if chosen is None:
             # trainer refused to split; oracle must agree nothing helps
             assert oracle <= 1e-12
@@ -611,8 +613,8 @@ def _sample_sets(draw):
 @settings(max_examples=200, deadline=None)
 @given(case=_sample_sets())
 def test_matches_reference_grower(case):
-    _, samples = case
-    assert _grow(blocks_of(samples)) == _reference_nodes(samples)
+    width, samples = case
+    assert _grow(blocks_of(samples), range(width)) == _reference_nodes(samples)
 
 
 _MANY_SYMBOLS = ["а", "б", "в", "г", "д", "е", "ж", PAD]
@@ -644,8 +646,8 @@ def _many_label_sets(draw):
 @settings(max_examples=200, deadline=None)
 @given(case=_many_label_sets())
 def test_matches_reference_grower_with_many_labels(case):
-    _, samples = case
-    assert _grow(blocks_of(samples)) == _reference_nodes(samples)
+    width, samples = case
+    assert _grow(blocks_of(samples), range(width)) == _reference_nodes(samples)
 
 
 def _walk(nodes, features):
@@ -661,7 +663,7 @@ def test_xor_block_matches_reference_grower():
     samples = [
         Row((a, b), "a" if a == b else "b") for a in ("а", "б") for b in ("а", "б")
     ]
-    nodes = _grow(blocks_of(samples))
+    nodes = _grow(blocks_of(samples), range(2))
     assert len(nodes[0]) == 4  # the root splits
     assert nodes == _reference_nodes(samples)
     assert all(_walk(nodes, s.features) == s.label for s in samples)

@@ -1,5 +1,6 @@
 import json
 import random
+import unicodedata
 from itertools import product
 
 import pytest
@@ -14,6 +15,7 @@ from uztranslit.alphabets import (
     LAT2CYR,
     MappingTable,
     bundled_mapping_table,
+    normalize_word,
 )
 from uztranslit.featurizer import WindowSpec, window_features
 from uztranslit.gencorpus import gen_corpus
@@ -159,6 +161,89 @@ def test_load_corpus_regression(tmp_path):
         ("2х+$", "2x+$"),
     ]
     assert corpus.provenance == f"{path} (11 pairs, 15 dropped)"
+
+
+def _reference_load_corpus(path) -> Corpus:
+    """The loader that normalized each field on its own, line by line,
+    and judged each character of each field."""
+
+    def entry_ok(word):
+        return bool(word) and all(
+            ch in "-'" or not (ch.isspace() or unicodedata.category(ch).startswith("P"))
+            for ch in word
+        )
+
+    pairs = []
+    dropped = 0
+    with open(path, encoding="utf-8-sig") as handle:
+        for raw in handle:
+            line = raw.rstrip("\n")
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            cyr, _, lat = line.partition("\t")
+            cyr = normalize_word(cyr.strip())
+            lat = normalize_word(lat.strip())
+            if entry_ok(cyr) and entry_ok(lat):
+                pairs.append((cyr, lat))
+            else:
+                dropped += 1
+    return Corpus(pairs=pairs, provenance=f"{path} ({len(pairs)} pairs, {dropped} dropped)")
+
+
+# Letters in NFC and NFD, combining marks that may land at a field's
+# edge, Greek capital sigma (its lowercase depends on what follows it),
+# every apostrophe variant, punctuation, and whitespace besides the
+# ASCII space: U+2000 and U+2001, which NFC rewrites, NBSP, and NEL and
+# U+2028, which str.splitlines would take for line ends.
+_FIELD_CHARS = (
+    ["б", "о", "Л", "а", "й", "и\u0306", "е\u0308", "Q", "o", "A", "Σ", "Α", "ς", "2", "-", "#"]
+    + ["\u0301", "\u0306", "\u0308", "!", ".", "_", " ", "\u2000"]
+    + sorted(APOSTROPHE_VARIANTS)
+)
+_SPACES = ["", " ", "\u2000", "\u2001", "\u00a0", "\x85", "\u2028", " \u2000"]
+
+
+@st.composite
+def _corpus_texts(draw):
+    field = st.lists(st.sampled_from(_FIELD_CHARS), max_size=5).map("".join)
+    space = st.sampled_from(_SPACES)
+    lines = []
+    for kind in draw(st.lists(st.sampled_from("ppppcbsx"), max_size=12)):
+        if kind == "p":  # a pair, its fields padded with whitespace
+            line = "\t".join(draw(space) + draw(field) + draw(space) for _ in range(2))
+        elif kind == "c":
+            line = draw(space) + "#" + draw(field) + "\t" + draw(field)
+        elif kind == "b":
+            line = draw(space)
+        elif kind == "s":  # a single field
+            line = draw(field)
+        else:  # a third field
+            line = "\t".join(draw(field) for _ in range(3))
+        lines.append(line + draw(st.sampled_from(["\n", "\r\n", "\r"])))
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + "".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_corpus_texts(), block=st.sampled_from([1, 7, pipeline._LOAD_BLOCK_CHARS]))
+@example(
+    text="\ufeffΑΣ\tΣ\r\n  # x\r\u0301б\u0301\t\u2000Qo\u02bbL\u00a0\n\n ΣΑ\u2001\tαΣ'",
+    block=7,
+)
+def test_load_corpus_matches_per_line_reference(tmp_path_factory, text, block):
+    path = tmp_path_factory.mktemp("corpus") / "c.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    # Small blocks make the loader normalize the file in many pieces.
+    saved, pipeline._LOAD_BLOCK_CHARS = pipeline._LOAD_BLOCK_CHARS, block
+    try:
+        corpus = pipeline.load_corpus(path)
+    finally:
+        pipeline._LOAD_BLOCK_CHARS = saved
+    reference = _reference_load_corpus(path)
+    assert corpus.pairs == reference.pairs
+    assert corpus.provenance == reference.provenance
 
 
 def test_corpus_save_load_roundtrip(tmp_path, synthetic_small):
