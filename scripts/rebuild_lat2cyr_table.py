@@ -16,7 +16,9 @@ Two stages, mirroring how the bundled table was produced:
    assignments become new table rows. This automates the add-a-mapping
    loop that was done by hand against the original dictionary.
 
-Writes the result next to the bundled file for comparison, then diffs.
+Writes the result to --out (lat2cyr.rebuilt.tsv in the working
+directory by default), diffs it against the bundled file, and exits 1
+on any difference.
 
 Usage: python scripts/rebuild_lat2cyr_table.py [--out PATH]
 """
@@ -139,7 +141,7 @@ def main(argv=None) -> int:
         theirs = bundled.entries.get(key, ())
         if ours != theirs:
             print(f"  {key}: rebuilt={ours} bundled={theirs}")
-    return 0
+    return 1
 
 
 if __name__ == "__main__":

@@ -32,22 +32,25 @@ most n - 1 splits whatever the histograms say.
 Growth never rescans a node's rows to score it. Besides its rows, each
 open node carries only its histograms: per window position other than
 the focus position x, label -> ``Counter``. Every row of a key holds the
-key at x, so x is never counted, subtracted or scored. A root counts
-each label a column at a time: its cells in one list, and a column a
-strided slice of it, so counting makes no call per cell and no object
-per row. Scoring a position sums the histograms per symbol over the
-node's labels l, with c_l the symbol's count in l and N_l the count of
-l, into n_eq = sum c_l, sq_eq = sum c_l^2 and cross = sum c_l * N_l,
-which are all a split's score needs. After a split only the labels the
-split cut in the smaller child are counted, one position at a time; a
-label it takes whole takes its histograms from the parent. The larger
-child is the parent minus the smaller (histogram subtraction, as in
-LightGBM, Ke et al. 2017): the parent's histograms, shrunk in place by
-what the smaller child took. Every score comes from the same integer
-counts through the same float expression in the same candidate order, so
-the trees are bit-identical to those of a grower that rebuilds every
-node's histograms over every position, and depend only on the multiset
-of samples.
+key at x, so x is never counted, subtracted or scored. Nor, after a
+node is scored, is a position at which all the node's rows hold one
+symbol: it can split neither the node nor any node under it, so scoring
+deletes it from the histograms the children inherit. A root counts each
+label a column at a time: its cells in one list, and a column a strided
+slice of it, so counting makes no call per cell and no object per row.
+Scoring a position sums the histograms per symbol over the node's labels
+l, with c_l the symbol's count in l and N_l the count of l, into n_eq =
+sum c_l, sq_eq = sum c_l^2 and cross = sum c_l * N_l, which are all a
+split's score needs. After a split only the labels the split cut in the
+smaller child are counted, one position at a time; a label it takes
+whole takes its histograms from the parent. The larger child is the
+parent minus the smaller (histogram subtraction, as in LightGBM, Ke et
+al. 2017): the parent's histograms, shrunk in place by what the smaller
+child took, a symbol of the smaller child at a time. Every score comes
+from the same integer counts through the same float expression in the
+same candidate order, so the trees are bit-identical to those of a
+grower that rebuilds every node's histograms over every position, and
+depend only on the multiset of samples.
 
 A tree is one flat list of nodes, the same in memory and on disk. An
 internal node is ``[f, s, eq, ne]``: window position ``f`` is tested
@@ -66,18 +69,21 @@ and that every leaf label under key ``ch`` is in
 ``table.candidates(ch)``; every file that loads predicts only licensed
 segments.
 
-Prediction walks compiled switches, not node lists. A run of ne tests
-on one position is one multiway categorical split, as in C4.5 (Quinlan,
+Prediction walks compiled switches, not node lists. A run of ne tests on
+one position is one multiway categorical split, as in C4.5 (Quinlan,
 1993) and in compiled trees such as Treelite's (Cho & Li, 2018). On
 first use a model compiles each tree, in one reverse pass, into nested
 ``(f, {symbol: child}, default)`` switches whose leaves are labels.
 ``predict`` takes a whole padded word (``featurizer.window_features``),
 reads the window at ``i`` in place as ``features[i + f]``, and starts it
 at its focus symbol's switches; a focus symbol that is no key (a digit,
-punctuation, the other script) labels itself. On the README-default
-models trained on the lexicon's 70% seed-42 split, over the words of
-``gen_corpus(20000, 42)``, a character takes 1.27 dict lookups (cyr2lat)
-and 2.78 (lat2cyr), the focus lookup included.
+punctuation, the other script) labels itself. ``count_correct`` walks
+the same switches over labelled samples extracted at a window that holds
+the model's, reading ``row[skip + f]``, which is how a grid search
+scores every cell on one extraction of its validation words. On the
+README-default models trained on the lexicon's 70% seed-42 split, over
+the words of ``gen_corpus(20000, 42)``, a character takes 1.27 dict
+lookups (cyr2lat) and 2.78 (lat2cyr), the focus lookup included.
 """
 
 from __future__ import annotations
@@ -178,9 +184,9 @@ def _subtract(hists, small_blocks, counts) -> dict:
     """Return the histograms of a node's smaller child, given its label ->
     rows map, and turn the node's histograms into the larger child's in
     place. A label the smaller child takes whole moves over as it is; a
-    label the split cuts is counted once and taken away with ``-=``, which
-    drops the counts that reach zero, so every symbol left in a histogram
-    occurs in its rows."""
+    label the split cuts is counted once and taken away a symbol at a
+    time, deleting a symbol whose count reaches zero, so every symbol left
+    in a histogram occurs in its rows."""
     small_hists = {}
     for q, per_label in hists.items():
         small_per_label = {}
@@ -189,7 +195,13 @@ def _subtract(hists, small_blocks, counts) -> dict:
                 small_per_label[label] = per_label.pop(label)
             else:
                 hist = small_per_label[label] = Counter(map(itemgetter(q), rows))
-                per_label[label] -= hist
+                big = per_label[label]
+                for symbol, c in hist.items():
+                    left = big[symbol] - c
+                    if left:
+                        big[symbol] = left
+                    else:
+                        del big[symbol]
         small_hists[q] = small_per_label
     return small_hists
 
@@ -218,11 +230,12 @@ def _best_split(hists, counts, n):
     """Exhaustively score every equality split on a position the node's
     histograms cover, against each symbol present there.
 
-    Returns (position, symbol), or None when every sample carries the
-    same symbol at each of those positions and no split can separate
-    anything. A zero impurity decrease does not stop growth; the split
-    decrease is never negative, so any valid split is taken when nothing
-    better exists.
+    A position at which every sample carries one symbol cannot split the
+    node or any node below it, so it is deleted from ``hists``, and
+    neither child counts, subtracts or scores it again. Returns
+    (position, symbol), or None when no position is left. A zero
+    impurity decrease does not stop growth; the split decrease is never
+    negative, so any valid split is taken when nothing better exists.
     Candidates are scanned position ascending, symbol ascending, and
     only a strictly better decrease replaces the incumbent, which
     implements the tie-break.
@@ -231,6 +244,7 @@ def _best_split(hists, counts, n):
     sq = sum(c * c for c in counts.values())
     best_decrease = -1.0
     best = None
+    constant = []
     for p, per_label in hists.items():
         # Per symbol, over the node's labels l, with c the symbol's count
         # in l and N_l the count of l: [n_eq, sq_eq, cross], the sums of
@@ -246,10 +260,11 @@ def _best_split(hists, counts, n):
                     total[0] += c
                     total[1] += c * c
                     total[2] += c * n_l
+        if len(per_symbol) == 1:
+            constant.append(p)
+            continue
         for symbol in sorted(per_symbol):
             n_eq, sq_eq, cross = per_symbol[symbol]
-            if n_eq == n:
-                continue  # equality side would swallow the node
             n_ne = n - n_eq
             # sum((N_l - c_l) ** 2) over the node's labels, expanded into
             # the sums above; the integers are exact, so the floats below
@@ -260,6 +275,8 @@ def _best_split(hists, counts, n):
             if decrease > best_decrease:
                 best_decrease = decrease
                 best = (p, symbol)
+    for p in constant:
+        del hists[p]
     return best
 
 
@@ -396,6 +413,30 @@ def predict(model: TranslitModel, features) -> list[str]:
             node = cases.get(features[i + f], default)
         labels.append(node)
     return labels
+
+
+def count_correct(model: TranslitModel, gold: Samples) -> int:
+    """How many of ``gold``'s samples ``model`` gives their label, as
+    ``predict`` labels each window. ``gold``'s window must hold the
+    model's: its rows are read in place, position ``f`` of the model's
+    window as ``row[skip + f]`` with ``skip`` the difference of the two
+    x, so a wider extraction serves every smaller window unsliced."""
+    window = model.window
+    skip = gold.window.x - window.x
+    if skip < 0 or gold.window.y < window.y:
+        raise WidthMismatchError(f"samples at {gold.window} do not hold the model's {window}")
+    start = model.switches.get
+    correct = 0
+    for focus, labels in gold.blocks.items():
+        root = start(focus, focus)
+        for label, rows in labels.items():
+            for row in rows:
+                node = root
+                while type(node) is tuple:
+                    f, cases, default = node
+                    node = cases.get(row[skip + f], default)
+                correct += node == label
+    return correct
 
 
 def tree_depth(nodes: list[list]) -> int:

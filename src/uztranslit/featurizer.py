@@ -20,12 +20,15 @@ grouping serves every window, and each focus character's label -> rows
 map is what its own tree (``dtree.train``) grows from. A smaller
 window's rows are slices of a wider window's (``Samples.narrowed``), so
 a grid search extracts and groups once, at its widest window. Each cell
-deduplicates only the rows of the keys whose samples carry more than one
-label (``Samples.only``): every other key's tree is the same one leaf at
-every window. Extraction also makes every equal symbol one shared string
-object, which keeps the grower's histogram counting inside a few cache
-lines instead of one str object per window cell; a character outside
-Latin-1 is otherwise a new object in every word.
+trains on slices of the training rows and scores the validation rows
+unsliced, reading its window inside the wider one
+(``dtree.count_correct``). Each cell deduplicates only the rows of the
+keys whose samples carry more than one label (``Samples.only``): every
+other key's tree is the same one leaf at every window. Extraction also
+makes every equal symbol one shared string object, which keeps the
+grower's histogram counting inside a few cache lines instead of one str
+object per window cell; a character outside Latin-1 is otherwise a new
+object in every word.
 
 The padding sentinel is deliberately not "∅": the empty-string class
 and out-of-word padding are different roles and must stay distinct in

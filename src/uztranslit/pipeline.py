@@ -30,7 +30,7 @@ from .alphabets import CYRILLIC, Direction, MappingTable, normalize_word
 from .alphabets import bundled_script_spec  # noqa: F401
 from .aligner import align_corpus
 from .dtree import TranslitModel, predict
-from .featurizer import Samples, WindowSpec, dedup_samples, extract_samples, window_features
+from .featurizer import WindowSpec, dedup_samples, extract_samples, window_features
 
 log = logging.getLogger(__name__)
 
@@ -327,17 +327,6 @@ def evaluate(model: TranslitModel, heldout: Corpus, table: MappingTable) -> Eval
     return _report_from_alignments(model, alignments, unalignable)
 
 
-def _correct(model: TranslitModel, gold: Samples) -> int:
-    """How many of ``gold``'s windows ``model`` gives their gold label.
-    ``gold`` must be at the model's window."""
-    return sum(
-        predict(model, row)[0] == label
-        for labels in gold.blocks.values()
-        for label, rows in labels.items()
-        for row in rows
-    )
-
-
 def grid_search(
     train_part: Corpus,
     validation_part: Corpus,
@@ -351,19 +340,22 @@ def grid_search(
     smallest x), every cell's score and the keys that vary. An empty
     grid is a ValueError.
 
-    The training and the validation alignments are each extracted once,
-    at the grid's widest x and y; the validation labels are the gold
-    segments, and each cell takes a slice of both (``Samples.narrowed``).
-    A key's tree is grown on that key's samples alone, so a key whose
-    training samples carry one label, or that training never holds, is
-    one leaf with the same label at every window. Only the other keys,
-    the *varying* ones, are deduplicated, trained and scored per cell.
-    The fixed keys' correct count and the number of validation
-    characters (those of unalignable pairs included) are the same in
-    every cell, so the cells rank by the varying keys' count alone. The
-    best cell's model is then trained on every key, the fixed keys are
-    scored with it once, and each cell's F1 is its correct count over
-    the number of characters, the division ``evaluate`` makes."""
+    The training and the validation alignments are each extracted once, at
+    the grid's widest x and y; the validation labels are the gold
+    segments. Each cell trains on slices of the training rows
+    (``Samples.narrowed``) and scores the validation rows as they are:
+    ``dtree.count_correct`` reads the cell's window inside the widest one
+    in place, so the validation side is never sliced and no window is
+    predicted alone. A key's tree is grown on that key's samples alone, so
+    a key whose training samples carry one label, or that training never
+    holds, is one leaf with the same label at every window. Only the other
+    keys, the *varying* ones, are deduplicated, trained and scored per
+    cell. The fixed keys' correct count and the number of validation
+    characters (those of unalignable pairs included) are the same in every
+    cell, so the cells rank by the varying keys' count alone. The best
+    cell's model is then trained on every key, the fixed keys are scored
+    with it once, and each cell's F1 is its correct count over the number
+    of characters, the division ``evaluate`` makes."""
     grid = list(product(x_values, y_values))
     if not grid:
         raise ValueError("the window grid is empty")
@@ -382,12 +374,12 @@ def grid_search(
         for x, y in grid:
             window = WindowSpec(x, y)
             model = dtree.train(dedup_samples(train_varying.narrowed(window)), table)
-            correct[x, y] = _correct(model, gold_varying.narrowed(window))
+            correct[x, y] = dtree.count_correct(model, gold_varying)
     # over one total, a larger count divides to a larger F1
     x, y = min(grid, key=lambda cell: (-correct[cell], cell[0] + cell[1], cell[0]))
     best = WindowSpec(x, y)
     model = dtree.train(dedup_samples(wide.narrowed(best)), table)
-    fixed = _correct(model, gold.only(set(gold.blocks) - set(varying)).narrowed(best))
+    fixed = dtree.count_correct(model, gold.only(set(gold.blocks) - set(varying)))
     cells = [
         GridCell(x=x, y=y, validation_f1=(fixed + correct[x, y]) / total if total else 1.0)
         for x, y in grid

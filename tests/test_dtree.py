@@ -245,73 +245,77 @@ def test_pure_fit_property(seed, n):
     assert all(predict(model, s.features) == [s.label] for s in samples)
 
 
+def _gini_of(samples):
+    counts = {}
+    for s in samples:
+        counts[s.label] = counts.get(s.label, 0) + 1
+    m = len(samples)
+    return 1.0 - sum(c * c for c in counts.values()) / (m * m)
+
+
+def _decrease(samples, p, symbol):
+    """The Gini decrease of splitting ``samples`` on ``features[p] ==
+    symbol``."""
+    eq = [s for s in samples if s.features[p] == symbol]
+    ne = [s for s in samples if s.features[p] != symbol]
+    n = len(samples)
+    return _gini_of(samples) - (len(eq) / n) * _gini_of(eq) - (len(ne) / n) * _gini_of(ne)
+
+
 def _oracle_best_decrease(samples):
-    """Independent exhaustive split scorer used as the optimality oracle."""
-    n = len(samples)
-    totals = {}
-    for s in samples:
-        totals[s.label] = totals.get(s.label, 0) + 1
-    parent = 1.0 - sum(c * c for c in totals.values()) / (n * n)
-    best = 0.0
-    width = len(samples[0].features)
-    for p in range(width):
-        for symbol in {s.features[p] for s in samples}:
-            eq = [s for s in samples if s.features[p] == symbol]
-            ne = [s for s in samples if s.features[p] != symbol]
-            if not eq or not ne:
-                continue
-
-            def g(part):
-                counts = {}
-                for s in part:
-                    counts[s.label] = counts.get(s.label, 0) + 1
-                m = len(part)
-                return 1.0 - sum(c * c for c in counts.values()) / (m * m)
-
-            decrease = parent - (len(eq) / n) * g(eq) - (len(ne) / n) * g(ne)
-            best = max(best, decrease)
-    return best
+    """Independent exhaustive split scorer used as the optimality oracle:
+    the best decrease over every split that leaves both sides non-empty,
+    or None when there is no such split."""
+    decreases = [
+        _decrease(samples, p, symbol)
+        for p in range(len(samples[0].features))
+        for symbol in {s.features[p] for s in samples}
+        if any(s.features[p] != symbol for s in samples)
+    ]
+    return max(decreases, default=None)
 
 
-def _chosen_decrease(samples, nodes):
-    root = nodes[0]
-    if len(root) != 4:
-        return None
-    feature_index, test_symbol = root[:2]
-    n = len(samples)
-    totals = {}
-    for s in samples:
-        totals[s.label] = totals.get(s.label, 0) + 1
-    parent = 1.0 - sum(c * c for c in totals.values()) / (n * n)
-    eq = [s for s in samples if s.features[feature_index] == test_symbol]
-    ne = [s for s in samples if s.features[feature_index] != test_symbol]
-
-    def g(part):
-        counts = {}
-        for s in part:
-            counts[s.label] = counts.get(s.label, 0) + 1
-        m = len(part)
-        return 1.0 - sum(c * c for c in counts.values()) / (m * m)
-
-    return parent - (len(eq) / n) * g(eq) - (len(ne) / n) * g(ne)
+def _samples_with_constant_columns(rng, n, width):
+    """Random samples with two more columns: one that maps another column
+    onto two symbols, so it turns constant below a split that fixes that
+    column or it, and one that is PAD everywhere."""
+    samples = _random_samples(rng, n, width=width)
+    source = rng.randrange(width)
+    image = {symbol: rng.choice("аб") for symbol in {s.features[source] for s in samples}}
+    return [Row(s.features + (image[s.features[source]], PAD), s.label) for s in samples]
 
 
 def test_split_matches_bruteforce_oracle():
+    """At every node of every tree, not only at the root: an internal
+    node's split decreases impurity as much as the best split of the
+    samples that reach it, and a leaf is pure or has no split at all.
+    Below the root a node's histograms come from subtraction, and
+    columns turn constant there."""
     rng = random.Random(2024)
-    checked = 0
+    roots = internal = 0
     for _ in range(100):
         n = rng.randint(2, 50)
         width = rng.randint(1, 4)
-        samples = _random_samples(rng, n, width=width)
-        oracle = _oracle_best_decrease(samples)
-        chosen = _chosen_decrease(samples, _grow(blocks_of(samples), range(width)))
-        if chosen is None:
-            # trainer refused to split; oracle must agree nothing helps
-            assert oracle <= 1e-12
-        else:
-            assert math.isclose(chosen, oracle, abs_tol=1e-12)
-            checked += 1
-    assert checked > 50
+        samples = _samples_with_constant_columns(rng, n, width)
+        nodes = _grow(blocks_of(samples), range(width + 2))
+        stack = [(0, samples)]
+        while stack:
+            index, part = stack.pop()
+            oracle = _oracle_best_decrease(part)
+            node = nodes[index]
+            if len(node) == 2:
+                assert len({s.label for s in part}) == 1 or oracle is None
+                continue
+            f, symbol, eq, ne = node
+            assert math.isclose(_decrease(part, f, symbol), oracle, abs_tol=1e-12)
+            roots += index == 0
+            internal += 1
+            stack += [
+                (eq, [s for s in part if s.features[f] == symbol]),
+                (ne, [s for s in part if s.features[f] != symbol]),
+            ]
+    assert roots > 50
+    assert internal > 4 * roots
 
 
 def test_serialize_roundtrip_identical_predictions(cyr2lat_table):
@@ -922,6 +926,39 @@ def test_lexicon_models_match_reference_walk(lexicon, direction, x, y):
             mismatched.append(source)
     assert windows > 10_000
     assert mismatched == []
+
+
+@pytest.mark.parametrize("direction", [CYR2LAT, LAT2CYR])
+def test_count_correct_reads_wider_rows_as_predict_reads_narrowed_ones(lexicon, direction):
+    """For every window x, y in 0..4, on the lexicon's seed-42 split:
+    each validation window, extracted at x = y = 4 and read in place,
+    counts as correct under the label predict gives its narrowed row and
+    under no other label."""
+    table = bundled_mapping_table(direction)
+    train_part, val_part, _ = split_corpus(lexicon, SplitConfig(0.7, 0.15, 0.15, seed=42))
+    alignments, _ = align_corpus(val_part.oriented(direction), table)
+    gold = extract_samples(alignments, WindowSpec(4, 4))
+    assert len(gold) > 300
+    for x, y in itertools.product(range(5), repeat=2):
+        window = WindowSpec(x, y)
+        model = train_direction(train_part, window, table)
+        narrowed = gold.narrowed(window)
+        expected = 0
+        for focus, labels in gold.blocks.items():
+            for label, rows in labels.items():
+                for row, narrow in zip(rows, narrowed.blocks[focus][label]):
+                    predicted = predict(model, narrow)[0]
+                    expected += predicted == label
+                    for other in {predicted, label}:
+                        one = Samples(gold.window, {focus: {other: [row]}})
+                        assert dtree.count_correct(model, one) == (other == predicted)
+        assert dtree.count_correct(model, gold) == expected
+        assert dtree.count_correct(model, narrowed) == expected
+    # the model's window must fit inside the samples'
+    widest = train_direction(train_part, WindowSpec(4, 4), table)
+    for smaller in (WindowSpec(3, 4), WindowSpec(4, 3)):
+        with pytest.raises(WidthMismatchError):
+            dtree.count_correct(widest, gold.narrowed(smaller))
 
 
 # By focus: model.switches holds, per table key, that key's tree compiled

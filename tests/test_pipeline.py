@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import unicodedata
@@ -604,6 +605,39 @@ def test_grid_search_takes_one_shot_iterables(synthetic_small, cyr2lat_table):
     assert len(from_lists[1]) == 4
     assert from_iterators[1] == from_lists[1]
     assert dtree.serialize(from_iterators[0]) == dtree.serialize(from_lists[0])
+
+
+# sha256 of format_grid_tsv(cells) and of the best model's serialize(), for
+# x, y in 0..4 on the 70/15/15 seed-42 split; a change to how a grid
+# search trains or scores must leave both byte-identical
+_GOLDEN_GRIDS = {
+    ("lexicon", CYR2LAT): (
+        "3a6013df40952874526b22b1d83657472b5f155198ec2e2bc1237b5b0daeaa57",
+        "4bc4b1923d4129d7ad0cf51516999dae1cb253acac09a115be69144857df699f",
+    ),
+    ("lexicon", LAT2CYR): (
+        "eee42d845f28d941724e854eb2363670dd2eabde12466d709b5b98f6b2a91bb1",
+        "bc26aa3736264d4aac78e85d357e9a49457d1eff97bfbc0f708ed51f2d06f3fc",
+    ),
+    ("gen_corpus(5000, 42)", CYR2LAT): (
+        "c85107494672cfc6aa16b679d47e606e880c5fcaa57604a847ac9b8528aa0ba4",
+        "b6802721037f198313896d2ae60655a606cba597919a408cecfbeca73453a2d7",
+    ),
+}
+
+
+@pytest.mark.parametrize(("corpus", "direction"), list(_GOLDEN_GRIDS))
+def test_grid_search_outputs_match_golden_digests(lexicon, corpus, direction):
+    source = lexicon if corpus == "lexicon" else gen_corpus(5000, 42)
+    train_part, val_part, _ = split_corpus(source, SplitConfig(0.7, 0.15, 0.15, seed=42))
+    model, cells, _ = grid_search(
+        train_part, val_part, bundled_mapping_table(direction), range(5), range(5)
+    )
+    digests = (
+        hashlib.sha256(pipeline.format_grid_tsv(cells).encode("utf-8")).hexdigest(),
+        hashlib.sha256(dtree.serialize(model)).hexdigest(),
+    )
+    assert digests == _GOLDEN_GRIDS[corpus, direction]
 
 
 @settings(max_examples=50, deadline=None)
