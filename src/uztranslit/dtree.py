@@ -32,25 +32,25 @@ most n - 1 splits whatever the histograms say.
 Growth never rescans a node's rows to score it. Besides its rows, each
 open node carries only its histograms: per window position other than
 the focus position x, label -> ``Counter``. Every row of a key holds the
-key at x, so x is never counted, subtracted or scored. Nor, after a
-node is scored, is a position at which all the node's rows hold one
-symbol: it can split neither the node nor any node under it, so scoring
-deletes it from the histograms the children inherit. A root counts each
-label a column at a time: its cells in one list, and a column a strided
-slice of it, so counting makes no call per cell and no object per row.
-Scoring a position sums the histograms per symbol over the node's labels
-l, with c_l the symbol's count in l and N_l the count of l, into n_eq =
-sum c_l, sq_eq = sum c_l^2 and cross = sum c_l * N_l, which are all a
-split's score needs. After a split only the labels the split cut in the
-smaller child are counted, one position at a time; a label it takes
-whole takes its histograms from the parent. The larger child is the
-parent minus the smaller (histogram subtraction, as in LightGBM, Ke et
-al. 2017): the parent's histograms, shrunk in place by what the smaller
-child took, a symbol of the smaller child at a time. Every score comes
-from the same integer counts through the same float expression in the
-same candidate order, so the trees are bit-identical to those of a
-grower that rebuilds every node's histograms over every position, and
-depend only on the multiset of samples.
+key at x, so x is never counted, subtracted or scored. Nor, once a node
+is scored, is a position where all its rows hold one symbol: that can
+split neither the node nor any node under it, so scoring deletes it from
+the histograms the children inherit. A root counts each label a column
+at a time: its cells in one list, and a column a strided slice of it, so
+counting makes no call per cell and no object per row. Scoring a
+position sums the histograms per symbol over the node's labels l, with
+c_l the symbol's count in l and N_l the count of l, into n_eq = sum c_l,
+sq_eq = sum c_l^2 and cross = sum c_l * N_l, which are all a split's
+score needs. After a split only the labels the split cut in the smaller
+child are counted, one position at a time; a label it takes whole takes
+its histograms from the parent. The larger child is the parent minus the
+smaller (histogram subtraction, as in LightGBM, Ke et al. 2017): the
+parent's histograms, shrunk in place by what the smaller child took, one
+of its symbols at a time. Every score comes from the same integer counts
+through the same float expression in the same candidate order, so the
+trees are bit-identical to those of a grower that rebuilds every node's
+histograms over every position, and depend only on the multiset of
+samples.
 
 A tree is one flat list of nodes, the same in memory and on disk. An
 internal node is ``[f, s, eq, ne]``: window position ``f`` is tested
@@ -69,8 +69,8 @@ and that every leaf label under key ``ch`` is in
 ``table.candidates(ch)``; every file that loads predicts only licensed
 segments.
 
-Prediction walks compiled switches, not node lists. A run of ne tests on
-one position is one multiway categorical split, as in C4.5 (Quinlan,
+Prediction walks compiled switches, not node lists. A run of ne tests
+on one position is one multiway categorical split, as in C4.5 (Quinlan,
 1993) and in compiled trees such as Treelite's (Cho & Li, 2018). On
 first use a model compiles each tree, in one reverse pass, into nested
 ``(f, {symbol: child}, default)`` switches whose leaves are labels.
@@ -78,12 +78,12 @@ first use a model compiles each tree, in one reverse pass, into nested
 reads the window at ``i`` in place as ``features[i + f]``, and starts it
 at its focus symbol's switches; a focus symbol that is no key (a digit,
 punctuation, the other script) labels itself. ``count_correct`` walks
-the same switches over labelled samples extracted at a window that holds
-the model's, reading ``row[skip + f]``, which is how a grid search
-scores every cell on one extraction of its validation words. On the
-README-default models trained on the lexicon's 70% seed-42 split, over
-the words of ``gen_corpus(20000, 42)``, a character takes 1.27 dict
-lookups (cyr2lat) and 2.78 (lat2cyr), the focus lookup included.
+the same switches over labelled samples extracted at a window that
+holds the model's, reading ``row[skip + f]``: a grid search scores every
+cell on one extraction of its validation words. On the README-default
+models trained on the lexicon's 70% seed-42 split, over the words of
+``gen_corpus(20000, 42)``, a character takes 1.27 dict lookups (cyr2lat)
+and 2.78 (lat2cyr), the focus lookup included.
 """
 
 from __future__ import annotations
