@@ -56,18 +56,14 @@ class NoAlignmentError(AlignmentError):
 
 @dataclass(frozen=True)
 class AlignedPair:
-    """A source word split into characters, each tied to a target segment."""
+    """A source word whose characters are each tied to a target segment."""
 
-    source_chars: tuple[str, ...]
+    source: str
     target_segments: tuple[str, ...]
 
     def __post_init__(self):
-        if len(self.source_chars) != len(self.target_segments):
-            raise ValueError("source_chars and target_segments lengths differ")
-
-    @property
-    def source(self) -> str:
-        return "".join(self.source_chars)
+        if len(self.source) != len(self.target_segments):
+            raise ValueError("source and target_segments lengths differ")
 
     @property
     def target(self) -> str:
@@ -106,15 +102,14 @@ def align_word(source: str, target: str, table: MappingTable) -> AlignedPair:
         else:
             break
     if j == target_len and len(segments) == len(source):
-        return AlignedPair(source_chars=tuple(source), target_segments=tuple(segments))
+        return AlignedPair(source, tuple(segments))
 
-    chars = tuple(source)
-    candidate_lists = list(map(entries.get, chars))
+    candidate_lists = list(map(entries.get, source))
     if None in candidate_lists:
         position = candidate_lists.index(None)
-        raise UnknownSourceCharError(source, target, chars[position], position)
+        raise UnknownSourceCharError(source, target, source[position], position)
 
-    n = len(chars)
+    n = len(source)
     segments = [""] * n
     fail_position = 0
     success = False
@@ -157,7 +152,7 @@ def align_word(source: str, target: str, table: MappingTable) -> AlignedPair:
 
     if not success:
         raise NoAlignmentError(source, target, fail_position)
-    return AlignedPair(source_chars=chars, target_segments=tuple(segments))
+    return AlignedPair(source, tuple(segments))
 
 
 def align_corpus(pairs, table: MappingTable):

@@ -120,8 +120,8 @@ def extract_samples(alignments: list[AlignedPair], window: WindowSpec) -> Sample
     canonical: dict[str, str] = {}
     blocks: dict[str, dict] = {}
     for pair in alignments:
-        chars = pair.source_chars
-        padded = window_features(map(canonical.setdefault, chars, chars), window)
+        source = pair.source
+        padded = window_features(map(canonical.setdefault, source, source), window)
         for i, label in enumerate(pair.target_segments):
             row = padded[i : i + width]
             blocks.setdefault(row[x], {}).setdefault(label, []).append(row)

@@ -1,12 +1,15 @@
 """End-to-end orchestration: corpus IO, splitting, training, inference,
 evaluation, and hyperparameter grid search.
 
-Scoring is character level and micro-averaged: each aligned source
-character contributes exactly one (gold segment, predicted segment)
-decision, so summed TP/FP/FN give precision = recall = F1 exactly.
-Word pairs the table cannot align are not dropped from evaluation; they
-count as whole-word errors with every character wrong, because dropping
-them would inflate scores invisibly.
+Scoring is character level and micro-averaged. A report holds integer
+counts, and every float it gives is derived from them by one division
+(1.0 when nothing was scored): source characters predicted right over
+source characters, and words with every character right over words.
+Each source character makes exactly one (gold segment, predicted
+segment) decision, so precision = recall = F1 exactly: all three are
+the one ratio. Word pairs the table cannot align are not dropped from
+evaluation; they count as whole-word errors with every character wrong,
+because dropping them would inflate scores invisibly.
 
 Training aligns under a mapping table, and the model carries that table:
 its direction is the model's, and its keys are the characters the model
@@ -75,13 +78,34 @@ class SplitConfig:
             raise ValueError(f"fractions must sum to 1: {fractions}")
 
 
+def _ratio(part: int, whole: int) -> float:
+    """Every score's division: ``part / whole``, and 1.0 when nothing was
+    scored."""
+    return part / whole if whole else 1.0
+
+
 @dataclass
 class EvalReport:
-    char_precision: float
-    char_recall: float
-    char_f1: float
-    word_accuracy: float
+    """``correct`` of ``chars`` source characters got their gold segment,
+    and ``words_right`` of ``words`` words got every one; ``errors`` holds
+    (source, predicted, gold) per wrong word. The scores are derived."""
+
+    correct: int
+    chars: int
+    words_right: int
+    words: int
     errors: list[tuple[str, str, str]] = field(default_factory=list)
+
+    @property
+    def char_f1(self) -> float:
+        return _ratio(self.correct, self.chars)
+
+    # one decision per character: precision and recall are the same ratio
+    char_precision = char_recall = char_f1
+
+    @property
+    def word_accuracy(self) -> float:
+        return _ratio(self.words_right, self.words)
 
     def to_json_dict(self) -> dict:
         return {
@@ -106,11 +130,18 @@ class EvalReport:
 
 @dataclass
 class CrossValidation:
-    """Out-of-fold scores, pooled as ``evaluate`` pools, and per fold."""
+    """One out-of-fold report per fold, and their pooled scores: the
+    folds' counts summed and divided as ``evaluate`` divides."""
 
-    char_f1: float
-    word_accuracy: float
     folds: list[EvalReport]
+
+    @property
+    def char_f1(self) -> float:
+        return _ratio(sum(f.correct for f in self.folds), sum(f.chars for f in self.folds))
+
+    @property
+    def word_accuracy(self) -> float:
+        return _ratio(sum(f.words_right for f in self.folds), sum(f.words for f in self.folds))
 
 
 @dataclass
@@ -286,45 +317,29 @@ def apply_case_pattern(original: str, text: str) -> str:
     return text
 
 
-def _report_from_alignments(model, alignments, unalignable) -> EvalReport:
-    correct = 0
-    total = 0
-    words_right = 0
+def evaluate(model: TranslitModel, heldout: Corpus, table: MappingTable) -> EvalReport:
+    """Count, in one pass over ``heldout``, the source characters whose
+    predicted segment is the gold one and the words with every segment
+    right; the report's scores are derived from these counts. The gold
+    segments are aligned under ``table``, normally ``model.table``. Every
+    character of a pair the table cannot align counts as wrong, and the
+    pair as a wrong word."""
+    alignments, failures = align_corpus(heldout.oriented(model.direction), table)
+    correct = chars = words_right = 0
     errors: list[tuple[str, str, str]] = []
     for pair in alignments:
         predicted = predict_segments(model, pair.source)
-        word_ok = True
-        for gold, pred in zip(pair.target_segments, predicted):
-            total += 1
-            if gold == pred:
-                correct += 1
-            else:
-                word_ok = False
-        if word_ok:
+        right = sum(map(str.__eq__, pair.target_segments, predicted))
+        correct += right
+        chars += len(predicted)
+        if right == len(predicted):
             words_right += 1
         else:
             errors.append((pair.source, "".join(predicted), pair.target))
-    for source, target in unalignable:
-        total += len(source)
-        errors.append((source, transliterate_word(model, source), target))
-    n_words = len(alignments) + len(unalignable)
-    score = correct / total if total else 1.0
-    return EvalReport(
-        char_precision=score,
-        char_recall=score,
-        char_f1=score,
-        word_accuracy=words_right / n_words if n_words else 1.0,
-        errors=errors,
-    )
-
-
-def evaluate(model: TranslitModel, heldout: Corpus, table: MappingTable) -> EvalReport:
-    """Character-level micro-averaged scores plus exact-word accuracy, with
-    the gold segments aligned under ``table``, normally ``model.table``."""
-    oriented = heldout.oriented(model.direction)
-    alignments, failures = align_corpus(oriented, table)
-    unalignable = [(f.source, f.target) for f in failures]
-    return _report_from_alignments(model, alignments, unalignable)
+    for failure in failures:
+        chars += len(failure.source)
+        errors.append((failure.source, transliterate_word(model, failure.source), failure.target))
+    return EvalReport(correct, chars, words_right, len(alignments) + len(failures), errors)
 
 
 def grid_search(
@@ -381,7 +396,7 @@ def grid_search(
     model = dtree.train(dedup_samples(wide.narrowed(best)), table)
     fixed = dtree.count_correct(model, gold.only(set(gold.blocks) - set(varying)))
     cells = [
-        GridCell(x=x, y=y, validation_f1=(fixed + correct[x, y]) / total if total else 1.0)
+        GridCell(x=x, y=y, validation_f1=_ratio(fixed + correct[x, y], total))
         for x, y in grid
     ]
     return GridSearch(model, cells, varying)
@@ -405,21 +420,15 @@ def cross_validate(
     corpus: Corpus, window: WindowSpec, table: MappingTable, k: int = 10, seed: int = 42
 ) -> CrossValidation:
     """k-fold cross-validation (Kohavi, IJCAI 1995) at one window, in the
-    table's direction: each fold is scored by ``evaluate`` with the model
-    trained on the other k - 1 folds, so every word is scored once."""
+    table's direction: each fold is counted by ``evaluate`` with the model
+    trained on the other k - 1 folds, so every word is scored once. The
+    pooled scores divide the folds' summed integer counts."""
     folds = kfold(corpus, k, seed)
     reports = []
-    correct = chars = 0
     for i, fold in enumerate(folds):
         rest = Corpus([pair for other in folds[:i] + folds[i + 1 :] for pair in other.pairs])
         reports.append(evaluate(train_direction(rest, window, table), fold, table))
-        # every character of a fold is scored once, so the count is exact
-        fold_chars = sum(len(source) for source, _ in fold.oriented(table.direction))
-        correct += round(reports[-1].char_f1 * fold_chars)
-        chars += fold_chars
-    # every word a model gets wrong is one of its errors
-    words_right = len(corpus) - sum(len(report.errors) for report in reports)
-    return CrossValidation(correct / chars if chars else 1.0, words_right / len(corpus), reports)
+    return CrossValidation(reports)
 
 
 def format_grid_tsv(cells) -> str:

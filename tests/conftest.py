@@ -88,6 +88,6 @@ def varying_keys(part: pipeline.Corpus, table: MappingTable) -> tuple[str, ...]:
     labels: dict = {}
     for source, target in part.oriented(table.direction):
         pair = align_word(source, target, table)
-        for char, segment in zip(pair.source_chars, pair.target_segments):
+        for char, segment in zip(pair.source, pair.target_segments):
             labels.setdefault(char, set()).add(segment)
     return tuple(key for key in table.entries if len(labels.get(key, ())) > 1)

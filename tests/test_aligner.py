@@ -17,7 +17,7 @@ from uztranslit.gencorpus import gen_corpus
 def test_table1_alignment(cyr2lat_table):
     pair = align_word("қўзичоқ", "qo'zichoq", cyr2lat_table)
     assert pair.target_segments == ("q", "o'", "z", "i", "ch", "o", "q")
-    assert pair.source_chars == tuple("қўзичоқ")
+    assert pair.source == "қўзичоқ"
 
 
 def test_table2_alignment_empty_segments(lat2cyr_table):
@@ -99,7 +99,7 @@ def test_empty_source_rejected(cyr2lat_table):
 
 def test_aligned_pair_length_invariant():
     with pytest.raises(ValueError):
-        AlignedPair(("а",), ("a", "b"))
+        AlignedPair("а", ("a", "b"))
 
 
 def test_align_corpus_mixed(cyr2lat_table):
@@ -140,7 +140,7 @@ def test_tiling_and_licensing_properties(seed, cyr2lat_table, lat2cyr_table):
             pair = align_word(source, target, table)
             assert "".join(pair.target_segments) == target
             assert len(pair.target_segments) == len(source)
-            for char, segment in zip(pair.source_chars, pair.target_segments):
+            for char, segment in zip(pair.source, pair.target_segments):
                 assert segment in table.entries[char]
             again = align_word(source, target, table)
             assert again == pair

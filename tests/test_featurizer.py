@@ -34,13 +34,13 @@ def test_table7_reproduced_exactly(cyr2lat_table):
 
 
 def test_single_letter_word_padded_both_sides():
-    pair = AlignedPair(("а",), ("a",))
+    pair = AlignedPair("а", ("a",))
     samples = rows_of(extract_samples([pair], WindowSpec(x=2, y=1)))
     assert samples == [Row((PAD, PAD, "а", PAD), "a")]
 
 
 def test_degenerate_window_is_focus_only():
-    pair = AlignedPair(tuple("бола"), ("b", "o", "l", "a"))
+    pair = AlignedPair("бола", ("b", "o", "l", "a"))
     samples = rows_of(extract_samples([pair], WindowSpec(x=0, y=0)))
     assert [s.features for s in samples] == [("б",), ("о",), ("л",), ("а",)]
 
@@ -49,14 +49,14 @@ def test_sample_count_equals_char_count(cyr2lat_table):
     pair = align_word("қўзичоқ", "qo'zichoq", cyr2lat_table)
     for window in (WindowSpec(0, 0), WindowSpec(2, 1), WindowSpec(10, 10)):
         samples = rows_of(extract_samples([pair], window))
-        assert len(samples) == len(pair.source_chars)
+        assert len(samples) == len(pair.source)
         for sample in samples:
             assert len(sample.features) == window.width
             assert sample.features[window.x] != PAD
 
 
 def test_pad_never_interior():
-    pair = AlignedPair(tuple("бола"), ("b", "o", "l", "a"))
+    pair = AlignedPair("бола", ("b", "o", "l", "a"))
     for sample in rows_of(extract_samples([pair], WindowSpec(3, 3))):
         feats = sample.features
         left = feats[:3]
@@ -88,7 +88,7 @@ def test_extracted_windows_equal_window_features(word, x, y):
     assert len(padded) == len(word) + window.width - 1
     assert [padded[i : i + window.width] for i in range(len(word))] == expected
     labels = tuple(str(i) for i in range(len(word)))
-    samples = rows_of(extract_samples([AlignedPair(tuple(word), labels)], window))
+    samples = rows_of(extract_samples([AlignedPair(word, labels)], window))
     assert samples == by_key([Row(f, label) for f, label in zip(expected, labels)], x)
 
 
@@ -97,7 +97,7 @@ def _reference_rows(alignments, window):
     window sliced out of ``window_features``, in word order."""
     rows = []
     for pair in alignments:
-        padded = window_features(pair.source_chars, window)
+        padded = window_features(pair.source, window)
         rows += [
             Row(padded[i : i + window.width], label)
             for i, label in enumerate(pair.target_segments)
@@ -120,7 +120,7 @@ _aligned_words = st.lists(
 )
 def test_extraction_matches_row_wise_reference(words, x, y, wider_x, wider_y):
     alignments = [
-        AlignedPair(tuple(ch for ch, _ in word), tuple(label for _, label in word))
+        AlignedPair("".join(ch for ch, _ in word), tuple(label for _, label in word))
         for word in words
     ]
     window = WindowSpec(x, y)
@@ -144,9 +144,9 @@ def test_extraction_matches_row_wise_reference(words, x, y, wider_x, wider_y):
 
 def test_labels_in_first_occurrence_order_samples_in_word_order():
     pairs = [
-        AlignedPair(tuple("аба"), ("a", "b", "a")),
-        AlignedPair(tuple("ева"), ("ye", "v", "a")),
-        AlignedPair(tuple("бе"), ("b", "e")),
+        AlignedPair("аба", ("a", "b", "a")),
+        AlignedPair("ева", ("ye", "v", "a")),
+        AlignedPair("бе", ("b", "e")),
     ]
     samples = extract_samples(pairs, WindowSpec(1, 0))
     # focus characters, and each one's labels, in order of first occurrence
@@ -161,7 +161,7 @@ def test_labels_in_first_occurrence_order_samples_in_word_order():
 
 
 def test_narrowed_rejects_a_wider_window():
-    wide = extract_samples([AlignedPair(("а",), ("a",))], WindowSpec(2, 1))
+    wide = extract_samples([AlignedPair("а", ("a",))], WindowSpec(2, 1))
     for window in (WindowSpec(3, 0), WindowSpec(0, 2)):
         with pytest.raises(ValueError, match="does not fit"):
             wide.narrowed(window)

@@ -640,6 +640,66 @@ def test_grid_search_outputs_match_golden_digests(lexicon, corpus, direction):
     assert digests == _GOLDEN_GRIDS[corpus, direction]
 
 
+# sha256 over evaluate's JSON and TSV of the model trained at (x, y) on the
+# 70/15/15 seed-42 split, scored on the test part, on the whole corpus, and
+# on the other corpus plus one pair the table cannot align; a change to how
+# evaluate counts or divides must leave every byte as it is
+_GOLDEN_SCORES = {
+    ("lexicon", CYR2LAT, 1, 1):
+        "2c961a7385de6361619b819833c6cb2a69f0bccfff31299021bc3428eb82d80c",
+    ("lexicon", CYR2LAT, 4, 3):
+        "4874360c1338d050cbece752b2b8bff1c41f5052ae6561b9419a8963212f22c4",
+    ("lexicon", LAT2CYR, 1, 1):
+        "46fd860a48db27ce710b6576ff25ad7243c2846c7fc1208118e6af7eb9cc96fd",
+    ("lexicon", LAT2CYR, 4, 3):
+        "37545b0fb9868fa1286d84e3adb77632cdac6538d85f9049ca356c56e7483d41",
+    ("gen_corpus(3000, 42)", CYR2LAT, 1, 1):
+        "699d5ef195fe7d9c3b5a37046eaca3d56349bb5b8debe75749c7a818db848f1f",
+    ("gen_corpus(3000, 42)", CYR2LAT, 4, 3):
+        "699d5ef195fe7d9c3b5a37046eaca3d56349bb5b8debe75749c7a818db848f1f",
+    ("gen_corpus(3000, 42)", LAT2CYR, 1, 1):
+        "add3f8e7a436488df85362b085b851a4af127122e87099186c98f08a5deb5aac",
+    ("gen_corpus(3000, 42)", LAT2CYR, 4, 3):
+        "cf21303387693765f394776ddfd720b03d3104c5f8789ab58d96917fc54615fb",
+}
+
+
+@pytest.mark.parametrize(("corpus", "direction", "x", "y"), list(_GOLDEN_SCORES))
+def test_evaluate_outputs_match_golden_digests(lexicon, corpus, direction, x, y):
+    source, other = lexicon, gen_corpus(3000, 42)
+    if corpus != "lexicon":
+        source, other = other, source
+    table = bundled_mapping_table(direction)
+    train_part, _, test_part = split_corpus(source, SplitConfig(0.7, 0.15, 0.15, seed=42))
+    model = train_direction(train_part, WindowSpec(x, y), table)
+    digest = hashlib.sha256()
+    for heldout in (test_part, source, Corpus(other.pairs + [("тўрт", "zzz")])):
+        report = evaluate(model, heldout, table)
+        digest.update(json.dumps(report.to_json_dict(), ensure_ascii=False, indent=2).encode())
+        digest.update(report.to_tsv().encode())
+    assert digest.hexdigest() == _GOLDEN_SCORES[corpus, direction, x, y]
+
+
+# sha256 of the repr of cross_validate's pooled and per-fold scores on the
+# lexicon at (2, 3), k=10, seed 42
+_GOLDEN_CROSS_VALIDATIONS = {
+    CYR2LAT: "747bc5999f2b75dd14901c7c4f7369731c7880bbba9371985d040fe3f9af971c",
+    LAT2CYR: "71198acb2f031d3bf995c558f5a165190a651c0a26e5bde07f646e1f613bd77b",
+}
+
+
+@pytest.mark.parametrize("direction", list(_GOLDEN_CROSS_VALIDATIONS))
+def test_cross_validate_scores_match_golden_digests(lexicon, direction):
+    result = cross_validate(lexicon, WindowSpec(2, 3), bundled_mapping_table(direction), 10, 42)
+    scores = (
+        result.char_f1,
+        result.word_accuracy,
+        [(fold.char_f1, fold.word_accuracy) for fold in result.folds],
+    )
+    digest = hashlib.sha256(repr(scores).encode()).hexdigest()
+    assert digest == _GOLDEN_CROSS_VALIDATIONS[direction]
+
+
 @settings(max_examples=50, deadline=None)
 @given(n=st.integers(1, 60), k=st.integers(2, 12), seed=st.integers(0, 1000))
 def test_folds_partition_the_corpus(n, k, seed):
@@ -684,6 +744,11 @@ def test_cross_validate_scores_every_word_once_out_of_fold(lexicon, cyr2lat_tabl
             words_right += right == len(source)
     assert result.char_f1 == correct / chars
     assert result.word_accuracy == words_right / len(lexicon)
+    # the folds' counts add up to the corpus, and each wrong word is an error
+    assert sum(report.chars for report in result.folds) == chars
+    assert sum(report.words for report in result.folds) == len(lexicon)
+    for report in result.folds:
+        assert len(report.errors) == report.words - report.words_right
     assert 0.9 < result.char_f1 < 1.0
     assert cross_validate(lexicon, window, cyr2lat_table, k=5, seed=4) != result
 
@@ -727,13 +792,21 @@ def test_apply_case_pattern(original, text, expected):
 
 
 def test_eval_report_formats():
-    report = pipeline.EvalReport(1.0, 1.0, 1.0, 0.5, [("а", "b", "c")])
+    report = pipeline.EvalReport(3, 4, 1, 2, [("а", "b", "c")])
     payload = json.loads(json.dumps(report.to_json_dict()))
-    assert payload["char_f1"] == 1.0
+    assert list(payload) == ["char_precision", "char_recall", "char_f1", "word_accuracy", "errors"]
+    assert payload["char_precision"] == payload["char_recall"] == payload["char_f1"] == 0.75
     assert payload["errors"] == [["а", "b", "c"]]
-    tsv = report.to_tsv()
-    assert "word_accuracy\t0.5" in tsv
-    assert "error\tа\tb\tc" in tsv
+    assert report.to_tsv() == (
+        "char_precision\t0.75\nchar_recall\t0.75\nchar_f1\t0.75\nword_accuracy\t0.5\n"
+        "error\tа\tb\tc\n"
+    )
+    # nothing scored reads 1.0
+    empty = pipeline.EvalReport(0, 0, 0, 0)
+    assert (empty.char_f1, empty.word_accuracy) == (1.0, 1.0)
+    assert empty.to_tsv() == (
+        "char_precision\t1.0\nchar_recall\t1.0\nchar_f1\t1.0\nword_accuracy\t1.0\n"
+    )
 
 
 def test_training_determinism_end_to_end(cyr2lat_table, synthetic_small):
