@@ -6,6 +6,7 @@ tables/corpora/models, a table of the other direction, corpora the
 table cannot align at all). All output files are written atomically: a
 temp file in the target directory is renamed over the destination, so
 an interrupted grid search never leaves a half-written model behind.
+A command that exits non-zero writes no ``--out`` file.
 """
 
 from __future__ import annotations
@@ -64,29 +65,36 @@ def atomic_write(path, data) -> None:
         raise
 
 
-def _direction(text):
+def _flag(parse, *values):
+    """``parse(*values)``, with a ValueError turned into a usage error:
+    the values came from flags."""
     try:
-        return parse_direction(text)
+        return parse(*values)
     except ValueError as err:
         raise UsageError(str(err))
 
 
-def _window(args) -> WindowSpec:
-    try:
-        return WindowSpec(x=args.x, y=args.y)
-    except ValueError as err:
-        raise UsageError(str(err))
+def _corpus(path, purpose: str) -> pipeline.Corpus:
+    corpus = pipeline.load_corpus(path)
+    if not corpus.pairs:
+        raise DataError(f"{path} has no usable pair to {purpose}")
+    return corpus
 
 
-def _load_table(args, direction):
-    if not args.table:
-        return bundled_mapping_table(direction)
-    table = load_mapping_table(args.table)  # direction inferred from the keys
-    if table.direction != direction:
-        raise DataError(
-            f"{args.table} maps {'->'.join(table.direction)}, not {'->'.join(direction)}"
-        )
-    return table
+def _inputs(args, purpose: str):
+    """The mapping table of ``--dir`` (``--table``, or the bundled one)
+    and the ``--corpus`` to ``purpose``; a data error when the table maps
+    the other direction or the corpus has no usable pair."""
+    direction = _flag(parse_direction, args.dir)
+    if args.table:
+        table = load_mapping_table(args.table)  # direction inferred from the keys
+        if table.direction != direction:
+            raise DataError(
+                f"{args.table} maps {'->'.join(table.direction)}, not {'->'.join(direction)}"
+            )
+    else:
+        table = bundled_mapping_table(direction)
+    return table, _corpus(args.corpus, purpose)
 
 
 def _emit(text: str, out_path) -> None:
@@ -97,17 +105,8 @@ def _emit(text: str, out_path) -> None:
 
 
 def cmd_align(args) -> int:
-    direction = _direction(args.dir)
-    table = _load_table(args, direction)
-    corpus = pipeline.load_corpus(args.corpus)
-    if not corpus.pairs:
-        raise DataError(f"{args.corpus} has no usable pair to align")
-    alignments, failures = align_corpus(corpus.oriented(direction), table)
-    lines = []
-    for pair in alignments:
-        segments = "|".join(seg if seg else "∅" for seg in pair.target_segments)
-        lines.append(f"{pair.source}\t{pair.target}\t{segments}\n")
-    _emit("".join(lines), args.out)
+    table, corpus = _inputs(args, "align")
+    alignments, failures = align_corpus(corpus.oriented(table.direction), table)
     if failures:
         report = format_failure_report(failures)
         if args.failures:
@@ -121,19 +120,19 @@ def cmd_align(args) -> int:
     )
     if not alignments:
         raise DataError("no pair could be aligned; the mapping table does not cover this corpus")
+    lines = []
+    for pair in alignments:
+        segments = "|".join(seg if seg else "∅" for seg in pair.target_segments)
+        lines.append(f"{pair.source}\t{pair.target}\t{segments}\n")
+    _emit("".join(lines), args.out)
     return 0
 
 
 def cmd_train(args) -> int:
-    direction = _direction(args.dir)
-    window = _window(args)
-    table = _load_table(args, direction)
-    corpus = pipeline.load_corpus(args.corpus)
-    if not corpus.pairs:
-        raise DataError(f"{args.corpus} has no usable pair to train on")
+    window = _flag(WindowSpec, args.x, args.y)
+    table, corpus = _inputs(args, "train on")
     model = pipeline.train_direction(corpus, window, table)
-    payload = dtree.serialize(model)
-    atomic_write(args.out, payload)
+    atomic_write(args.out, dtree.serialize(model))
     nodes = sum(map(len, model.trees.values()))
     depth = max(map(dtree.tree_depth, model.trees.values()))
     print(
@@ -158,10 +157,7 @@ def cmd_transliterate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model = dtree.load_model(args.model)
-    corpus = pipeline.load_corpus(args.corpus)
-    if not corpus.pairs:
-        raise DataError(f"{args.corpus} has no usable pair to evaluate on")
-    report = pipeline.evaluate(model, corpus, model.table)
+    report = pipeline.evaluate(model, _corpus(args.corpus, "evaluate on"), model.table)
     if args.format == "json":
         text = json.dumps(report.to_json_dict(), ensure_ascii=False, indent=2) + "\n"
     else:
@@ -171,24 +167,17 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_grid_search(args) -> int:
-    direction = _direction(args.dir)
-    try:
-        fractions = [float(f) for f in args.fractions.split(",")]
-        if len(fractions) != 3:
-            raise ValueError("--fractions wants train,validation,test")
-        config = SplitConfig(*fractions, seed=args.seed)
-        WindowSpec(x=args.x_min, y=args.y_min)
-        WindowSpec(x=args.x_max, y=args.y_max)
-        if args.x_min > args.x_max or args.y_min > args.y_max:
-            raise ValueError(
-                f"empty window range: x {args.x_min}..{args.x_max}, y {args.y_min}..{args.y_max}"
-            )
-    except ValueError as err:
-        raise UsageError(str(err))
-    table = _load_table(args, direction)
-    corpus = pipeline.load_corpus(args.corpus)
-    if not corpus.pairs:
-        raise DataError(f"{args.corpus} has no usable pair to search on")
+    fractions = _flag(lambda text: [float(f) for f in text.split(",")], args.fractions)
+    if len(fractions) != 3:
+        raise UsageError("--fractions wants train,validation,test")
+    config = _flag(SplitConfig, *fractions, args.seed)
+    _flag(WindowSpec, args.x_min, args.y_min)
+    _flag(WindowSpec, args.x_max, args.y_max)
+    if args.x_min > args.x_max or args.y_min > args.y_max:
+        raise UsageError(
+            f"empty window range: x {args.x_min}..{args.x_max}, y {args.y_min}..{args.y_max}"
+        )
+    table, corpus = _inputs(args, "search on")
     train_part, val_part, test_part = pipeline.split_corpus(corpus, config)
     model, cells, varying = pipeline.grid_search(
         train_part,
@@ -197,7 +186,6 @@ def cmd_grid_search(args) -> int:
         x_values=range(args.x_min, args.x_max + 1),
         y_values=range(args.y_min, args.y_max + 1),
     )
-    _emit(pipeline.format_grid_tsv(cells), args.out)
     best_f1 = max(c.validation_f1 for c in cells)
     best = model.window
     vary = f"{len(varying)} of {len(table.entries)} keys vary"
@@ -215,26 +203,20 @@ def cmd_grid_search(args) -> int:
             f" wrote {args.best_model}",
             file=sys.stderr,
         )
+    _emit(pipeline.format_grid_tsv(cells), args.out)
     return 0
 
 
 def cmd_gen_corpus(args) -> int:
     if args.size <= 0:
         raise UsageError("--size must be positive")
-    corpus = gencorpus.gen_corpus(args.size, args.seed)
-    lines = [f"# {corpus.provenance}\n"]
-    lines += [f"{cyr}\t{lat}\n" for cyr, lat in corpus.pairs]
-    _emit("".join(lines), args.out)
+    _emit(pipeline.format_corpus(gencorpus.gen_corpus(args.size, args.seed)), args.out)
     return 0
 
 
 def cmd_discover(args) -> int:
-    direction = _direction(args.dir)
-    table = _load_table(args, direction)
-    corpus = pipeline.load_corpus(args.corpus)
-    if not corpus.pairs:
-        raise DataError(f"{args.corpus} has no usable pair to check")
-    failures = align_corpus(corpus.oriented(direction), table)[1]
+    table, corpus = _inputs(args, "check")
+    failures = align_corpus(corpus.oriented(table.direction), table)[1]
     _emit(format_failure_report(failures), args.out)
     print(f"{len(failures)} uncovered pairs", file=sys.stderr)
     return 0
@@ -243,25 +225,24 @@ def cmd_discover(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="translit", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # the flags of every command that reads a corpus under a mapping table
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--dir", required=True, help="cyr2lat or lat2cyr")
+    inputs.add_argument("--corpus", required=True)
+    inputs.add_argument("--table", help="mapping table file (default: bundled)")
 
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name, func, *parents, **kwargs):
+        p = sub.add_parser(name, parents=parents, **kwargs)
         p.set_defaults(func=func)
         return p
 
-    p = add("align", cmd_align, help="align a corpus under a mapping table")
-    p.add_argument("--dir", required=True, help="cyr2lat or lat2cyr")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--table", help="mapping table file (default: bundled)")
+    p = add("align", cmd_align, inputs, help="align a corpus under a mapping table")
     p.add_argument("--out", help="alignment TSV (default: stdout)")
     p.add_argument("--failures", help="failure report path (default: stderr)")
 
-    p = add("train", cmd_train, help="train a transliteration model")
-    p.add_argument("--dir", required=True)
+    p = add("train", cmd_train, inputs, help="train a transliteration model")
     p.add_argument("-x", type=int, default=2, help="preceding characters (default 2)")
     p.add_argument("-y", type=int, default=3, help="subsequent characters (default 3)")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--table")
     p.add_argument("--out", required=True, help="model JSON path")
 
     p = add("transliterate", cmd_transliterate, help="transliterate words")
@@ -274,10 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "tsv"), default="json")
     p.add_argument("--out")
 
-    p = add("grid-search", cmd_grid_search, help="search window sizes on a split")
-    p.add_argument("--dir", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--table")
+    p = add("grid-search", cmd_grid_search, inputs, help="search window sizes on a split")
     p.add_argument("--x-min", type=int, default=0)
     p.add_argument("--x-max", type=int, default=10)
     p.add_argument("--y-min", type=int, default=0)
@@ -292,10 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out")
 
-    p = add("discover", cmd_discover, help="report pairs the table cannot align")
-    p.add_argument("--dir", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--table")
+    p = add("discover", cmd_discover, inputs, help="report pairs the table cannot align")
     p.add_argument("--out")
 
     return parser

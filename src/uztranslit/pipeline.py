@@ -84,6 +84,10 @@ def _ratio(part: int, whole: int) -> float:
     return part / whole if whole else 1.0
 
 
+# The scores an EvalReport writes, in the order its JSON and TSV list them.
+_SCORE_NAMES = ("char_precision", "char_recall", "char_f1", "word_accuracy")
+
+
 @dataclass
 class EvalReport:
     """``correct`` of ``chars`` source characters got their gold segment,
@@ -108,23 +112,12 @@ class EvalReport:
         return _ratio(self.words_right, self.words)
 
     def to_json_dict(self) -> dict:
-        return {
-            "char_precision": self.char_precision,
-            "char_recall": self.char_recall,
-            "char_f1": self.char_f1,
-            "word_accuracy": self.word_accuracy,
-            "errors": [list(triple) for triple in self.errors],
-        }
+        scores = {name: getattr(self, name) for name in _SCORE_NAMES}
+        return {**scores, "errors": [list(triple) for triple in self.errors]}
 
     def to_tsv(self) -> str:
-        lines = [
-            f"char_precision\t{self.char_precision}",
-            f"char_recall\t{self.char_recall}",
-            f"char_f1\t{self.char_f1}",
-            f"word_accuracy\t{self.word_accuracy}",
-        ]
-        for inp, out, expected in self.errors:
-            lines.append(f"error\t{inp}\t{out}\t{expected}")
+        lines = [f"{name}\t{getattr(self, name)}" for name in _SCORE_NAMES]
+        lines += [f"error\t{inp}\t{out}\t{expected}" for inp, out, expected in self.errors]
         return "\n".join(lines) + "\n"
 
 
@@ -220,12 +213,16 @@ def load_corpus(path) -> Corpus:
     return Corpus(pairs=pairs, provenance=f"{path} ({len(pairs)} pairs, {dropped} dropped)")
 
 
+def format_corpus(corpus: Corpus) -> str:
+    """The text ``load_corpus`` reads: a ``# provenance`` line when there
+    is one, then one ``cyrillic<TAB>latin`` line per pair."""
+    head = [f"# {corpus.provenance}\n"] if corpus.provenance else []
+    return "".join(head + [f"{cyr}\t{lat}\n" for cyr, lat in corpus.pairs])
+
+
 def save_corpus(corpus: Corpus, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        if corpus.provenance:
-            handle.write(f"# {corpus.provenance}\n")
-        for cyr, lat in corpus.pairs:
-            handle.write(f"{cyr}\t{lat}\n")
+        handle.write(format_corpus(corpus))
 
 
 def split_sizes(n: int, config: SplitConfig) -> tuple[int, int, int]:

@@ -3,7 +3,7 @@ from typing import NamedTuple
 import pytest
 
 from uztranslit import alphabets, gencorpus, pipeline
-from uztranslit.aligner import align_word
+from uztranslit.aligner import AlignmentError, align_word
 from uztranslit.alphabets import CYR2LAT, LAT2CYR, MappingTable
 from uztranslit.featurizer import Samples, WindowSpec
 
@@ -91,3 +91,21 @@ def varying_keys(part: pipeline.Corpus, table: MappingTable) -> tuple[str, ...]:
         for char, segment in zip(pair.source, pair.target_segments):
             labels.setdefault(char, set()).add(segment)
     return tuple(key for key in table.entries if len(labels.get(key, ())) > 1)
+
+
+def count_by_character(model, corpus: pipeline.Corpus, table: MappingTable):
+    """``(correct, chars, words_right)`` of ``model`` on ``corpus``,
+    counted apart from ``pipeline.evaluate``: each pair aligned on its own
+    under ``table`` and compared with the model's segments one character
+    at a time; every character of a pair that does not align is wrong."""
+    correct = chars = words_right = 0
+    for source, target in corpus.oriented(model.direction):
+        try:
+            gold = align_word(source, target, table).target_segments
+        except AlignmentError:
+            gold = ()
+        right = sum(g == p for g, p in zip(gold, pipeline.predict_segments(model, source)))
+        correct += right
+        chars += len(source)
+        words_right += right == len(source)
+    return correct, chars, words_right

@@ -11,7 +11,15 @@ import time
 
 import pytest
 
-from conftest import Row, blocks_of, by_key, open_table, rows_of, samples_of
+from conftest import (
+    Row,
+    blocks_of,
+    by_key,
+    count_by_character,
+    open_table,
+    rows_of,
+    samples_of,
+)
 from uztranslit import pipeline
 from uztranslit.aligner import align_word
 from uztranslit.alphabets import CYR2LAT, LAT2CYR, bundled_mapping_table
@@ -38,12 +46,14 @@ from uztranslit.pipeline import (
 CYR2LAT_TABLE = bundled_mapping_table(CYR2LAT)
 LAT2CYR_TABLE = bundled_mapping_table(LAT2CYR)
 
-_REPORTS = []  # every EvalReport produced by this suite, checked by criterion 6
+# every EvalReport produced by this suite, with what it scored; checked
+# by criterion 6
+_REPORTS = []
 
 
 def _eval(model, corpus, table):
     report = evaluate(model, corpus, table)
-    _REPORTS.append(report)
+    _REPORTS.append((report, model, corpus, table))
     return report
 
 
@@ -182,8 +192,10 @@ def test_criterion_6_micro_identity(lexicon):
     model = train_direction(half, WindowSpec(1, 1), CYR2LAT_TABLE)
     _eval(model, lexicon, CYR2LAT_TABLE)
     assert _REPORTS, "no EvalReports were produced before this test"
-    for report in _REPORTS:
+    for report, model, corpus, table in _REPORTS:
         assert report.char_precision == report.char_recall == report.char_f1
+        counts = count_by_character(model, corpus, table)
+        assert (report.correct, report.chars, report.words_right) == counts
     print(f"ACCEPTANCE 6: micro identity over {len(_REPORTS)} reports: PASS")
 
 

@@ -5,7 +5,7 @@ import stat
 import pytest
 
 from conftest import varying_keys
-from uztranslit import dtree, pipeline
+from uztranslit import cli, dtree, pipeline
 from uztranslit.alphabets import _data_path
 from uztranslit.cli import main
 
@@ -266,12 +266,16 @@ def test_align_empty_segment_rendering(tmp_path):
     assert out.read_text(encoding="utf-8") == "ось\tos\to|s|∅\n"
 
 
-def test_align_hopeless_corpus_is_data_error(tmp_path):
+def test_align_hopeless_corpus_is_data_error(tmp_path, capsys):
     corpus = tmp_path / "c.tsv"
     corpus.write_text("аб\txyz\n", encoding="utf-8")
     code = main(["align", "--dir", "cyr2lat", "--corpus", str(corpus),
                  "--out", str(tmp_path / "al.tsv")])
     assert code == 2
+    assert not (tmp_path / "al.tsv").exists()
+    err = capsys.readouterr().err
+    assert "аб\txyz\t0\n" in err
+    assert "aligned 0 of 1 pairs (1 failures)" in err
 
 
 def test_gen_corpus_deterministic(tmp_path):
@@ -423,6 +427,18 @@ def test_empty_grid_range_is_usage_error(tmp_path, lexicon_path, monkeypatch, ca
     assert not grid.exists()
 
 
+def test_grid_search_failing_best_model_writes_no_grid(tmp_path, capsys):
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("бола\tbola\nнон\tnon\nтил\ttil\n" * 3, encoding="utf-8")
+    grid = tmp_path / "grid.tsv"
+    code = main(["grid-search", "--dir", "cyr2lat", "--corpus", str(corpus),
+                 "--x-max", "0", "--y-max", "0", "--out", str(grid),
+                 "--best-model", str(tmp_path / "absent" / "m.json")])
+    assert code == 1
+    assert "absent" in capsys.readouterr().err
+    assert not grid.exists()
+
+
 def test_output_files_get_the_umask_mode(tmp_path):
     old_umask = os.umask(0o022)
     try:
@@ -439,3 +455,56 @@ def test_no_stray_temp_files(tmp_path, lexicon_path):
                  "--out", str(out)]) == 0
     leftovers = [name for name in os.listdir(tmp_path) if name.startswith(".tmp-translit")]
     assert leftovers == []
+
+
+# Each subcommand's minimal argv and the namespace it parses to: every
+# flag, its destination and its default. Nothing may be added, removed
+# or renamed without changing this table.
+_SURFACE = {
+    "align": (
+        ["--dir", "cyr2lat", "--corpus", "c.tsv"],
+        {"dir": "cyr2lat", "corpus": "c.tsv", "table": None, "out": None, "failures": None},
+    ),
+    "train": (
+        ["--dir", "cyr2lat", "--corpus", "c.tsv", "--out", "m.json"],
+        {"dir": "cyr2lat", "corpus": "c.tsv", "table": None, "x": 2, "y": 3, "out": "m.json"},
+    ),
+    "transliterate": (
+        ["--model", "m.json", "--word", "цирк"],
+        {"model": "m.json", "word": ["цирк"]},
+    ),
+    "evaluate": (
+        ["--model", "m.json", "--corpus", "c.tsv"],
+        {"model": "m.json", "corpus": "c.tsv", "format": "json", "out": None},
+    ),
+    "grid-search": (
+        ["--dir", "cyr2lat", "--corpus", "c.tsv"],
+        {"dir": "cyr2lat", "corpus": "c.tsv", "table": None,
+         "x_min": 0, "x_max": 10, "y_min": 0, "y_max": 10, "seed": 42,
+         "fractions": "0.7,0.15,0.15", "out": None, "best_model": None},
+    ),
+    "gen-corpus": (
+        ["--size", "10"],
+        {"size": 10, "seed": 42, "out": None},
+    ),
+    "discover": (
+        ["--dir", "cyr2lat", "--corpus", "c.tsv"],
+        {"dir": "cyr2lat", "corpus": "c.tsv", "table": None, "out": None},
+    ),
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(_SURFACE))
+def test_cli_surface(subcommand, capsys):
+    argv, expected = _SURFACE[subcommand]
+    args = vars(cli.build_parser().parse_args([subcommand, *argv]))
+    assert args.pop("func").__name__ == "cmd_" + subcommand.replace("-", "_")
+    assert args == {"subcommand": subcommand, **expected}
+    # every flag of the minimal argv is required
+    for i in range(0, len(argv), 2):
+        with pytest.raises(cli.UsageError, match="required"):
+            cli.build_parser().parse_args([subcommand, *argv[:i], *argv[i + 2 :]])
+    with pytest.raises(SystemExit) as exited:
+        cli.build_parser().parse_args([subcommand, "--help"])
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: translit {subcommand} ")

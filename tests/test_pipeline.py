@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import varying_keys
+from conftest import count_by_character, varying_keys
 from uztranslit import dtree, pipeline
 from uztranslit.aligner import align_word
 from uztranslit.alphabets import (
@@ -427,8 +427,13 @@ def test_micro_identity_property(seed, x, y, cyr2lat_table):
     corpus = gen_corpus(30, seed=seed)
     model = train_direction(corpus, WindowSpec(x, y), cyr2lat_table)
     heldout = gen_corpus(20, seed=seed + 1)
+    # an unalignable pair counts too: its characters are all wrong
+    heldout.pairs.append(("тўрт", "zzz"))
     report = evaluate(model, heldout, cyr2lat_table)
     assert report.char_precision == report.char_recall == report.char_f1
+    counts = count_by_character(model, heldout, cyr2lat_table)
+    assert (report.correct, report.chars, report.words_right) == counts
+    assert report.words == len(heldout)
 
 
 def test_grid_search_single_cell(synthetic_small, cyr2lat_table):
