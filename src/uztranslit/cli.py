@@ -6,7 +6,8 @@ tables/corpora/models, a table of the other direction, corpora the
 table cannot align at all). All output files are written atomically: a
 temp file in the target directory is renamed over the destination, so
 an interrupted grid search never leaves a half-written model behind.
-A command that exits non-zero writes no ``--out`` file.
+A command that exits non-zero writes no ``--out`` file, and an output
+path that cannot be written is a usage error before any input is read.
 """
 
 from __future__ import annotations
@@ -63,6 +64,18 @@ def atomic_write(path, data) -> None:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
         raise
+
+
+def _check_output(path) -> None:
+    """A usage error, naming ``path`` as given, unless atomic_write can
+    create it: its directory exists and is writable, and it is no
+    directory. Checked before any input is read, so a bad output path
+    fails at once rather than after a whole run."""
+    if os.path.isdir(path):
+        raise UsageError(f"cannot write {path}: it is a directory")
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory) or not os.access(directory, os.W_OK | os.X_OK):
+        raise UsageError(f"cannot write {path}: no writable directory {directory}")
 
 
 def _flag(parse, *values):
@@ -280,6 +293,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        for path in (getattr(args, name, None) for name in ("out", "best_model", "failures")):
+            if path:
+                _check_output(path)
         return args.func(args)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)

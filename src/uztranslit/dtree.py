@@ -63,16 +63,17 @@ plain loops, and JSON nesting stays shallow however deep the tree.
 
 A model file (format 5) holds the mapping table, whose keys fix the
 model's direction, and ``trees``, one node list per key. Loading checks
-the table as a table file is checked, that the trees are exactly one
-per key, that each is well formed, that none tests the focus position,
-and that every leaf label under key ``ch`` is in
-``table.candidates(ch)``; every file that loads predicts only licensed
+the table as a table file is checked and then constructs the model as
+training does. Every model, trained, loaded or assembled, checks its
+trees when it is constructed: exactly one per key, each well formed,
+none testing the focus position, and every leaf label under key ``ch``
+in ``table.candidates(ch)``; every model predicts only licensed
 segments.
 
 Prediction walks compiled switches, not node lists. A run of ne tests
 on one position is one multiway categorical split, as in C4.5 (Quinlan,
-1993) and in compiled trees such as Treelite's (Cho & Li, 2018). On
-first use a model compiles each tree, in one reverse pass, into nested
+1993) and in compiled trees such as Treelite's (Cho & Li, 2018). The
+pass that checks a tree, in reverse list order, compiles it into nested
 ``(f, {symbol: child}, default)`` switches whose leaves are labels.
 ``predict`` takes a whole padded word (``featurizer.window_features``),
 reads the window at ``i`` in place as ``features[i + f]``, and starts it
@@ -90,8 +91,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import chain, compress
 from operator import itemgetter, not_
 
@@ -139,16 +139,29 @@ class TranslitModel:
     trees: dict[str, list[list]]  # table key -> its tree's node list
     window: WindowSpec
     table: MappingTable
+    # table key -> its tree compiled for predict; never serialized
+    switches: dict = field(init=False, repr=False, compare=False)
 
     @property
     def direction(self) -> Direction:
         return self.table.direction
 
-    @cached_property
-    def switches(self) -> dict:
-        """Table key -> its tree compiled for predict (see _compile);
-        built on first use and never serialized."""
-        return {key: _compile(nodes) for key, nodes in self.trees.items()}
+    def __post_init__(self):
+        """Check every tree against the window and table and compile it
+        (see _compile): a model is valid however it was made."""
+        if not isinstance(self.trees, dict):
+            raise ModelFormatError("model trees are not an object")
+        keys = self.table.entries.keys()
+        if self.trees.keys() != keys:
+            raise ModelFormatError(
+                f"model trees are not one per table key: {sorted(self.trees.keys() ^ keys)}"
+            )
+        self.switches = {}
+        for key, candidates in self.table.entries.items():
+            try:
+                self.switches[key] = _compile(self.trees[key], self.window, frozenset(candidates))
+            except ModelFormatError as err:
+                raise ModelFormatError(f"tree of {key!r}: {err}") from err
 
 
 def gini(class_counts: dict[str, int]) -> float:
@@ -367,31 +380,6 @@ def train(samples: Samples, table: MappingTable) -> TranslitModel:
     return TranslitModel(trees=trees, window=window, table=table)
 
 
-def _compile(nodes: list[list]):
-    """Turn the node list into nested switches. A leaf becomes its label;
-    each maximal ne chain that tests one position f becomes
-    ``(f, {symbol: eq child}, default)``, where the default is the chain's
-    last ne child. One pass in reverse list order compiles every child
-    before its parent. A node whose ne child compiled to a switch on the
-    same position joins it in place, which is safe because every node has
-    one parent; its own symbol is written last, so on a symbol the chain
-    tests twice the earlier test wins, as in the binary walk."""
-    compiled: list = [None] * len(nodes)
-    for i in range(len(nodes) - 1, -1, -1):
-        node = nodes[i]
-        if len(node) == 2:
-            compiled[i] = node[0]
-            continue
-        f, s, eq, ne = node
-        rest = compiled[ne]
-        if type(rest) is tuple and rest[0] == f:
-            rest[1][s] = compiled[eq]
-            compiled[i] = rest
-        else:
-            compiled[i] = (f, {s: compiled[eq]}, rest)
-    return compiled[0]
-
-
 def predict(model: TranslitModel, features) -> list[str]:
     """The label of every ``width``-long window of ``features``, in
     order: one label for a single window, none for the ``width - 1``
@@ -450,39 +438,34 @@ def tree_depth(nodes: list[list]) -> int:
     return max(depth)
 
 
-def _check_nodes(nodes, window: WindowSpec, candidates) -> None:
-    """Raise ModelFormatError unless ``nodes`` is a non-empty list of
+def _compile(nodes, window: WindowSpec, candidates):
+    """Check a tree's node list and turn it into nested switches, in one
+    pass in reverse list order, which compiles every child before its
+    parent. ModelFormatError unless ``nodes`` is a non-empty list of
     well-formed nodes forming one tree rooted at node 0: child indices
     point forward and in range, which makes every walk end at a leaf, and
-    every other node is the child of exactly one node, which _compile
-    relies on. No node tests the focus position ``x``, every leaf label
-    is one of ``candidates``, and leaf counts are positive, except that a
-    tree of one leaf may have none: the tree of a key training never
-    saw."""
+    every other node is the child of exactly one node. No node tests the
+    focus position ``x``, every leaf label is one of ``candidates``, and
+    leaf counts are positive, except that a tree of one leaf may have
+    none: the tree of a key training never saw.
+
+    A leaf becomes its label; each maximal ne chain that tests one
+    position f becomes ``(f, {symbol: eq child}, default)``, where the
+    default is the chain's last ne child. A node whose ne child compiled
+    to a switch on the same position joins it in place, which is safe
+    because its ne child has no other parent; its own symbol is written
+    last, so on a symbol the chain tests twice the earlier test wins, as
+    in the binary walk."""
     if not isinstance(nodes, list) or not nodes:
         raise ModelFormatError("tree has no nodes")
     n = len(nodes)
     has_parent = bytearray(n)
-    for i, node in enumerate(nodes):
+    compiled: list = [None] * n
+    for i in range(n - 1, -1, -1):
+        node = nodes[i]
         if not isinstance(node, list) or len(node) not in (2, 4):
             raise ModelFormatError(f"node {i} is not a 2- or 4-element list")
-        if len(node) == 4:
-            f, s, eq, ne = node
-            if type(f) is not int or not 0 <= f < window.width:
-                raise ModelFormatError(
-                    f"node {i}: feature index {f!r} outside window width {window.width}"
-                )
-            if f == window.x:
-                raise ModelFormatError(f"node {i} tests the focus position {f}")
-            if not isinstance(s, str):
-                raise ModelFormatError(f"node {i}: test symbol is not a string")
-            for child in (eq, ne):
-                if type(child) is not int or not i < child < n:
-                    raise ModelFormatError(f"node {i}: child index is not an int in ({i}, {n})")
-                if has_parent[child]:
-                    raise ModelFormatError(f"node {child} has more than one parent")
-                has_parent[child] = 1
-        else:
+        if len(node) == 2:
             label, counts = node
             if not isinstance(label, str) or label not in candidates:
                 raise ModelFormatError(f"node {i}: leaf label {label!r} is not a table candidate")
@@ -491,9 +474,33 @@ def _check_nodes(nodes, window: WindowSpec, candidates) -> None:
                 type(c) is int and c > 0 for c in counts.values()
             ):
                 raise ModelFormatError(f"node {i}: leaf counts are not positive ints")
+            compiled[i] = label
+            continue
+        f, s, eq, ne = node
+        if type(f) is not int or not 0 <= f < window.width:
+            raise ModelFormatError(
+                f"node {i}: feature index {f!r} outside window width {window.width}"
+            )
+        if f == window.x:
+            raise ModelFormatError(f"node {i} tests the focus position {f}")
+        if not isinstance(s, str):
+            raise ModelFormatError(f"node {i}: test symbol is not a string")
+        for child in (eq, ne):
+            if type(child) is not int or not i < child < n:
+                raise ModelFormatError(f"node {i}: child index is not an int in ({i}, {n})")
+            if has_parent[child]:
+                raise ModelFormatError(f"node {child} has more than one parent")
+            has_parent[child] = 1
+        rest = compiled[ne]
+        if type(rest) is tuple and rest[0] == f:
+            rest[1][s] = compiled[eq]
+            compiled[i] = rest
+        else:
+            compiled[i] = (f, {s: compiled[eq]}, rest)
     orphans = n - 1 - sum(has_parent)
     if orphans:
         raise ModelFormatError(f"{orphans} nodes besides node 0 have no parent")
+    return compiled[0]
 
 
 def _check_table(rows) -> MappingTable:
@@ -549,19 +556,7 @@ def deserialize(data: bytes) -> TranslitModel:
         window = WindowSpec(x=x, y=y)
     except ValueError as err:
         raise ModelFormatError(f"model window: {err}") from err
-    table = _check_table(rows)
-    if not isinstance(trees, dict):
-        raise ModelFormatError("model trees are not an object")
-    if trees.keys() != table.entries.keys():
-        raise ModelFormatError(
-            f"model trees are not one per table key: {sorted(trees.keys() ^ table.entries.keys())}"
-        )
-    for key, nodes in trees.items():
-        try:
-            _check_nodes(nodes, window, frozenset(table.entries[key]))
-        except ModelFormatError as err:
-            raise ModelFormatError(f"tree of {key!r}: {err}") from err
-    return TranslitModel(trees=trees, window=window, table=table)
+    return TranslitModel(trees=trees, window=window, table=_check_table(rows))
 
 
 def load_model(path) -> TranslitModel:

@@ -171,3 +171,15 @@ def test_parse_direction():
     assert alphabets.parse_direction("LAT2CYR") == LAT2CYR
     with pytest.raises(ValueError):
         alphabets.parse_direction("latin2greek")
+
+
+@pytest.mark.parametrize(
+    ("row", "message"),
+    [("б\tb,,p\n", "empty candidate field"), ("б\tb, \n", "empty candidate field"),
+     ("б\tb,p,b\n", "duplicate candidate for 'б'")],
+)
+def test_load_table_bad_candidates(tmp_path, row, message):
+    path = tmp_path / "t.tsv"
+    path.write_text("а\ta\n" + row, encoding="utf-8")
+    with pytest.raises(TableParseError, match=f":2: {message}"):
+        load_mapping_table(path)

@@ -5,7 +5,7 @@ import stat
 import pytest
 
 from conftest import varying_keys
-from uztranslit import cli, dtree, pipeline
+from uztranslit import cli, dtree, gencorpus, pipeline
 from uztranslit.alphabets import _data_path
 from uztranslit.cli import main
 
@@ -455,6 +455,68 @@ def test_no_stray_temp_files(tmp_path, lexicon_path):
                  "--out", str(out)]) == 0
     leftovers = [name for name in os.listdir(tmp_path) if name.startswith(".tmp-translit")]
     assert leftovers == []
+
+
+def _fail(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+    return fail
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["grid-search", "--dir", "lat2cyr", "--best-model", "{tmp}/absent/b.json",
+         "--out", "{tmp}/g.tsv"],
+        ["train", "--dir", "lat2cyr", "--out", "{tmp}/absent/m.json"],
+        ["train", "--dir", "lat2cyr", "--out", "{tmp}"],
+        ["align", "--dir", "lat2cyr", "--failures", "{tmp}/absent/f.tsv",
+         "--out", "{tmp}/g.tsv"],
+    ],
+    ids=["grid-search-best-model", "train-out", "train-out-directory", "align-failures"],
+)
+def test_unwritable_output_fails_before_any_input_is_read(
+    tmp_path, lexicon_path, monkeypatch, capsys, argv
+):
+    for name in ("load_corpus", "train_direction", "grid_search"):
+        monkeypatch.setattr(pipeline, name, _fail(f"pipeline.{name}"))
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert main([*argv, "--corpus", lexicon_path]) == 1
+    err = capsys.readouterr().err
+    bad = next(arg for arg in argv if "absent" in arg or arg == str(tmp_path))
+    assert err.startswith(f"usage error: cannot write {bad}: ")
+    assert sorted(os.listdir(tmp_path)) == []
+
+
+def test_failed_rename_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
+    def refuse(src, dst):
+        raise PermissionError(f"cannot rename onto {dst}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    out = tmp_path / "c.tsv"
+    assert main(["gen-corpus", "--size", "5", "--out", str(out)]) == 1
+    assert "cannot rename onto" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_commands_without_out_write_stdout(tmp_path, trained_model, lexicon_path, capsys):
+    assert main(["gen-corpus", "--size", "5", "--seed", "1"]) == 0
+    assert capsys.readouterr().out == pipeline.format_corpus(gencorpus.gen_corpus(5, 1))
+    out = tmp_path / "report.json"
+    evaluate = ["evaluate", "--model", str(trained_model), "--corpus", lexicon_path]
+    assert main([*evaluate, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(evaluate) == 0
+    assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("fractions", ["0.5,0.5", "0.5,0.2,0.2,0.1"])
+def test_fractions_of_wrong_arity_are_usage_errors(lexicon_path, monkeypatch, capsys, fractions):
+    monkeypatch.setattr(pipeline, "load_corpus", _fail("pipeline.load_corpus"))
+    code = main(["grid-search", "--dir", "cyr2lat", "--corpus", lexicon_path,
+                 "--fractions", fractions])
+    assert code == 1
+    assert "--fractions wants train,validation,test" in capsys.readouterr().err
 
 
 # Each subcommand's minimal argv and the namespace it parses to: every

@@ -1035,3 +1035,47 @@ def test_by_focus_on_hand_made_files(trees, switches):
     model = deserialize(payload)
     assert model.switches == switches
     _check_by_focus(model, ["а", "б", PAD, "в"])
+
+
+# A model checks and compiles its trees when it is constructed, whether
+# trained, loaded or assembled by hand.
+
+_DIRECT_TABLE = MappingTable({"x": ("х",), "o": ("о", "ў")})
+
+
+@pytest.mark.parametrize(
+    ("trees", "message"),
+    [
+        ({"x": _X_TREE, "o": [[1, "x", 1, 2], *_LEAVES]},
+         "tree of 'o': node 0 tests the focus position 1"),
+        ({"x": _X_TREE, "o": [_SPLIT, ["х", {"х": 1}], _LEAVES[1]]},
+         "tree of 'o': node 1: leaf label 'х' is not a table candidate"),
+        ({"x": _X_TREE, "o": [[0, "x", 1, 2], [0, "y", 2, 3], *_LEAVES]},
+         "tree of 'o': node 2 has more than one parent"),
+        ({"x": _X_TREE}, "model trees are not one per table key: ['o']"),
+    ],
+    ids=["tests-focus", "label-unlicensed", "shared-child", "missing-key"],
+)
+def test_directly_built_model_is_checked(trees, message):
+    window = WindowSpec(1, 0)
+    model = dtree.TranslitModel({"x": _X_TREE, "o": [_SPLIT, *_LEAVES]}, window, _DIRECT_TABLE)
+    assert model.switches == {"x": "х", "o": (0, {"x": "о"}, "ў")}
+    with pytest.raises(ModelFormatError) as raised:
+        dtree.TranslitModel(trees, window, _DIRECT_TABLE)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize(("direction", "x", "y"), [(CYR2LAT, 2, 3), (LAT2CYR, 4, 3)])
+def test_trained_model_switches_match_reference_compile(lexicon, direction, x, y):
+    """dtree.train compiles every key's tree as it builds the model: the
+    switches equal the reference compilation of the node lists."""
+    model = train_direction(lexicon, WindowSpec(x, y), bundled_mapping_table(direction))
+    assert model.switches == {
+        key: _reference_compile(nodes) for key, nodes in model.trees.items()
+    }
+
+
+@pytest.mark.parametrize("payload", [b"[]", b'"model"', b"5", b"null"])
+def test_model_file_that_is_no_object_is_rejected(payload):
+    with pytest.raises(ModelFormatError, match="not a JSON object"):
+        deserialize(payload)

@@ -95,3 +95,13 @@ def test_invalid_words_rejected_by_validator():
     assert not valid_word("тшо")     # тш cluster
     assert valid_word("ойи")         # й before и is fine
     assert valid_word("доцент")      # vowel + ц + vowel
+
+
+@pytest.mark.parametrize(
+    "word",
+    ["ц", "цб", "ацб", "бца"],
+    ids=["initial-and-final", "initial-before-consonant", "after-vowel-before-consonant",
+         "after-consonant"],
+)
+def test_misplaced_ts_rejected_by_validator(word):
+    assert not valid_word(word)
