@@ -9,6 +9,12 @@ with, including the empty string (written ``∅`` in table files).
 A table's keys fix its direction: a table with a Cyrillic key maps
 Cyrillic to Latin, any other Latin to Cyrillic.
 
+MappingTable owns the row rules, whoever builds the table: at least
+one row, each key one character, its candidates a list or tuple of one
+or more distinct strings. ``load_mapping_table`` checks only the file
+syntax and reports a row that breaks a rule as ``path:line``; a model
+file's table rows go through the same check.
+
 A model carries the table it was trained under, and its keys are the
 model's alphabet. The bundled tables have 36 Cyrillic keys (35 letters
 and the hyphen) and 27 Latin ones (25 letters, the apostrophe and the
@@ -80,18 +86,30 @@ class MappingTable:
     direction: Direction = field(init=False)
 
     def __post_init__(self):
-        canon = {}
-        for key, candidates in self.entries.items():
-            if len(key) != 1:
-                raise ValueError(f"table key {key!r} is not a single code point")
-            cands = _canonical_candidates(candidates)
-            if not cands:
-                raise ValueError(f"table key {key!r} has no candidates")
-            if len(set(cands)) != len(cands):
-                raise ValueError(f"table key {key!r} has duplicate candidates")
-            canon[key] = cands
+        """ValueError unless the table has rows and every row passes
+        ``check_row``."""
+        if not isinstance(self.entries, Mapping) or not self.entries:
+            raise ValueError("table is not a mapping with rows")
+        canon = {key: self.check_row(key, candidates) for key, candidates in self.entries.items()}
         object.__setattr__(self, "entries", canon)
         object.__setattr__(self, "direction", infer_direction(canon))
+
+    @staticmethod
+    def check_row(key, candidates) -> tuple[str, ...]:
+        """The canonical candidates of one table row; ValueError unless
+        ``key`` is one character and ``candidates`` a list or tuple of
+        distinct strings, at least one."""
+        if not isinstance(key, str) or len(key) != 1:
+            raise ValueError(f"table key {key!r} is not a single character")
+        if not isinstance(candidates, (list, tuple)) or not all(
+            isinstance(c, str) for c in candidates
+        ):
+            raise ValueError(f"table key {key!r}: candidates are not a list of strings")
+        if not candidates:
+            raise ValueError(f"table key {key!r} has no candidates")
+        if len(set(candidates)) != len(candidates):
+            raise ValueError(f"duplicate candidate for {key!r}")
+        return _canonical_candidates(candidates)
 
     def candidates(self, char: str) -> tuple[str, ...] | None:
         return self.entries.get(char)
@@ -128,10 +146,6 @@ def load_mapping_table(path) -> MappingTable:
             if "\t" not in line:
                 raise TableParseError(path, line_no, "expected <char><TAB><candidates>")
             key, _, cand_text = line.partition("\t")
-            if len(key) != 1:
-                raise TableParseError(
-                    path, line_no, f"key {key!r} is not a single character"
-                )
             if key in entries:
                 raise TableParseError(path, line_no, f"duplicate key {key!r}")
             candidates = []
@@ -140,9 +154,10 @@ def load_mapping_table(path) -> MappingTable:
                 if not item:
                     raise TableParseError(path, line_no, "empty candidate field")
                 candidates.append("" if item == EMPTY_MARK else item)
-            if len(set(candidates)) != len(candidates):
-                raise TableParseError(path, line_no, f"duplicate candidate for {key!r}")
-            entries[key] = tuple(candidates)
+            try:
+                entries[key] = MappingTable.check_row(key, candidates)
+            except ValueError as err:
+                raise TableParseError(path, line_no, str(err)) from err
     if not entries:
         raise TableParseError(path, 0, "table file has no entries")
     return MappingTable(entries)

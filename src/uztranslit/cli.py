@@ -221,9 +221,8 @@ def cmd_grid_search(args) -> int:
 
 
 def cmd_gen_corpus(args) -> int:
-    if args.size <= 0:
-        raise UsageError("--size must be positive")
-    _emit(pipeline.format_corpus(gencorpus.gen_corpus(args.size, args.seed)), args.out)
+    corpus = _flag(gencorpus.gen_corpus, args.size, args.seed)
+    _emit(pipeline.format_corpus(corpus), args.out)
     return 0
 
 

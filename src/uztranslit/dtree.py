@@ -503,20 +503,6 @@ def _compile(nodes, window: WindowSpec, candidates):
     return compiled[0]
 
 
-def _check_table(rows) -> MappingTable:
-    """The MappingTable of a file's ``table`` rows; ModelFormatError if
-    they do not make one."""
-    if not isinstance(rows, dict) or not rows:
-        raise ModelFormatError("model table is not an object with rows")
-    for key, candidates in rows.items():
-        if not isinstance(candidates, list) or not all(isinstance(c, str) for c in candidates):
-            raise ModelFormatError(f"table key {key!r}: candidates are not a list of strings")
-    try:
-        return MappingTable(rows)
-    except ValueError as err:
-        raise ModelFormatError(f"model table: {err}") from err
-
-
 def serialize(model: TranslitModel) -> bytes:
     """Versioned JSON; PAD appears as the literal string "∅-PAD"."""
     obj = {
@@ -550,13 +536,11 @@ def deserialize(data: bytes) -> TranslitModel:
         trees = obj["trees"]
     except (KeyError, TypeError) as err:
         raise ModelFormatError(f"model file missing fields: {err}") from err
-    if type(x) is not int or type(y) is not int:
-        raise ModelFormatError(f"window bounds are not ints: x={x!r}, y={y!r}")
     try:
-        window = WindowSpec(x=x, y=y)
+        window, table = WindowSpec(x=x, y=y), MappingTable(rows)
     except ValueError as err:
-        raise ModelFormatError(f"model window: {err}") from err
-    return TranslitModel(trees=trees, window=window, table=_check_table(rows))
+        raise ModelFormatError(f"model file: {err}") from err
+    return TranslitModel(trees=trees, window=window, table=table)
 
 
 def load_model(path) -> TranslitModel:

@@ -54,6 +54,8 @@ class WindowSpec:
     y: int
 
     def __post_init__(self):
+        if type(self.x) is not int or type(self.y) is not int:  # bool is an int subclass
+            raise ValueError(f"window bounds are not ints: x={self.x!r}, y={self.y!r}")
         if not (0 <= self.x <= 10 and 0 <= self.y <= 10):
             raise ValueError(f"window bounds out of range: x={self.x}, y={self.y}")
 

@@ -318,9 +318,14 @@ def evaluate(model: TranslitModel, heldout: Corpus, table: MappingTable) -> Eval
     """Count, in one pass over ``heldout``, the source characters whose
     predicted segment is the gold one and the words with every segment
     right; the report's scores are derived from these counts. The gold
-    segments are aligned under ``table``, normally ``model.table``. Every
-    character of a pair the table cannot align counts as wrong, and the
-    pair as a wrong word."""
+    segments are aligned under ``table``, normally ``model.table``, and a
+    table of the other direction is a ValueError. Every character of a
+    pair the table cannot align counts as wrong, and the pair as a wrong
+    word."""
+    if table.direction != model.direction:
+        raise ValueError(
+            f"table maps {'->'.join(table.direction)}, the model {'->'.join(model.direction)}"
+        )
     alignments, failures = align_corpus(heldout.oriented(model.direction), table)
     correct = chars = words_right = 0
     errors: list[tuple[str, str, str]] = []

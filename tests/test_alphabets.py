@@ -183,3 +183,29 @@ def test_load_table_bad_candidates(tmp_path, row, message):
     path.write_text("а\ta\n" + row, encoding="utf-8")
     with pytest.raises(TableParseError, match=f":2: {message}"):
         load_mapping_table(path)
+
+
+@pytest.mark.parametrize(
+    ("entries", "message"),
+    [({}, "table is not a mapping with rows"),
+     ({"а": "ab"}, "table key 'а': candidates are not a list of strings"),
+     ({"а": ["a", 1]}, "table key 'а': candidates are not a list of strings"),
+     ({"а": ()}, "table key 'а' has no candidates"),
+     ({"аб": ("ab",)}, "table key 'аб' is not a single character"),
+     ({"б": ("b", "p", "b")}, "duplicate candidate for 'б'")],
+    ids=["empty", "str-candidates", "int-candidate", "no-candidates", "two-char-key",
+         "duplicate-candidate"],
+)
+def test_mapping_table_rejects_bad_rows(entries, message):
+    with pytest.raises(ValueError) as raised:
+        MappingTable(entries)
+    assert str(raised.value) == message
+
+
+def test_load_table_reports_shared_row_check_with_line(tmp_path):
+    path = tmp_path / "t.tsv"
+    path.write_text("# keys\nа\ta\nаб\tab\n", encoding="utf-8")
+    with pytest.raises(TableParseError) as raised:
+        load_mapping_table(path)
+    assert str(raised.value) == f"{path}:3: table key 'аб' is not a single character"
+    assert raised.value.line_no == 3

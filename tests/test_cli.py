@@ -243,6 +243,19 @@ def test_malformed_table_is_data_error(tmp_path, lexicon_path):
     assert code == 2
 
 
+def test_table_file_without_rows_is_data_error(tmp_path, lexicon_path, capsys):
+    table = tmp_path / "t.tsv"
+    table.write_text("# no rows\n\n   \n# still none\n", encoding="utf-8")
+    out = tmp_path / "m.json"
+    code = main(
+        ["train", "--dir", "cyr2lat", "--corpus", lexicon_path,
+         "--table", str(table), "--out", str(out)]
+    )
+    assert code == 2
+    assert f"{table}:0: table file has no entries" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_align_writes_alignments_and_failures(tmp_path, lexicon_path):
     out = tmp_path / "al.tsv"
     fails = tmp_path / "fails.tsv"

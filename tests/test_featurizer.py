@@ -208,3 +208,9 @@ def test_dedup_idempotent(raw):
 def test_pad_distinct_from_alphabet_and_empty():
     assert PAD != ""
     assert len(PAD) > 1  # can never collide with a single character feature
+
+
+@pytest.mark.parametrize(("x", "y"), [(1.5, 2), (True, 0), (0, False), (2, "3")])
+def test_window_bounds_must_be_ints(x, y):
+    with pytest.raises(ValueError, match="window bounds are not ints"):
+        WindowSpec(x, y)

@@ -825,3 +825,9 @@ def test_training_determinism_end_to_end(cyr2lat_table, synthetic_small):
         reports.append(evaluate(model, val_part, cyr2lat_table))
     assert models[0] == models[1]
     assert reports[0] == reports[1]
+
+
+def test_evaluate_rejects_table_of_other_direction(lexicon, cyr2lat_table, lat2cyr_table):
+    model = train_direction(lexicon, WindowSpec(2, 3), cyr2lat_table)
+    with pytest.raises(ValueError, match="table maps latin->cyrillic, the model cyrillic->latin"):
+        evaluate(model, lexicon, lat2cyr_table)
