@@ -84,7 +84,7 @@ def align_word(source: str, target: str, table: MappingTable) -> AlignedPair:
     row, and NoAlignmentError when no candidate assignment concatenates
     to the target; the error carries the furthest source position the
     search got stuck at, which is what align_corpus records as the
-    failure position and ``translit discover`` reports.
+    failure position and ``translit align --failures`` reports.
     """
     if not source:
         raise ValueError("source word is empty")

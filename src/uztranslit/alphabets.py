@@ -11,9 +11,10 @@ Cyrillic to Latin, any other Latin to Cyrillic.
 
 MappingTable owns the row rules, whoever builds the table: at least
 one row, each key one character, its candidates a list or tuple of one
-or more distinct strings. ``load_mapping_table`` checks only the file
-syntax and reports a row that breaks a rule as ``path:line``; a model
-file's table rows go through the same check.
+or more distinct strings, and every row one a table file can hold, so
+that ``format()`` reads back as the same table. ``load_mapping_table``
+checks only the file syntax and reports a row that breaks a rule as
+``path:line``; a model file's table rows go through the same check.
 
 A model carries the table it was trained under, and its keys are the
 model's alphabet. The bundled tables have 36 Cyrillic keys (35 letters
@@ -98,9 +99,14 @@ class MappingTable:
     def check_row(key, candidates) -> tuple[str, ...]:
         """The canonical candidates of one table row; ValueError unless
         ``key`` is one character and ``candidates`` a list or tuple of
-        distinct strings, at least one."""
+        distinct strings, at least one, and a table file can hold the
+        row: the key is no whitespace and no ``#``, and no candidate is
+        ``∅``, holds a comma or a line break, or starts or ends with
+        whitespace."""
         if not isinstance(key, str) or len(key) != 1:
             raise ValueError(f"table key {key!r} is not a single character")
+        if key.isspace() or key == "#":
+            raise ValueError(f"table key {key!r} cannot be written to a table file")
         if not isinstance(candidates, (list, tuple)) or not all(
             isinstance(c, str) for c in candidates
         ):
@@ -109,6 +115,11 @@ class MappingTable:
             raise ValueError(f"table key {key!r} has no candidates")
         if len(set(candidates)) != len(candidates):
             raise ValueError(f"duplicate candidate for {key!r}")
+        for c in candidates:
+            if c != c.strip() or c == EMPTY_MARK or any(ch in c for ch in ",\n\r"):
+                raise ValueError(
+                    f"table key {key!r}: candidate {c!r} cannot be written to a table file"
+                )
         return _canonical_candidates(candidates)
 
     def candidates(self, char: str) -> tuple[str, ...] | None:

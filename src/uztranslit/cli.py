@@ -37,10 +37,6 @@ class UsageError(Exception):
     pass
 
 
-class DataError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; the CLI contract
     # reserves 2 for data errors, so route usage problems through 1.
@@ -90,7 +86,7 @@ def _flag(parse, *values):
 def _corpus(path, purpose: str) -> pipeline.Corpus:
     corpus = pipeline.load_corpus(path)
     if not corpus.pairs:
-        raise DataError(f"{path} has no usable pair to {purpose}")
+        raise ValueError(f"{path} has no usable pair to {purpose}")
     return corpus
 
 
@@ -102,7 +98,7 @@ def _inputs(args, purpose: str):
     if args.table:
         table = load_mapping_table(args.table)  # direction inferred from the keys
         if table.direction != direction:
-            raise DataError(
+            raise ValueError(
                 f"{args.table} maps {'->'.join(table.direction)}, not {'->'.join(direction)}"
             )
     else:
@@ -120,19 +116,18 @@ def _emit(text: str, out_path) -> None:
 def cmd_align(args) -> int:
     table, corpus = _inputs(args, "align")
     alignments, failures = align_corpus(corpus.oriented(table.direction), table)
-    if failures:
-        report = format_failure_report(failures)
-        if args.failures:
-            atomic_write(args.failures, report)
-        else:
-            sys.stderr.write(report)
+    report = format_failure_report(failures)
+    if args.failures:
+        atomic_write(args.failures, report)  # empty when every pair aligns
+    else:
+        sys.stderr.write(report)
     print(
         f"aligned {len(alignments)} of {len(corpus.pairs)} pairs"
         f" ({len(failures)} failures)",
         file=sys.stderr,
     )
     if not alignments:
-        raise DataError("no pair could be aligned; the mapping table does not cover this corpus")
+        raise ValueError("no pair could be aligned; the mapping table does not cover this corpus")
     lines = []
     for pair in alignments:
         segments = "|".join(seg if seg else "∅" for seg in pair.target_segments)
@@ -226,14 +221,6 @@ def cmd_gen_corpus(args) -> int:
     return 0
 
 
-def cmd_discover(args) -> int:
-    table, corpus = _inputs(args, "check")
-    failures = align_corpus(corpus.oriented(table.direction), table)[1]
-    _emit(format_failure_report(failures), args.out)
-    print(f"{len(failures)} uncovered pairs", file=sys.stderr)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="translit", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -280,9 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("gen-corpus", cmd_gen_corpus, help="generate a synthetic rule corpus")
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--out")
-
-    p = add("discover", cmd_discover, inputs, help="report pairs the table cannot align")
     p.add_argument("--out")
 
     return parser

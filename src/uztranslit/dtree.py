@@ -101,25 +101,8 @@ from .featurizer import Samples, WindowSpec
 FORMAT_VERSION = 5
 
 
-class EmptyTrainingSetError(ValueError):
-    pass
-
-
-class InconsistentFeatureWidthError(ValueError):
-    pass
-
-
 class WidthMismatchError(ValueError):
     pass
-
-
-class EmptyCountsError(ValueError):
-    pass
-
-
-class UnlicensedSampleError(ValueError):
-    """A sample's focus is not a table key, its label is not one of that
-    key's candidates, or it is filed under another focus."""
 
 
 class StalledSplitError(RuntimeError):
@@ -127,11 +110,7 @@ class StalledSplitError(RuntimeError):
 
 
 class ModelFormatError(ValueError):
-    """Model file is structurally corrupt."""
-
-
-class ModelVersionError(ModelFormatError):
-    """Model file was written by an unknown format version."""
+    """Model file is corrupt or of another format version."""
 
 
 @dataclass
@@ -168,7 +147,7 @@ def gini(class_counts: dict[str, int]) -> float:
     """Gini impurity 1 - sum(p_c^2) of a label histogram."""
     total = sum(class_counts.values())
     if total <= 0:
-        raise EmptyCountsError("gini of empty counts")
+        raise ValueError("gini of empty counts")
     sq = sum(c * c for c in class_counts.values())
     return 1.0 - sq / (total * total)
 
@@ -348,23 +327,23 @@ def train(samples: Samples, table: MappingTable) -> TranslitModel:
     order, and ``samples`` is left as it is."""
     window = samples.window
     if not samples.blocks or not all(samples.blocks.values()):
-        raise EmptyTrainingSetError("cannot train on an empty sample list")
+        raise ValueError("cannot train on an empty sample list")
     for focus, blocks in samples.blocks.items():
         candidates = table.candidates(focus)
         if candidates is None or not set(blocks).issubset(candidates):
-            raise UnlicensedSampleError(
+            raise ValueError(
                 f"focus {focus!r}: labels {sorted(blocks)} are not among its table candidates"
                 f" {candidates}"
             )
         for label, rows in blocks.items():
             widths = set(map(len, rows))
             if widths != {window.width}:
-                raise InconsistentFeatureWidthError(
+                raise ValueError(
                     f"focus {focus!r}, label {label!r}: rows of widths {sorted(widths)}"
                     f" at window width {window.width}"
                 )
             if set(map(itemgetter(window.x), rows)) != {focus}:
-                raise UnlicensedSampleError(
+                raise ValueError(
                     f"focus {focus!r}, label {label!r}: a sample has another focus symbol"
                 )
     # Every row of a key holds that key at x, so no split can test x.
@@ -526,7 +505,7 @@ def deserialize(data: bytes) -> TranslitModel:
         raise ModelFormatError("model file is not a JSON object")
     version = obj.get("format_version")
     if not isinstance(version, int) or version != FORMAT_VERSION:
-        raise ModelVersionError(
+        raise ModelFormatError(
             f"unsupported model format_version {version!r}; this build reads"
             f" {FORMAT_VERSION}, so retrain the model"
         )

@@ -42,10 +42,6 @@ log = logging.getLogger(__name__)
 REFERENCE_FRACTIONS = (9499 / 12418, 1677 / 12418, 1242 / 12418)
 
 
-class AllPairsUnalignableError(ValueError):
-    pass
-
-
 @dataclass
 class Corpus:
     """A parallel word list; pairs are always (cyrillic, latin)."""
@@ -269,14 +265,12 @@ def _align_training(train_part: Corpus, table: MappingTable):
     alignments, failures = align_corpus(train_part.oriented(table.direction), table)
     if failures:
         log.warning(
-            "%d of %d training pairs not alignable; excluded (run discover to fix the table)",
+            "%d of %d training pairs not alignable; excluded (align --failures lists them)",
             len(failures),
             len(train_part.pairs),
         )
     if not alignments:
-        raise AllPairsUnalignableError(
-            "no training pair could be aligned under the mapping table"
-        )
+        raise ValueError("no training pair could be aligned under the mapping table")
     return alignments
 
 

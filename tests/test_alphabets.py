@@ -1,7 +1,7 @@
 import unicodedata
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from uztranslit import alphabets
 from uztranslit.aligner import align_corpus
@@ -192,14 +192,50 @@ def test_load_table_bad_candidates(tmp_path, row, message):
      ({"а": ["a", 1]}, "table key 'а': candidates are not a list of strings"),
      ({"а": ()}, "table key 'а' has no candidates"),
      ({"аб": ("ab",)}, "table key 'аб' is not a single character"),
-     ({"б": ("b", "p", "b")}, "duplicate candidate for 'б'")],
+     ({"б": ("b", "p", "b")}, "duplicate candidate for 'б'"),
+     # rows that a table file cannot hold
+     ({"a": ["b,c", " d"]}, "table key 'a': candidate 'b,c' cannot be written to a table file"),
+     ({"a": ["∅"]}, "table key 'a': candidate '∅' cannot be written to a table file"),
+     ({"a": [" b"]}, "table key 'a': candidate ' b' cannot be written to a table file"),
+     ({"a": ["b "]}, "table key 'a': candidate 'b ' cannot be written to a table file"),
+     ({"a": ["\xa0b"]}, "table key 'a': candidate '\\xa0b' cannot be written to a table file"),
+     ({"a": ["b\nc"]}, "table key 'a': candidate 'b\\nc' cannot be written to a table file"),
+     ({"\n": ["b"]}, "table key '\\n' cannot be written to a table file"),
+     ({"#": ["b"]}, "table key '#' cannot be written to a table file")],
     ids=["empty", "str-candidates", "int-candidate", "no-candidates", "two-char-key",
-         "duplicate-candidate"],
+         "duplicate-candidate", "comma", "empty-mark", "leading-space", "trailing-space",
+         "leading-nbsp", "line-break", "line-break-key", "comment-key"],
 )
 def test_mapping_table_rejects_bad_rows(entries, message):
     with pytest.raises(ValueError) as raised:
         MappingTable(entries)
     assert str(raised.value) == message
+
+
+# Keys and candidates over the characters that mean something in a table
+# file: the field and candidate separators, whitespace that a line strip
+# removes, line breaks, the comment mark and the empty mark.
+_FILE_CHARS = st.sampled_from("abцд") | st.sampled_from(", \t\n\r#∅\xa0")
+_CANDIDATES = st.text(_FILE_CHARS, max_size=3) | st.builds(
+    "{}{}{}".format, st.sampled_from("abцд"), st.text(_FILE_CHARS, max_size=2),
+    st.sampled_from("abцд"),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    entries=st.dictionaries(
+        _FILE_CHARS, st.lists(_CANDIDATES, min_size=1, max_size=3, unique=True), max_size=3
+    )
+)
+def test_every_accepted_table_reads_back_from_its_format(tmp_path_factory, entries):
+    try:
+        table = MappingTable(entries)
+    except ValueError:
+        return
+    path = tmp_path_factory.mktemp("table") / "t.tsv"
+    path.write_text(table.format(), encoding="utf-8")
+    assert load_mapping_table(path) == table
 
 
 def test_load_table_reports_shared_row_check_with_line(tmp_path):

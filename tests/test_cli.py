@@ -222,15 +222,14 @@ def test_training_without_usable_pair_is_data_error(tmp_path, capsys):
         assert not (tmp_path / "m.json").exists()
 
 
-def test_align_and_discover_without_usable_pair_are_data_errors(tmp_path, capsys):
+def test_align_without_usable_pair_is_data_error(tmp_path, capsys):
     corpus = tmp_path / "c.tsv"
     corpus.write_text("икки суз\tikki so'z\n", encoding="utf-8")  # multi-word: dropped
     out = tmp_path / "out.tsv"
-    for command, purpose in (("align", "align"), ("discover", "check")):
-        code = main([command, "--dir", "cyr2lat", "--corpus", str(corpus), "--out", str(out)])
-        assert code == 2
-        assert f"{corpus} has no usable pair to {purpose}" in capsys.readouterr().err
-        assert not out.exists()
+    code = main(["align", "--dir", "cyr2lat", "--corpus", str(corpus), "--out", str(out)])
+    assert code == 2
+    assert f"{corpus} has no usable pair to align" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_malformed_table_is_data_error(tmp_path, lexicon_path):
@@ -389,13 +388,27 @@ def test_table_with_extra_candidate_trains(tmp_path, capsys):
     assert capsys.readouterr().out == "бена\n"
 
 
-def test_discover_empty_on_bundled_lexicon(tmp_path, lexicon_path, capsys):
-    out = tmp_path / "report.tsv"
-    code = main(
-        ["discover", "--dir", "cyr2lat", "--corpus", lexicon_path, "--out", str(out)]
-    )
-    assert code == 0
-    assert out.read_text(encoding="utf-8") == ""
+def test_align_failure_report_is_written_whenever_the_corpus_loads(tmp_path, lexicon_path):
+    """--failures is written whatever align's exit status: over a stale
+    report and at a fresh path, it is empty when every pair aligns, and
+    it lists the pairs when none aligns."""
+    stale, fresh = tmp_path / "stale.tsv", tmp_path / "fresh.tsv"
+    stale.write_text("stale\n", encoding="utf-8")
+    for report in (stale, fresh):
+        argv = ["align", "--dir", "cyr2lat", "--corpus", lexicon_path, "--failures", str(report)]
+        assert main([*argv, "--out", str(tmp_path / "al.tsv")]) == 0
+        assert report.read_text(encoding="utf-8") == ""
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("аб\txyz\n", encoding="utf-8")
+    code = main(["align", "--dir", "cyr2lat", "--corpus", str(corpus), "--failures", str(stale)])
+    assert code == 2
+    assert stale.read_text(encoding="utf-8") == "аб\txyz\t0\n"
+
+
+def test_removed_discover_subcommand_is_usage_error(lexicon_path, capsys):
+    # align --failures writes the report discover used to print
+    assert main(["discover", "--dir", "cyr2lat", "--corpus", lexicon_path]) == 1
+    assert "invalid choice: 'discover'" in capsys.readouterr().err
 
 
 def test_grid_search_small(tmp_path, capsys):
@@ -561,10 +574,6 @@ _SURFACE = {
     "gen-corpus": (
         ["--size", "10"],
         {"size": 10, "seed": 42, "out": None},
-    ),
-    "discover": (
-        ["--dir", "cyr2lat", "--corpus", "c.tsv"],
-        {"dir": "cyr2lat", "corpus": "c.tsv", "table": None, "out": None},
     ),
 }
 
