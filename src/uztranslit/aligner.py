@@ -82,9 +82,10 @@ def align_word(source: str, target: str, table: MappingTable) -> AlignedPair:
 
     Raises UnknownSourceCharError when a source character has no table
     row, and NoAlignmentError when no candidate assignment concatenates
-    to the target; the error carries the furthest source position the
-    search got stuck at, which is what align_corpus records as the
-    failure position and ``translit align --failures`` reports.
+    to the target. The error's position is the deepest source position
+    the search reached, or the last character when the whole source
+    tiles only part of the target; align_corpus records it as the
+    failure position, and ``translit align --failures`` reports it.
     """
     if not source:
         raise ValueError("source word is empty")
@@ -111,24 +112,19 @@ def align_word(source: str, target: str, table: MappingTable) -> AlignedPair:
 
     n = len(source)
     segments = [""] * n
-    fail_position = 0
-    success = False
+    deepest = 0
 
     # Depth-first backtracking with an explicit stack; frames hold
-    # (source index, target offset, next candidate to try, matched-any).
-    # A state is dead once its frame is exhausted: entering it again
-    # would fail again and charge no further fail position.
-    frames: list[list] = [[0, 0, 0, False]]
+    # (source index, target offset, next candidate to try). A state is
+    # dead once its frame is exhausted, and is never entered again.
+    frames: list[list] = [[0, 0, 0]]
     dead: set[tuple[int, int]] = set()
     while frames:
         frame = frames[-1]
         i, j = frame[0], frame[1]
         if i == n:
             if j == target_len:
-                success = True
-                break
-            # Source exhausted with target left over; charge the last char.
-            fail_position = max(fail_position, n - 1)
+                return AlignedPair(source, tuple(segments))
             dead.add((i, j))
             frames.pop()
             continue
@@ -140,19 +136,14 @@ def align_word(source: str, target: str, table: MappingTable) -> AlignedPair:
         ):
             k += 1
         if k == len(candidates):
-            if not frame[3]:
-                fail_position = max(fail_position, i)
             dead.add((i, j))
             frames.pop()
             continue
         frame[2] = k + 1
-        frame[3] = True
         segments[i] = candidates[k]
-        frames.append([i + 1, j + len(candidates[k]), 0, False])
-
-    if not success:
-        raise NoAlignmentError(source, target, fail_position)
-    return AlignedPair(source, tuple(segments))
+        frames.append([i + 1, j + len(candidates[k]), 0])
+        deepest = max(deepest, i + 1)
+    raise NoAlignmentError(source, target, min(deepest, n - 1))
 
 
 def align_corpus(pairs, table: MappingTable):

@@ -45,6 +45,9 @@ _APOSTROPHE_FOLD = re.compile(
 # In table files U+2205 stands for the empty target string.
 EMPTY_MARK = "∅"
 
+# A lone surrogate code point has no UTF-8 encoding: no file can hold it.
+LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+
 CYRILLIC = "cyrillic"
 LATIN = "latin"
 
@@ -100,12 +103,12 @@ class MappingTable:
         """The canonical candidates of one table row; ValueError unless
         ``key`` is one character and ``candidates`` a list or tuple of
         distinct strings, at least one, and a table file can hold the
-        row: the key is no whitespace and no ``#``, and no candidate is
-        ``∅``, holds a comma or a line break, or starts or ends with
-        whitespace."""
+        row: the key is no whitespace, no ``#`` and no lone surrogate, and
+        no candidate is ``∅``, holds a comma, a line break or a lone
+        surrogate, or starts or ends with whitespace."""
         if not isinstance(key, str) or len(key) != 1:
             raise ValueError(f"table key {key!r} is not a single character")
-        if key.isspace() or key == "#":
+        if key.isspace() or key == "#" or LONE_SURROGATE.match(key):
             raise ValueError(f"table key {key!r} cannot be written to a table file")
         if not isinstance(candidates, (list, tuple)) or not all(
             isinstance(c, str) for c in candidates
@@ -116,7 +119,9 @@ class MappingTable:
         if len(set(candidates)) != len(candidates):
             raise ValueError(f"duplicate candidate for {key!r}")
         for c in candidates:
-            if c != c.strip() or c == EMPTY_MARK or any(ch in c for ch in ",\n\r"):
+            if c != c.strip() or c == EMPTY_MARK or LONE_SURROGATE.search(c) or any(
+                ch in c for ch in ",\n\r"
+            ):
                 raise ValueError(
                     f"table key {key!r}: candidate {c!r} cannot be written to a table file"
                 )

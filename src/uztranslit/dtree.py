@@ -66,9 +66,10 @@ model's direction, and ``trees``, one node list per key. Loading checks
 the table as a table file is checked and then constructs the model as
 training does. Every model, trained, loaded or assembled, checks its
 trees when it is constructed: exactly one per key, each well formed,
-none testing the focus position, and every leaf label under key ``ch``
-in ``table.candidates(ch)``; every model predicts only licensed
-segments.
+none testing the focus position, every leaf label and every key of a
+leaf's counts under key ``ch`` in ``table.candidates(ch)``, and no test
+symbol holding a lone surrogate. So every model predicts only licensed
+segments, and every model serializes.
 
 Prediction walks compiled switches, not node lists. A run of ne tests
 on one position is one multiway categorical split, as in C4.5 (Quinlan,
@@ -95,7 +96,7 @@ from dataclasses import dataclass, field
 from itertools import chain, compress
 from operator import itemgetter, not_
 
-from .alphabets import Direction, MappingTable
+from .alphabets import LONE_SURROGATE, Direction, MappingTable
 from .featurizer import Samples, WindowSpec
 
 FORMAT_VERSION = 5
@@ -324,9 +325,17 @@ def train(samples: Samples, table: MappingTable) -> TranslitModel:
     at their window. A key without samples gets the one-leaf tree
     ``[[first candidate, {}]]``: the empty counts mark a key training
     never saw. Each tree depends on its key's samples, not on their
-    order, and ``samples`` is left as it is."""
+    order, and ``samples`` is left as it is.
+
+    ValueError unless there are samples, every focus is a table key, and
+    every label of a focus is one of its candidates and has rows. These
+    checks loop over keys and labels only: rows are taken as
+    ``featurizer`` makes them, each ``window.width`` long with its focus
+    at ``x``, and are not checked again."""
     window = samples.window
-    if not samples.blocks or not all(samples.blocks.values()):
+    if not samples.blocks or not all(
+        labels and all(labels.values()) for labels in samples.blocks.values()
+    ):
         raise ValueError("cannot train on an empty sample list")
     for focus, blocks in samples.blocks.items():
         candidates = table.candidates(focus)
@@ -335,17 +344,6 @@ def train(samples: Samples, table: MappingTable) -> TranslitModel:
                 f"focus {focus!r}: labels {sorted(blocks)} are not among its table candidates"
                 f" {candidates}"
             )
-        for label, rows in blocks.items():
-            widths = set(map(len, rows))
-            if widths != {window.width}:
-                raise ValueError(
-                    f"focus {focus!r}, label {label!r}: rows of widths {sorted(widths)}"
-                    f" at window width {window.width}"
-                )
-            if set(map(itemgetter(window.x), rows)) != {focus}:
-                raise ValueError(
-                    f"focus {focus!r}, label {label!r}: a sample has another focus symbol"
-                )
     # Every row of a key holds that key at x, so no split can test x.
     positions = [p for p in range(window.width) if p != window.x]
     trees = {
@@ -424,7 +422,8 @@ def _compile(nodes, window: WindowSpec, candidates):
     well-formed nodes forming one tree rooted at node 0: child indices
     point forward and in range, which makes every walk end at a leaf, and
     every other node is the child of exactly one node. No node tests the
-    focus position ``x``, every leaf label is one of ``candidates``, and
+    focus position ``x``, no test symbol holds a lone surrogate, every
+    leaf label and every key of its counts is one of ``candidates``, and
     leaf counts are positive, except that a tree of one leaf may have
     none: the tree of a key training never saw.
 
@@ -453,6 +452,8 @@ def _compile(nodes, window: WindowSpec, candidates):
                 type(c) is int and c > 0 for c in counts.values()
             ):
                 raise ModelFormatError(f"node {i}: leaf counts are not positive ints")
+            if not counts.keys() <= candidates:
+                raise ModelFormatError(f"node {i}: leaf counts are not keyed by table candidates")
             compiled[i] = label
             continue
         f, s, eq, ne = node
@@ -464,6 +465,8 @@ def _compile(nodes, window: WindowSpec, candidates):
             raise ModelFormatError(f"node {i} tests the focus position {f}")
         if not isinstance(s, str):
             raise ModelFormatError(f"node {i}: test symbol is not a string")
+        if LONE_SURROGATE.search(s):
+            raise ModelFormatError(f"node {i}: test symbol {s!r} holds a lone surrogate")
         for child in (eq, ne):
             if type(child) is not int or not i < child < n:
                 raise ModelFormatError(f"node {i}: child index is not an int in ({i}, {n})")

@@ -30,6 +30,13 @@ grower's histogram counting inside a few cache lines instead of one str
 object per window cell; a character outside Latin-1 is otherwise a new
 object in every word.
 
+Every ``Samples`` is made here, by ``extract_samples``, ``narrowed``,
+``only`` or ``dedup_samples``, and each keeps one row rule: a row is a
+``width``-long slice of one padded word, filed under its own symbol at
+``x``. ``AlignedPair`` ties every source character to exactly one
+segment, so every slice is full-width. ``dtree.train`` takes ``Samples``
+as they are made here and does not check their rows again.
+
 The padding sentinel is deliberately not "∅": the empty-string class
 and out-of-word padding are different roles and must stay distinct in
 the feature space.
@@ -80,8 +87,9 @@ class Samples:
     """Training samples, key-major: ``blocks`` maps each focus character,
     in order of first occurrence, to its label -> rows map, labels again
     in order of first occurrence. A row is one sample's window tuple, and
-    a label's rows are in word order. ``len()`` is the number of
-    samples."""
+    a label's rows are in word order. Every row is ``window.width`` long
+    and holds its focus at ``window.x``, which ``dtree.train`` relies on
+    without checking. ``len()`` is the number of samples."""
 
     window: WindowSpec
     blocks: dict  # focus -> label -> list of window tuples

@@ -59,8 +59,8 @@ def blocks_of(rows) -> dict:
 
 def samples_of(rows, window: WindowSpec) -> Samples:
     """The key-major ``Samples`` of ``(features, label)`` rows at
-    ``window``; rows of another width are kept, for ``dtree.train`` to
-    reject."""
+    ``window``, each grouped under its symbol at ``window.x``, as
+    ``featurizer`` groups the rows it extracts."""
     grouped: dict = {}
     for row in rows:
         grouped.setdefault(row[0][window.x], []).append(row)

@@ -10,7 +10,7 @@ from uztranslit.aligner import (
     align_word,
     format_failure_report,
 )
-from uztranslit.alphabets import MappingTable
+from uztranslit.alphabets import CYR2LAT, LAT2CYR, MappingTable
 from uztranslit.gencorpus import gen_corpus
 
 
@@ -119,6 +119,20 @@ def test_align_corpus_single_valued(cyr2lat_table):
     alignments, failures = align_corpus([("бола", "bola")], cyr2lat_table)
     assert len(alignments) == 1 and failures == []
     assert alignments[0].target_segments == ("b", "o", "l", "a")
+
+
+def test_align_corpus_reports_pair_a_truncated_table_cannot_align(cyr2lat_table):
+    entries = dict(cyr2lat_table.entries)
+    entries["ц"] = ("ts",)  # drop the ц -> s rule
+    truncated = MappingTable(entries)
+    report = align_corpus([("цирк", "sirk")], truncated)[1]
+    assert len(report) == 1
+    assert (report[0].source, report[0].target, report[0].position) == ("цирк", "sirk", 0)
+
+
+def test_bundled_lexicon_aligns_in_both_directions(lexicon, cyr2lat_table, lat2cyr_table):
+    assert align_corpus(lexicon.oriented(CYR2LAT), cyr2lat_table)[1] == []
+    assert align_corpus(lexicon.oriented(LAT2CYR), lat2cyr_table)[1] == []
 
 
 def test_failure_report_format():

@@ -405,6 +405,19 @@ def test_align_failure_report_is_written_whenever_the_corpus_loads(tmp_path, lex
     assert stale.read_text(encoding="utf-8") == "аб\txyz\t0\n"
 
 
+def test_model_with_lone_surrogate_is_data_error(tmp_path, capsys):
+    model = tmp_path / "m.json"
+    model.write_text(
+        '{"format_version":5,"window":{"x":0,"y":0},'
+        '"table":{"a":["\\ud800"]},"trees":{"a":[["\\ud800",{}]]}}',
+        encoding="utf-8",
+    )
+    assert main(["transliterate", "--model", str(model), "--word", "a"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "table key 'a': candidate '\\ud800' cannot be written to a table file" in captured.err
+
+
 def test_removed_discover_subcommand_is_usage_error(lexicon_path, capsys):
     # align --failures writes the report discover used to print
     assert main(["discover", "--dir", "cyr2lat", "--corpus", lexicon_path]) == 1

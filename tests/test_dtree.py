@@ -103,19 +103,8 @@ def test_empty_training_set():
     # a key without labels
     with pytest.raises(ValueError, match="cannot train on an empty sample list"):
         train(Samples(WindowSpec(0, 0), {"а": {}}), CYR2LAT_TABLE)
-
-
-def test_inconsistent_width_rejected():
-    samples = [Row(("а", "б", "в"), "b"), Row(("а", "б"), "b")]
-    message = r"focus 'б', label 'b': rows of widths \[2, 3\] at window width 3"
-    with pytest.raises(ValueError, match=message):
-        train(samples_of(samples, WindowSpec(1, 1)), CYR2LAT_TABLE)
-    # one row of the wrong width
-    blocks = {"б": {"b": [("а", "б", "в"), ("а", "б")]}}
-    with pytest.raises(ValueError, match=message):
-        train(Samples(WindowSpec(1, 1), blocks), CYR2LAT_TABLE)
     # a label without rows
-    with pytest.raises(ValueError, match=r"label 'a': rows of widths \[\] at window width 1"):
+    with pytest.raises(ValueError, match="cannot train on an empty sample list"):
         train(Samples(WindowSpec(0, 0), {"а": {"a": []}}), CYR2LAT_TABLE)
 
 
@@ -128,10 +117,8 @@ def test_inconsistent_width_rejected():
         # the label is not a candidate of the focus
         ({"а": {"b": [("а",)]}},
          r"focus 'а': labels \['b'\] are not among its table candidates \('a',\)"),
-        # filed under another focus
-        ({"а": {"a": [("б",)]}}, "focus 'а', label 'a': a sample has another focus symbol"),
     ],
-    ids=["focus-not-key", "label-not-candidate", "other-focus"],
+    ids=["focus-not-key", "label-not-candidate"],
 )
 def test_unlicensed_samples_rejected(blocks, message):
     with pytest.raises(ValueError, match=message):
@@ -1061,6 +1048,33 @@ def test_trained_model_switches_match_reference_compile(lexicon, direction, x, y
     assert model.switches == {
         key: _reference_compile(nodes) for key, nodes in model.trees.items()
     }
+
+
+@pytest.mark.parametrize(
+    ("table", "tree", "message"),
+    [
+        ({"a": ["\ud800"]}, [["\ud800", {}]],
+         "model file: table key 'a': candidate '\\ud800' cannot be written to a table file"),
+        ({"\ud800": ["b"]}, [["b", {}]],
+         "model file: table key '\\ud800' cannot be written to a table file"),
+        ({"a": ["b"]}, [["b", {"zzz": 1}]],
+         "tree of 'a': node 0: leaf counts are not keyed by table candidates"),
+        ({"a": ["b"]}, [["b", {"\ud800": 1}]],
+         "tree of 'a': node 0: leaf counts are not keyed by table candidates"),
+        ({"a": ["b", "c"]}, [[1, "\ud800", 1, 2], ["b", {"b": 1}], ["c", {"c": 1}]],
+         "tree of 'a': node 0: test symbol '\\ud800' holds a lone surrogate"),
+    ],
+    ids=["surrogate-candidate", "surrogate-key", "counts-not-candidate",
+         "counts-surrogate", "symbol-surrogate"],
+)
+def test_model_file_holds_only_what_it_can_write_back(table, tree, message):
+    """A model file that loads serializes again: no lone surrogate, which
+    UTF-8 cannot encode, and leaf counts keyed by the key's candidates."""
+    obj = {"format_version": 5, "window": {"x": 0, "y": 1}, "table": table}
+    obj["trees"] = {key: tree for key in table}
+    with pytest.raises(ModelFormatError) as raised:
+        deserialize(json.dumps(obj).encode("utf-8"))
+    assert str(raised.value) == message
 
 
 @pytest.mark.parametrize("payload", [b"[]", b'"model"', b"5", b"null"])

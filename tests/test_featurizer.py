@@ -105,6 +105,16 @@ def _reference_rows(alignments, window):
     return rows
 
 
+def _assert_rows_are_windows(samples):
+    """Every row of ``samples`` is window-wide and holds its focus at x,
+    which ``dtree.train`` takes on trust."""
+    window = samples.window
+    for focus, labels in samples.blocks.items():
+        for rows in labels.values():
+            for row in rows:
+                assert len(row) == window.width and row[window.x] == focus, (focus, row)
+
+
 _aligned_words = st.lists(
     st.lists(st.tuples(st.sampled_from("абв"), st.sampled_from(["", "a", "b"])), max_size=6),
     max_size=8,
@@ -125,6 +135,7 @@ def test_extraction_matches_row_wise_reference(words, x, y, wider_x, wider_y):
     ]
     window = WindowSpec(x, y)
     extracted = extract_samples(alignments, window)
+    _assert_rows_are_windows(extracted)
     reference = _reference_rows(alignments, window)
     assert rows_of(extracted) == by_key(reference, x)
     assert len(extracted) == sum(len(word) for word in words)
@@ -132,10 +143,12 @@ def test_extraction_matches_row_wise_reference(words, x, y, wider_x, wider_y):
     # the first occurrence of every (window, label) row
     kept_reference = by_key(dict.fromkeys(reference), x)
     assert kept.window == window
+    _assert_rows_are_windows(kept)
     assert rows_of(kept) == kept_reference
     assert len(kept) == len(kept_reference)
     wide = extract_samples(alignments, WindowSpec(x + wider_x, y + wider_y))
     narrowed = wide.narrowed(window)
+    _assert_rows_are_windows(narrowed)
     assert narrowed == extracted
     assert [(focus, list(labels)) for focus, labels in narrowed.blocks.items()] == [
         (focus, list(labels)) for focus, labels in extracted.blocks.items()
