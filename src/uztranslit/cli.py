@@ -157,8 +157,7 @@ def cmd_transliterate(args) -> int:
     for raw in args.word:
         # Case is kept here so its pattern can be restored on output.
         shaped = normalize_word(raw, fold_case=False)
-        lowered = shaped.lower()
-        result = pipeline.transliterate_word(model, lowered)
+        result = pipeline.transliterate_word(model, normalize_word(shaped))
         print(pipeline.apply_case_pattern(shaped, result))
     return 0
 

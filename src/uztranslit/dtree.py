@@ -102,10 +102,6 @@ from .featurizer import Samples, WindowSpec
 FORMAT_VERSION = 5
 
 
-class WidthMismatchError(ValueError):
-    pass
-
-
 class StalledSplitError(RuntimeError):
     """A split left one child empty: the grower's counts are wrong."""
 
@@ -366,7 +362,7 @@ def predict(model: TranslitModel, features) -> list[str]:
     other focus symbol labels itself."""
     width = model.window.width
     if len(features) < width - 1:
-        raise WidthMismatchError(f"feature length {len(features)} < model width {width} - 1")
+        raise ValueError(f"feature length {len(features)} < model width {width} - 1")
     start = model.switches.get
     x = model.window.x
     labels = []
@@ -384,12 +380,9 @@ def count_correct(model: TranslitModel, gold: Samples) -> int:
     """How many of ``gold``'s samples ``model`` gives their label, as
     ``predict`` labels each window. ``gold``'s window must hold the
     model's: its rows are read in place, position ``f`` of the model's
-    window as ``row[skip + f]`` with ``skip`` the difference of the two
-    x, so a wider extraction serves every smaller window unsliced."""
-    window = model.window
-    skip = gold.window.x - window.x
-    if skip < 0 or gold.window.y < window.y:
-        raise WidthMismatchError(f"samples at {gold.window} do not hold the model's {window}")
+    window as ``row[skip + f]`` with ``skip`` its offset there, so a
+    wider extraction serves every smaller window unsliced."""
+    skip = model.window.offset_in(gold.window)
     start = model.switches.get
     correct = 0
     for focus, labels in gold.blocks.items():

@@ -81,6 +81,15 @@ class WindowSpec:
         """The y PADs after a padded word."""
         return (PAD,) * self.y
 
+    def offset_in(self, outer: WindowSpec) -> int:
+        """Where this window sits in ``outer``'s rows: its position ``f``
+        is ``outer``'s position ``offset + f``. The one check that a
+        window fits inside another."""
+        offset = outer.x - self.x
+        if offset < 0 or self.y > outer.y:
+            raise ValueError(f"window {self} does not fit inside {outer}")
+        return offset
+
 
 @dataclass(frozen=True)
 class Samples:
@@ -100,9 +109,7 @@ class Samples:
     def narrowed(self, window: WindowSpec) -> Samples:
         """The same samples at ``window``, which must fit inside this
         one: each row is a slice of this one's."""
-        skip = self.window.x - window.x
-        if skip < 0 or window.y > self.window.y:
-            raise ValueError(f"window {window} does not fit inside {self.window}")
+        skip = window.offset_in(self.window)
         cut = itemgetter(slice(skip, skip + window.width))
         return Samples(window, {
             focus: {label: list(map(cut, rows)) for label, rows in labels.items()}

@@ -1,3 +1,4 @@
+from collections import Counter
 from typing import NamedTuple
 
 import pytest
@@ -75,6 +76,34 @@ def rows_of(samples: Samples) -> list[Row]:
         for label, rows in labels.items()
         for features in rows
     ]
+
+
+def gini_of(rows) -> float:
+    """The Gini impurity of the labels of ``(features, label)`` rows."""
+    counts = Counter(row.label for row in rows)
+    m = len(rows)
+    return 1.0 - sum(c * c for c in counts.values()) / (m * m)
+
+
+def split_decrease(rows, p: int, symbol: str) -> float:
+    """The Gini decrease of splitting ``rows`` on ``features[p] == symbol``."""
+    eq = [row for row in rows if row.features[p] == symbol]
+    ne = [row for row in rows if row.features[p] != symbol]
+    n = len(rows)
+    return gini_of(rows) - (len(eq) / n) * gini_of(eq) - (len(ne) / n) * gini_of(ne)
+
+
+def best_split_decrease(rows):
+    """Exhaustive split scorer, the grower's optimality oracle: the best
+    decrease over every split that leaves both sides non-empty, or None
+    when there is no such split."""
+    decreases = [
+        split_decrease(rows, p, symbol)
+        for p in range(len(rows[0].features))
+        for symbol in {row.features[p] for row in rows}
+        if any(row.features[p] != symbol for row in rows)
+    ]
+    return max(decreases, default=None)
 
 
 def open_table(keys, labels) -> MappingTable:

@@ -13,12 +13,14 @@ import pytest
 
 from conftest import (
     Row,
+    best_split_decrease,
     blocks_of,
     by_key,
     count_by_character,
     open_table,
     rows_of,
     samples_of,
+    split_decrease,
 )
 from uztranslit import pipeline
 from uztranslit.aligner import align_word
@@ -211,34 +213,6 @@ def test_criterion_7_split_oracle():
     print("ACCEPTANCE 7: split sizes 9499/1677/1242 for N=12418: PASS")
 
 
-def _histogram(part):
-    counts = {}
-    for s in part:
-        counts[s.label] = counts.get(s.label, 0) + 1
-    return counts
-
-
-def _gini_of(part):
-    counts = _histogram(part)
-    m = len(part)
-    return 1.0 - sum(c * c for c in counts.values()) / (m * m)
-
-
-def _oracle_best_decrease(samples):
-    n = len(samples)
-    parent = _gini_of(samples)
-    best = 0.0
-    for p in range(len(samples[0].features)):
-        for symbol in {s.features[p] for s in samples}:
-            eq = [s for s in samples if s.features[p] == symbol]
-            ne = [s for s in samples if s.features[p] != symbol]
-            if not eq or not ne:
-                continue
-            decrease = parent - (len(eq) / n) * _gini_of(eq) - (len(ne) / n) * _gini_of(ne)
-            best = max(best, decrease)
-    return best
-
-
 def test_criterion_8_gini_split_oracle():
     # the grower that every key's tree comes from, on random sample sets
     rng = random.Random(20260810)
@@ -253,19 +227,14 @@ def test_criterion_8_gini_split_oracle():
             for _ in range(rng.randint(2, 50))
         ]
         nodes = _grow(blocks_of(samples), range(width))
-        oracle = _oracle_best_decrease(samples)
+        oracle = best_split_decrease(samples) or 0.0  # no split at all scores 0
         if len(nodes[0]) == 2:  # the root is a leaf
             assert oracle <= 1e-12
             continue
         f, symbol, eq_child, ne_child = nodes[0]
         eq = [s for s in samples if s.features[f] == symbol]
         ne = [s for s in samples if s.features[f] != symbol]
-        n = len(samples)
-        chosen = (
-            _gini_of(samples)
-            - (len(eq) / n) * _gini_of(eq)
-            - (len(ne) / n) * _gini_of(ne)
-        )
+        chosen = split_decrease(samples, f, symbol)
         assert abs(chosen - oracle) < 1e-12
         splits_checked += 1
         # every internal node below the root, on the samples routed to it:
@@ -278,13 +247,8 @@ def test_criterion_8_gini_split_oracle():
             f, symbol, eq_child, ne_child = nodes[index]
             node_eq = [s for s in part if s.features[f] == symbol]
             node_ne = [s for s in part if s.features[f] != symbol]
-            m = len(part)
-            node_chosen = (
-                _gini_of(part)
-                - (len(node_eq) / m) * _gini_of(node_eq)
-                - (len(node_ne) / m) * _gini_of(node_ne)
-            )
-            assert abs(node_chosen - _oracle_best_decrease(part)) < 1e-12
+            node_chosen = split_decrease(part, f, symbol)
+            assert abs(node_chosen - best_split_decrease(part)) < 1e-12
             nodes_checked += 1
             stack += [(eq_child, node_eq), (ne_child, node_ne)]
     assert splits_checked >= 80

@@ -3,9 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from uztranslit.aligner import (
     AlignedPair,
+    AlignmentError,
     AlignmentFailure,
-    NoAlignmentError,
-    UnknownSourceCharError,
     align_corpus,
     align_word,
     format_failure_report,
@@ -41,8 +40,14 @@ def test_table3_alignment(lat2cyr_table):
 
 
 def test_untileable_target(cyr2lat_table):
-    with pytest.raises(NoAlignmentError):
+    with pytest.raises(AlignmentError):
         align_word("аб", "xyz", cyr2lat_table)
+
+
+def test_search_backtracks_where_the_greedy_walk_dead_ends():
+    # а takes "ab" first, which leaves "c" for б; only а -> "a" tiles
+    table = MappingTable({"а": ("ab", "a"), "б": ("bc",)})
+    assert align_word("аб", "abc", table).target_segments == ("a", "bc")
 
 
 @pytest.mark.parametrize(
@@ -55,14 +60,14 @@ def test_untileable_target(cyr2lat_table):
     ids=["walk-reaches-it", "walk-dead-ends-first"],
 )
 def test_unknown_source_char(cyr2lat_table, source, target):
-    with pytest.raises(UnknownSourceCharError) as excinfo:
+    with pytest.raises(AlignmentError, match="no table entry for 'w'") as excinfo:
         align_word(source, target, cyr2lat_table)
-    assert excinfo.value.char == "w"
+    assert source[excinfo.value.position] == "w"
     assert excinfo.value.position == 1
 
 
 def test_leftover_target_fails(cyr2lat_table):
-    with pytest.raises(NoAlignmentError) as excinfo:
+    with pytest.raises(AlignmentError) as excinfo:
         align_word("б", "bola", cyr2lat_table)
     assert excinfo.value.position == 0
 
@@ -86,7 +91,7 @@ def test_empty_candidates_cost_polynomial_time(request, char, segment, table):
     n = 20
     target = _CountingStr(segment * n + "x")
     _CountingStr.calls = 0
-    with pytest.raises(NoAlignmentError) as excinfo:
+    with pytest.raises(AlignmentError) as excinfo:
         align_word(char * n, target, request.getfixturevalue(table))
     assert excinfo.value.position == n - 1
     assert _CountingStr.calls <= 4 * (n + 1) * (len(target) + 1)
@@ -226,8 +231,7 @@ def test_align_word_matches_reference_search(case):
     expected = _reference_align(source, target, table)
     try:
         got = ("aligned", align_word(source, target, table).target_segments)
-    except UnknownSourceCharError as err:
-        got = ("unknown", err.position)
-    except NoAlignmentError as err:
-        got = ("stuck", err.position)
+    except AlignmentError as err:
+        known = table.candidates(source[err.position]) is not None
+        got = ("stuck" if known else "unknown", err.position)
     assert got == expected

@@ -47,6 +47,16 @@ def test_transliterate_restores_case(trained_model, capsys):
     assert capsys.readouterr().out == "SIRK\nSirk\n"
 
 
+def test_transliterate_prints_pass_through_characters_in_nfc(trained_model, capsys):
+    # lowercasing "H" + U+0331 gives "h" + U+0331, which NFC composes to U+1E96
+    code = main(
+        ["transliterate", "--model", str(trained_model),
+         "--word", "болаH\u0331", "--word", "аJ\u030c", "--word", "БОЛАH\u0331"]
+    )
+    assert code == 0
+    assert capsys.readouterr().out == "bola\u1e96\na\u01f0\nBOLAH\u0331\n"
+
+
 def test_transliterate_empty_word_prints_empty_line(trained_model, capsys):
     code = main(["transliterate", "--model", str(trained_model), "--word", ""])
     assert code == 0

@@ -8,13 +8,20 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import Row, blocks_of, open_table, rows_of, samples_of
+from conftest import (
+    Row,
+    best_split_decrease,
+    blocks_of,
+    open_table,
+    rows_of,
+    samples_of,
+    split_decrease,
+)
 from uztranslit import dtree
 from uztranslit.aligner import align_corpus, align_word
 from uztranslit.alphabets import CYR2LAT, LAT2CYR, MappingTable, bundled_mapping_table
 from uztranslit.dtree import (
     ModelFormatError,
-    WidthMismatchError,
     _grow,
     _majority_label,
     deserialize,
@@ -148,7 +155,7 @@ def test_split_that_leaves_a_child_empty_is_an_error(monkeypatch, synthetic_smal
 
 def test_predict_width_mismatch(cyr2lat_table):
     model = train(samples_of(table7_samples(cyr2lat_table), WindowSpec(2, 1)), CYR2LAT_TABLE)
-    with pytest.raises(WidthMismatchError):
+    with pytest.raises(ValueError, match="feature length 2 < model width 4 - 1"):
         predict(model, ("қ", "ў"))
     # the width - 1 symbols of a padded empty word hold no window
     assert predict(model, window_features("", model.window)) == []
@@ -233,36 +240,6 @@ def test_pure_fit_property(seed, n):
     assert all(predict(model, s.features) == [s.label] for s in samples)
 
 
-def _gini_of(samples):
-    counts = {}
-    for s in samples:
-        counts[s.label] = counts.get(s.label, 0) + 1
-    m = len(samples)
-    return 1.0 - sum(c * c for c in counts.values()) / (m * m)
-
-
-def _decrease(samples, p, symbol):
-    """The Gini decrease of splitting ``samples`` on ``features[p] ==
-    symbol``."""
-    eq = [s for s in samples if s.features[p] == symbol]
-    ne = [s for s in samples if s.features[p] != symbol]
-    n = len(samples)
-    return _gini_of(samples) - (len(eq) / n) * _gini_of(eq) - (len(ne) / n) * _gini_of(ne)
-
-
-def _oracle_best_decrease(samples):
-    """Independent exhaustive split scorer used as the optimality oracle:
-    the best decrease over every split that leaves both sides non-empty,
-    or None when there is no such split."""
-    decreases = [
-        _decrease(samples, p, symbol)
-        for p in range(len(samples[0].features))
-        for symbol in {s.features[p] for s in samples}
-        if any(s.features[p] != symbol for s in samples)
-    ]
-    return max(decreases, default=None)
-
-
 def _samples_with_constant_columns(rng, n, width):
     """Random samples with two more columns: one that maps another column
     onto two symbols, so it turns constant below a split that fixes that
@@ -289,13 +266,13 @@ def test_split_matches_bruteforce_oracle():
         stack = [(0, samples)]
         while stack:
             index, part = stack.pop()
-            oracle = _oracle_best_decrease(part)
+            oracle = best_split_decrease(part)
             node = nodes[index]
             if len(node) == 2:
                 assert len({s.label for s in part}) == 1 or oracle is None
                 continue
             f, symbol, eq, ne = node
-            assert math.isclose(_decrease(part, f, symbol), oracle, abs_tol=1e-12)
+            assert math.isclose(split_decrease(part, f, symbol), oracle, abs_tol=1e-12)
             roots += index == 0
             internal += 1
             stack += [
@@ -929,7 +906,7 @@ def test_count_correct_reads_wider_rows_as_predict_reads_narrowed_ones(lexicon, 
     # the model's window must fit inside the samples'
     widest = train_direction(train_part, WindowSpec(4, 4), table)
     for smaller in (WindowSpec(3, 4), WindowSpec(4, 3)):
-        with pytest.raises(WidthMismatchError):
+        with pytest.raises(ValueError, match="does not fit inside"):
             dtree.count_correct(widest, gold.narrowed(smaller))
 
 
