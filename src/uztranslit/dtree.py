@@ -22,8 +22,11 @@ non-empty, and no tree tests it. Equality tests do not depend on a
 character ordering, unlike numeric thresholds over some encoding.
 
 A tree grows from its key's samples (``featurizer.Samples``): per
-label, a list of rows, each one sample's window tuple. Every open node
-owns its samples as such a label -> rows map. A split hands a label the
+label, a list of rows, each one sample's window as a ``str`` of symbol
+codes. Codes follow symbol order, so the grower splits, counts and
+breaks ties on codes, and each test symbol is decoded through
+``Samples.symbols`` as its node is emitted. Every open node owns its
+samples as such a label -> rows map. A split hands a label the
 eq side holds all or none of to that child as it is and cuts a mixed
 one in two with ``compress``; the rows are only read. Each split is
 checked to leave both children non-empty, so a tree on n samples has at
@@ -36,8 +39,8 @@ key at x, so x is never counted, subtracted or scored. Nor, once a node
 is scored, is a position where all its rows hold one symbol: that can
 split neither the node nor any node under it, so scoring deletes it from
 the histograms the children inherit. A root counts each label a column
-at a time: its cells in one list, and a column a strided slice of it, so
-counting makes no call per cell and no object per row. Scoring a
+at a time: its rows joined in one ``str``, and a column a strided slice
+of it, so counting makes no call per cell and no object per row. Scoring a
 position sums the histograms per symbol over the node's labels l, with
 c_l the symbol's count in l and N_l the count of l, into n_eq = sum c_l,
 sq_eq = sum c_l^2 and cross = sum c_l * N_l, which are all a split's
@@ -71,8 +74,8 @@ leaf's counts under key ``ch`` in ``table.candidates(ch)``, and no test
 symbol holding a lone surrogate. So every model predicts only licensed
 segments, and every model serializes.
 
-Prediction walks compiled switches, not node lists. A run of ne tests
-on one position is one multiway categorical split, as in C4.5 (Quinlan,
+Prediction walks compiled switches, not node lists. A run of ne tests on
+one position is one multiway categorical split, as in C4.5 (Quinlan,
 1993) and in compiled trees such as Treelite's (Cho & Li, 2018). The
 pass that checks a tree, in reverse list order, compiles it into nested
 ``(f, {symbol: child}, default)`` switches whose leaves are labels.
@@ -80,12 +83,12 @@ pass that checks a tree, in reverse list order, compiles it into nested
 reads the window at ``i`` in place as ``features[i + f]``, and starts it
 at its focus symbol's switches; a focus symbol that is no key (a digit,
 punctuation, the other script) labels itself. ``count_correct`` walks
-the same switches over labelled samples extracted at a window that
-holds the model's, reading ``row[skip + f]``: a grid search scores every
-cell on one extraction of its validation words. On the README-default
-models trained on the lexicon's 70% seed-42 split, over the words of
-``gen_corpus(20000, 42)``, a character takes 1.27 dict lookups (cyr2lat)
-and 2.78 (lat2cyr), the focus lookup included.
+the same switches over labelled samples extracted at a window that holds
+the model's, reading and decoding ``row[skip + f]``: a grid search
+scores every cell on one extraction of its validation words. On the
+README-default models trained on the lexicon's 70% seed-42 split, over
+the words of ``gen_corpus(20000, 42)``, a character takes 1.27 dict
+lookups (cyr2lat) and 2.78 (lat2cyr), the focus lookup included.
 """
 
 from __future__ import annotations
@@ -93,7 +96,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import compress
 from operator import itemgetter, not_
 
 from .alphabets import LONE_SURROGATE, Direction, MappingTable
@@ -157,12 +160,11 @@ def _majority_label(class_counts: dict[str, int]) -> str:
 def _label_hists(blocks, positions) -> dict:
     """Per position of ``positions``, in their order, label -> Counter of
     that label's rows at it, counted a column at a time. A column is a
-    strided slice of the label's cells laid out in one list, which makes
-    no object per row (``zip(*rows)`` makes an iterator per row, and so
-    many new objects set off the garbage collector)."""
+    strided slice of the label's rows joined into one ``str``, which makes
+    no object per row."""
     hists = {p: {} for p in positions}
     for label, rows in blocks.items():
-        cells = list(chain.from_iterable(rows))
+        cells = "".join(rows)
         width = len(rows[0])
         for p, per_label in hists.items():
             per_label[label] = Counter(cells[p::width])
@@ -269,9 +271,10 @@ def _best_split(hists, counts, n):
     return best
 
 
-def _grow(blocks, positions) -> list[list]:
-    """The node list of the tree grown on a label -> rows map, whose
-    splits test only the window positions ``positions``, ascending."""
+def _grow(blocks, positions, symbols) -> list[list]:
+    """The node list of the tree grown on a label -> coded rows map, whose
+    splits test only the window positions ``positions``, ascending, each
+    test symbol decoded as ``symbols[ord(code)]``."""
     # Iterative with an explicit stack; equality-split chains get deep
     # enough to threaten the interpreter recursion limit. The stack pops
     # nodes in pre-order, eq subtree first, which is the list order.
@@ -294,16 +297,16 @@ def _grow(blocks, positions) -> list[list]:
         if split is None:
             nodes.append([_majority_label(counts), counts])
             continue
-        p, symbol = split
-        node = [p, symbol, 0, 0]
+        p, code = split
+        node = [p, symbols[ord(code)], 0, 0]
         nodes.append(node)
-        eq_blocks, ne_blocks = _partition(blocks, p, symbol, hists[p])
+        eq_blocks, ne_blocks = _partition(blocks, p, code, hists[p])
         # Counted from the rows, not the histograms, so that each split
         # provably shrinks both children.
         n_eq = sum(map(len, eq_blocks.values()))
         if not 0 < n_eq < n:
             raise StalledSplitError(
-                f"split on position {p} = {symbol!r} sends {n_eq} of {n} samples to eq"
+                f"split on position {p} = {node[1]!r} sends {n_eq} of {n} samples to eq"
             )
 
         # Count only the smaller child; the larger child's histograms are
@@ -344,7 +347,7 @@ def train(samples: Samples, table: MappingTable) -> TranslitModel:
     positions = [p for p in range(window.width) if p != window.x]
     trees = {
         key: (
-            _grow(samples.blocks[key], positions)
+            _grow(samples.blocks[key], positions, samples.symbols)
             if key in samples.blocks
             else [[candidates[0], {}]]
         )
@@ -381,9 +384,12 @@ def count_correct(model: TranslitModel, gold: Samples) -> int:
     ``predict`` labels each window. ``gold``'s window must hold the
     model's: its rows are read in place, position ``f`` of the model's
     window as ``row[skip + f]`` with ``skip`` its offset there, so a
-    wider extraction serves every smaller window unsliced."""
+    wider extraction serves every smaller window unsliced, and each code
+    decoded through ``gold.symbols``: the switches test symbols, and a
+    symbol the model never saw fails every test."""
     skip = model.window.offset_in(gold.window)
     start = model.switches.get
+    symbols = gold.symbols
     correct = 0
     for focus, labels in gold.blocks.items():
         root = start(focus, focus)
@@ -392,7 +398,7 @@ def count_correct(model: TranslitModel, gold: Samples) -> int:
                 node = root
                 while type(node) is tuple:
                     f, cases, default = node
-                    node = cases.get(row[skip + f], default)
+                    node = cases.get(symbols[ord(row[skip + f])], default)
                 correct += node == label
     return correct
 

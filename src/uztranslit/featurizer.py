@@ -5,37 +5,46 @@ the character itself, and the y characters after it, padded with a
 sentinel where the word runs out. The label is the aligned target
 segment, possibly the empty string (a deletion).
 
-Training and reading build windows the same way: ``window_features``
-pads the word once, and the window of character ``i`` is the
-``width``-long run of that padded tuple starting at ``i``. Reading walks
-every window in place (``dtree.predict``), so a word costs one tuple
-however long it is.
+Training and reading build windows the same way: the word is padded
+once, and the window of character ``i`` is the ``width``-long run of the
+padded word starting at ``i``. Reading pads with ``window_features``, a
+tuple of symbols, and walks every window in place (``dtree.predict``),
+so a word costs one tuple however long it is.
 
-Training keeps every sample as its window tuple, key-major
-(``Samples``): one group per focus character, in order of first
-occurrence, and in it one list of rows per label, again in order of
-first occurrence, each row one sample's window, in word order. A
-sample's focus symbol is its source character at every window, so one
-grouping serves every window, and each focus character's label -> rows
-map is what its own tree (``dtree.train``) grows from. A smaller
-window's rows are slices of a wider window's (``Samples.narrowed``), so
-a grid search extracts and groups once, at its widest window. Each cell
-trains on slices of the training rows and scores the validation rows
-unsliced, reading its window inside the wider one
-(``dtree.count_correct``). Each cell deduplicates only the rows of the
-keys whose samples carry more than one label (``Samples.only``): every
-other key's tree is the same one leaf at every window. Extraction also
-makes every equal symbol one shared string object, which keeps the
-grower's histogram counting inside a few cache lines instead of one str
-object per window cell; a character outside Latin-1 is otherwise a new
-object in every word.
+Training codes every symbol as its rank among the sorted symbols of the
+extraction (the source characters and PAD), ``chr(rank)``: a padded word
+is one short ``str``, a sample's window is a ``width``-long slice of it,
+and ``Samples.symbols`` decodes a code back to its symbol. Codes follow
+``sorted()`` order, so comparing or sorting codes compares or sorts
+their symbols, and a tree grown on codes and then decoded is the tree
+grown on the symbols. This is the binning of histogram tree growers
+(LightGBM, Ke et al. 2017; XGBoost, Chen & Guestrin 2016): a window
+cell is one character, one shared object below code 256, so a row costs
+one small object, and counting a column of cells stays inside a few
+cache lines.
+
+Training keeps every sample as its coded row, key-major (``Samples``):
+one group per focus character, in order of first occurrence, and in it
+one list of rows per label, again in order of first occurrence, each
+row one sample's window, in word order. A sample's focus symbol is its
+source character at every window, so one grouping serves every window,
+and each focus character's label -> rows map is what its own tree
+(``dtree.train``) grows from. A smaller window's rows are slices of a
+wider window's (``Samples.narrowed``), so a grid search extracts and
+groups once, at its widest window. Each cell trains on slices of the
+training rows and scores the validation rows unsliced, reading its
+window inside the wider one (``dtree.count_correct``). Each cell
+deduplicates only the rows of the keys whose samples carry more than one
+label (``Samples.only``): every other key's tree is the same one leaf at
+every window.
 
 Every ``Samples`` is made here, by ``extract_samples``, ``narrowed``,
 ``only`` or ``dedup_samples``, and each keeps one row rule: a row is a
 ``width``-long slice of one padded word, filed under its own symbol at
-``x``. ``AlignedPair`` ties every source character to exactly one
-segment, so every slice is full-width. ``dtree.train`` takes ``Samples``
-as they are made here and does not check their rows again.
+``x``, in the codes of its ``symbols``. ``AlignedPair`` ties every
+source character to exactly one segment, so every slice is full-width.
+``dtree.train`` takes ``Samples`` as they are made here and does not
+check their rows again.
 
 The padding sentinel is deliberately not "∅": the empty-string class
 and out-of-word padding are different roles and must stay distinct in
@@ -95,13 +104,15 @@ class WindowSpec:
 class Samples:
     """Training samples, key-major: ``blocks`` maps each focus character,
     in order of first occurrence, to its label -> rows map, labels again
-    in order of first occurrence. A row is one sample's window tuple, and
-    a label's rows are in word order. Every row is ``window.width`` long
-    and holds its focus at ``window.x``, which ``dtree.train`` relies on
-    without checking. ``len()`` is the number of samples."""
+    in order of first occurrence. A row is one sample's window as a
+    ``str`` of codes, the symbol of code ``c`` being ``symbols[ord(c)]``,
+    and a label's rows are in word order. Every row is ``window.width``
+    long and holds its focus at ``window.x``, which ``dtree.train`` relies
+    on without checking. ``len()`` is the number of samples."""
 
     window: WindowSpec
-    blocks: dict  # focus -> label -> list of window tuples
+    blocks: dict  # focus -> label -> list of coded rows
+    symbols: tuple[str, ...]  # code rank -> symbol, in sorted order
 
     def __len__(self) -> int:
         return sum(len(rows) for labels in self.blocks.values() for rows in labels.values())
@@ -114,13 +125,15 @@ class Samples:
         return Samples(window, {
             focus: {label: list(map(cut, rows)) for label, rows in labels.items()}
             for focus, labels in self.blocks.items()
-        })
+        }, self.symbols)
 
     def only(self, keys) -> Samples:
         """The samples whose focus character is one of ``keys``."""
         keys = set(keys)
         return Samples(
-            self.window, {focus: labels for focus, labels in self.blocks.items() if focus in keys}
+            self.window,
+            {focus: labels for focus, labels in self.blocks.items() if focus in keys},
+            self.symbols,
         )
 
 
@@ -132,17 +145,23 @@ def window_features(chars, window: WindowSpec) -> tuple[str, ...]:
 
 def extract_samples(alignments: list[AlignedPair], window: WindowSpec) -> Samples:
     """One sample per source character of every pair, grouped by focus
-    character and then by label, in word order within each label."""
+    character and then by label, in word order within each label; each
+    row coded in the ranks of the sorted source characters and PAD."""
     width, x = window.width, window.x
-    canonical: dict[str, str] = {}
+    symbols = tuple(sorted({PAD, *"".join(pair.source for pair in alignments)}))
+    codes = {ord(symbol): chr(rank) for rank, symbol in enumerate(symbols) if symbol != PAD}
+    pad = chr(symbols.index(PAD))
+    head, tail = pad * x, pad * window.y
     blocks: dict[str, dict] = {}
     for pair in alignments:
-        source = pair.source
-        padded = window_features(map(canonical.setdefault, source, source), window)
+        padded = head + pair.source.translate(codes) + tail
         for i, label in enumerate(pair.target_segments):
             row = padded[i : i + width]
             blocks.setdefault(row[x], {}).setdefault(label, []).append(row)
-    return Samples(window, blocks)
+    # filed by code while extracting, keyed by the focus symbol it decodes to
+    return Samples(
+        window, {symbols[ord(code)]: labels for code, labels in blocks.items()}, symbols
+    )
 
 
 def dedup_samples(samples: Samples) -> Samples:
@@ -156,4 +175,4 @@ def dedup_samples(samples: Samples) -> Samples:
     return Samples(samples.window, {
         focus: {label: list(dict.fromkeys(rows)) for label, rows in labels.items()}
         for focus, labels in samples.blocks.items()
-    })
+    }, samples.symbols)

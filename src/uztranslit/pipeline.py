@@ -297,14 +297,16 @@ def transliterate_word(model: TranslitModel, word: str) -> str:
 def apply_case_pattern(original: str, text: str) -> str:
     """Word-level case restoration: all-caps in, all-caps out; a capital
     first letter in, a capital first letter out (digits and punctuation
-    before it are skipped on both sides); otherwise unchanged."""
+    before it are skipped on both sides); otherwise unchanged. Cased text
+    is NFC again: upper-casing ``i`` + U+0307 gives ``I`` + U+0307, which
+    composes to U+0130."""
     letters = [ch for ch in original if ch.isalpha()]
     if letters and all(ch.isupper() for ch in letters):
-        return text.upper()
+        return unicodedata.normalize("NFC", text.upper())
     if letters and letters[0].isupper():
         for i, ch in enumerate(text):
             if ch.isalpha():
-                return text[:i] + ch.upper() + text[i + 1 :]
+                return unicodedata.normalize("NFC", text[:i] + ch.upper() + text[i + 1 :])
     return text
 
 
@@ -352,21 +354,22 @@ def grid_search(
     grid is a ValueError.
 
     The training and the validation alignments are each extracted once, at
-    the grid's widest x and y; the validation labels are the gold
-    segments. Each cell trains on slices of the training rows
-    (``Samples.narrowed``) and scores the validation rows as they are:
-    ``dtree.count_correct`` reads the cell's window inside the widest one
-    in place, so the validation side is never sliced and no window is
-    predicted alone. A key's tree is grown on that key's samples alone, so
-    a key whose training samples carry one label, or that training never
-    holds, is one leaf with the same label at every window. Only the other
-    keys, the *varying* ones, are deduplicated, trained and scored per
-    cell. The fixed keys' correct count and the number of validation
-    characters (those of unalignable pairs included) are the same in every
-    cell, so the cells rank by the varying keys' count alone. The best
-    cell's model is then trained on every key, the fixed keys are scored
-    with it once, and each cell's F1 is its correct count over the number
-    of characters, the division ``evaluate`` makes."""
+    the grid's widest x and y, each coded in its own alphabet; the
+    validation labels are the gold segments. Each cell trains on slices of
+    the training rows (``Samples.narrowed``) and scores the validation
+    rows as they are: ``dtree.count_correct`` reads the cell's window
+    inside the widest one in place, decoding each symbol it tests, so the
+    validation side is never sliced and no window is predicted alone. A
+    key's tree is grown on that key's samples alone, so a key whose
+    training samples carry one label, or that training never holds, is one
+    leaf with the same label at every window. Only the other keys, the
+    *varying* ones, are deduplicated, trained and scored per cell. The
+    fixed keys' correct count and the number of validation characters
+    (those of unalignable pairs included) are the same in every cell, so
+    the cells rank by the varying keys' count alone. The best cell's model
+    is then trained on every key, the fixed keys are scored with it once,
+    and each cell's F1 is its correct count over the number of characters,
+    the division ``evaluate`` makes."""
     grid = list(product(x_values, y_values))
     if not grid:
         raise ValueError("the window grid is empty")

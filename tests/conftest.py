@@ -6,7 +6,8 @@ import pytest
 from uztranslit import alphabets, gencorpus, pipeline
 from uztranslit.aligner import AlignmentError, align_word
 from uztranslit.alphabets import CYR2LAT, LAT2CYR, MappingTable
-from uztranslit.featurizer import Samples, WindowSpec
+from uztranslit.dtree import _grow
+from uztranslit.featurizer import PAD, Samples, WindowSpec
 
 
 @pytest.fixture(scope="session")
@@ -49,32 +50,54 @@ def by_key(rows, x: int) -> list:
     return [row for labels in groups.values() for group in labels.values() for row in group]
 
 
-def blocks_of(rows) -> dict:
-    """The label -> rows map of ``(features, label)`` rows, the input of
-    one tree's grower (``dtree._grow``)."""
+def alphabet_of(rows) -> tuple[str, ...]:
+    """The sorted symbols of ``(features, label)`` rows and PAD: code rank
+    -> symbol, as ``featurizer.extract_samples`` codes."""
+    return tuple(sorted({PAD, *(symbol for features, _ in rows for symbol in features)}))
+
+
+def decode(row: str, symbols) -> tuple[str, ...]:
+    """A coded row as the window of symbols it stands for."""
+    return tuple(symbols[ord(code)] for code in row)
+
+
+def _blocks_of(rows, symbols) -> dict:
+    """The label -> rows map of ``(features, label)`` rows, each window
+    coded as its symbols' ranks in ``symbols``."""
     grouped: dict = {}
     for features, label in rows:
-        grouped.setdefault(label, []).append(features)
+        grouped.setdefault(label, []).append("".join(chr(symbols.index(s)) for s in features))
     return grouped
+
+
+def grow_rows(rows, positions) -> list[list]:
+    """The node list ``dtree._grow`` grows on ``(features, label)`` rows,
+    coded as ``featurizer`` codes them, splitting only on ``positions``."""
+    symbols = alphabet_of(rows)
+    return _grow(_blocks_of(rows, symbols), positions, symbols)
 
 
 def samples_of(rows, window: WindowSpec) -> Samples:
     """The key-major ``Samples`` of ``(features, label)`` rows at
-    ``window``, each grouped under its symbol at ``window.x``, as
-    ``featurizer`` groups the rows it extracts."""
+    ``window``, each grouped under its symbol at ``window.x`` and coded in
+    the rows' sorted symbols and PAD, as ``featurizer`` groups and codes
+    the rows it extracts."""
+    symbols = alphabet_of(rows)
     grouped: dict = {}
     for row in rows:
         grouped.setdefault(row[0][window.x], []).append(row)
-    return Samples(window, {focus: blocks_of(group) for focus, group in grouped.items()})
+    blocks = {focus: _blocks_of(group, symbols) for focus, group in grouped.items()}
+    return Samples(window, blocks, symbols)
 
 
 def rows_of(samples: Samples) -> list[Row]:
-    """``samples`` as one row per sample, focus by focus, label by label."""
+    """``samples`` as one decoded row per sample, focus by focus, label by
+    label."""
     return [
-        Row(features, label)
+        Row(decode(row, samples.symbols), label)
         for labels in samples.blocks.values()
         for label, rows in labels.items()
-        for features in rows
+        for row in rows
     ]
 
 

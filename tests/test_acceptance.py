@@ -14,7 +14,7 @@ import pytest
 from conftest import (
     Row,
     best_split_decrease,
-    blocks_of,
+    grow_rows,
     by_key,
     count_by_character,
     open_table,
@@ -25,7 +25,7 @@ from conftest import (
 from uztranslit import pipeline
 from uztranslit.aligner import align_word
 from uztranslit.alphabets import CYR2LAT, LAT2CYR, bundled_mapping_table
-from uztranslit.dtree import _grow, deserialize, predict, serialize, train
+from uztranslit.dtree import deserialize, predict, serialize, train
 from uztranslit.featurizer import (
     PAD,
     WindowSpec,
@@ -226,7 +226,7 @@ def test_criterion_8_gini_split_oracle():
             Row(tuple(rng.choice(symbols) for _ in range(width)), rng.choice(labels))
             for _ in range(rng.randint(2, 50))
         ]
-        nodes = _grow(blocks_of(samples), range(width))
+        nodes = grow_rows(samples, range(width))
         oracle = best_split_decrease(samples) or 0.0  # no split at all scores 0
         if len(nodes[0]) == 2:  # the root is a leaf
             assert oracle <= 1e-12

@@ -57,6 +57,16 @@ def test_transliterate_prints_pass_through_characters_in_nfc(trained_model, caps
     assert capsys.readouterr().out == "bola\u1e96\na\u01f0\nBOLAH\u0331\n"
 
 
+def test_transliterate_prints_cased_output_in_nfc(trained_model, capsys):
+    # "İ" lowercases to "i" + U+0307, and upper-casing that back composes
+    # under NFC to U+0130
+    code = main(
+        ["transliterate", "--model", str(trained_model), "--word", "БОЛАİ", "--word", "İбола"]
+    )
+    assert code == 0
+    assert capsys.readouterr().out == "BOLA\u0130\n\u0130bola\n"
+
+
 def test_transliterate_empty_word_prints_empty_line(trained_model, capsys):
     code = main(["transliterate", "--model", str(trained_model), "--word", ""])
     assert code == 0

@@ -11,18 +11,18 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     Row,
     best_split_decrease,
-    blocks_of,
+    decode,
+    grow_rows,
     open_table,
     rows_of,
     samples_of,
     split_decrease,
 )
 from uztranslit import dtree
-from uztranslit.aligner import align_corpus, align_word
+from uztranslit.aligner import AlignedPair, align_corpus, align_word
 from uztranslit.alphabets import CYR2LAT, LAT2CYR, MappingTable, bundled_mapping_table
 from uztranslit.dtree import (
     ModelFormatError,
-    _grow,
     _majority_label,
     deserialize,
     gini,
@@ -109,27 +109,27 @@ def test_empty_training_set():
         train(samples_of([], WindowSpec(1, 1)), CYR2LAT_TABLE)
     # a key without labels
     with pytest.raises(ValueError, match="cannot train on an empty sample list"):
-        train(Samples(WindowSpec(0, 0), {"а": {}}), CYR2LAT_TABLE)
+        train(Samples(WindowSpec(0, 0), {"а": {}}, (PAD, "а")), CYR2LAT_TABLE)
     # a label without rows
     with pytest.raises(ValueError, match="cannot train on an empty sample list"):
-        train(Samples(WindowSpec(0, 0), {"а": {"a": []}}), CYR2LAT_TABLE)
+        train(Samples(WindowSpec(0, 0), {"а": {"a": []}}, (PAD, "а")), CYR2LAT_TABLE)
 
 
 @pytest.mark.parametrize(
-    ("blocks", "message"),
+    ("row", "message"),
     [
         # the focus is no key
-        ({"q": {"q": [("q",)]}},
+        (Row(("q",), "q"),
          r"focus 'q': labels \['q'\] are not among its table candidates None"),
         # the label is not a candidate of the focus
-        ({"а": {"b": [("а",)]}},
+        (Row(("а",), "b"),
          r"focus 'а': labels \['b'\] are not among its table candidates \('a',\)"),
     ],
     ids=["focus-not-key", "label-not-candidate"],
 )
-def test_unlicensed_samples_rejected(blocks, message):
+def test_unlicensed_samples_rejected(row, message):
     with pytest.raises(ValueError, match=message):
-        train(Samples(WindowSpec(0, 0), blocks), CYR2LAT_TABLE)
+        train(samples_of([row], WindowSpec(0, 0)), CYR2LAT_TABLE)
 
 
 def test_split_that_leaves_a_child_empty_is_an_error(monkeypatch, synthetic_small, cyr2lat_table):
@@ -262,7 +262,7 @@ def test_split_matches_bruteforce_oracle():
         n = rng.randint(2, 50)
         width = rng.randint(1, 4)
         samples = _samples_with_constant_columns(rng, n, width)
-        nodes = _grow(blocks_of(samples), range(width + 2))
+        nodes = grow_rows(samples, range(width + 2))
         stack = [(0, samples)]
         while stack:
             index, part = stack.pop()
@@ -586,7 +586,7 @@ def _sample_sets(draw):
 @given(case=_sample_sets())
 def test_matches_reference_grower(case):
     width, samples = case
-    assert _grow(blocks_of(samples), range(width)) == _reference_nodes(samples)
+    assert grow_rows(samples, range(width)) == _reference_nodes(samples)
 
 
 _MANY_SYMBOLS = ["а", "б", "в", "г", "д", "е", "ж", PAD]
@@ -619,7 +619,7 @@ def _many_label_sets(draw):
 @given(case=_many_label_sets())
 def test_matches_reference_grower_with_many_labels(case):
     width, samples = case
-    assert _grow(blocks_of(samples), range(width)) == _reference_nodes(samples)
+    assert grow_rows(samples, range(width)) == _reference_nodes(samples)
 
 
 def _walk(nodes, features):
@@ -635,7 +635,7 @@ def test_xor_block_matches_reference_grower():
     samples = [
         Row((a, b), "a" if a == b else "b") for a in ("а", "б") for b in ("а", "б")
     ]
-    nodes = _grow(blocks_of(samples), range(2))
+    nodes = grow_rows(samples, range(2))
     assert len(nodes[0]) == 4  # the root splits
     assert nodes == _reference_nodes(samples)
     assert all(_walk(nodes, s.features) == s.label for s in samples)
@@ -661,6 +661,80 @@ def test_matches_reference_grower_on_synthetic(synthetic_small, cyr2lat_table, x
             assert model.trees[key] == [[candidates[0], {}]]
 
 
+def _window_rows(alignments, window):
+    """Each key's deduplicated ``(features, label)`` rows, cut from
+    ``window_features`` of every source word: the symbols themselves,
+    never coded."""
+    rows_by_key: dict = {}
+    for pair in alignments:
+        padded = window_features(pair.source, window)
+        for i, label in enumerate(pair.target_segments):
+            rows_by_key.setdefault(pair.source[i], {})[Row(padded[i : i + window.width], label)] = None
+    return {key: list(rows) for key, rows in rows_by_key.items()}
+
+
+def test_alphabet_past_256_codes_matches_reference_grower():
+    """Over 300 symbols, among them "∆" (U+2206), which sorts after PAD
+    ("∅-PAD"), and symbols coded at 256 and above: every key's tree is the
+    reference grower's on that key's windows of symbols."""
+    rng = random.Random(2906)
+    letters = [chr(0x430 + i) for i in range(32)] + [chr(0x4E00 + i) for i in range(270)] + ["∆"]
+    common = ["∆", "а", "б", letters[40], letters[300]]
+    alignments = []
+    for _ in range(600):
+        word = "".join(
+            rng.choice(common) if rng.random() < 0.6 else rng.choice(letters)
+            for _ in range(rng.randint(1, 7))
+        )
+        labels = tuple(
+            "a" if word[i + 1 : i + 2] in ("∆", letters[300]) else rng.choice(_LABELS)
+            for i in range(len(word))
+        )
+        alignments.append(AlignedPair(word, labels))
+    window = WindowSpec(2, 1)
+    samples = dedup_samples(extract_samples(alignments, window))
+    symbols = samples.symbols
+    assert len(symbols) > 256 and symbols.index("∆") > symbols.index(PAD)
+    model = train(samples, open_table(letters, _LABELS))
+    tested = set()
+    for key, rows in _window_rows(alignments, window).items():
+        assert model.trees[key] == _reference_nodes(rows), key
+        tested |= {node[1] for node in model.trees[key] if len(node) == 4}
+    assert {"∆", PAD} <= tested
+    assert any(symbols.index(symbol) >= 256 for symbol in tested)
+
+
+def test_count_correct_on_symbols_training_never_saw():
+    """Validation words hold symbols that training never held, some of
+    them keys ("г"), some not ("q", "∆", which sorts after PAD), so the
+    two extractions code their symbols differently: ``count_correct``
+    counts what ``predict`` gives each padded word."""
+    rng = random.Random(29)
+    window = WindowSpec(1, 1)
+
+    def words(alphabet, n):
+        pairs = []
+        for _ in range(n):
+            word = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 6)))
+            labels = tuple(rng.choice([*_LABELS, "q"]) if ch == "q" else rng.choice(_LABELS)
+                           for ch in word)
+            pairs.append(AlignedPair(word, labels))
+        return pairs
+
+    for _ in range(30):
+        model = train(dedup_samples(extract_samples(words("абв", 20), window)), OPEN_TABLE)
+        validation = words("абвгq∆", 20)
+        gold = extract_samples(validation, WindowSpec(2, 3))
+        expected = sum(
+            got == label
+            for pair in validation
+            for got, label in zip(
+                predict(model, window_features(pair.source, window)), pair.target_segments
+            )
+        )
+        assert dtree.count_correct(model, gold) == expected
+
+
 @settings(max_examples=100, deadline=None)
 @given(case=_sample_sets(), rng=st.randoms(use_true_random=False))
 def test_training_ignores_sample_order(case, rng):
@@ -672,16 +746,10 @@ def test_training_ignores_sample_order(case, rng):
     shuffled = list(samples)
     rng.shuffle(shuffled)
     given_samples = samples_of(samples, window)
-    # list rows, which a grower could write into; train only reads them
-    as_lists = {
-        focus: {label: [list(row) for row in rows] for label, rows in labels.items()}
-        for focus, labels in given_samples.blocks.items()
-    }
-    got = serialize(train(Samples(window, as_lists), OPEN_TABLE))
-    assert as_lists == {
-        focus: {label: [list(row) for row in rows] for label, rows in labels.items()}
-        for focus, labels in given_samples.blocks.items()
-    }
+    before = rows_of(given_samples)
+    got = serialize(train(given_samples, OPEN_TABLE))
+    # train leaves its samples as they were, rows and their order
+    assert rows_of(given_samples) == before
     assert serialize(train(samples_of(shuffled, window), OPEN_TABLE)) == got
 
 
@@ -896,10 +964,10 @@ def test_count_correct_reads_wider_rows_as_predict_reads_narrowed_ones(lexicon, 
         for focus, labels in gold.blocks.items():
             for label, rows in labels.items():
                 for row, narrow in zip(rows, narrowed.blocks[focus][label]):
-                    predicted = predict(model, narrow)[0]
+                    predicted = predict(model, decode(narrow, gold.symbols))[0]
                     expected += predicted == label
                     for other in {predicted, label}:
-                        one = Samples(gold.window, {focus: {other: [row]}})
+                        one = Samples(gold.window, {focus: {other: [row]}}, gold.symbols)
                         assert dtree.count_correct(model, one) == (other == predicted)
         assert dtree.count_correct(model, gold) == expected
         assert dtree.count_correct(model, narrowed) == expected

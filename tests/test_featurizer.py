@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import Row, by_key, rows_of, samples_of
+from conftest import Row, by_key, decode, rows_of, samples_of
 from uztranslit.aligner import AlignedPair, align_word
 from uztranslit.featurizer import (
     PAD,
@@ -106,13 +106,14 @@ def _reference_rows(alignments, window):
 
 
 def _assert_rows_are_windows(samples):
-    """Every row of ``samples`` is window-wide and holds its focus at x,
-    which ``dtree.train`` takes on trust."""
+    """Every row of ``samples`` is a window-wide ``str`` of codes and
+    holds its focus at x, which ``dtree.train`` takes on trust."""
     window = samples.window
     for focus, labels in samples.blocks.items():
         for rows in labels.values():
             for row in rows:
-                assert len(row) == window.width and row[window.x] == focus, (focus, row)
+                assert type(row) is str and len(row) == window.width, (focus, row)
+                assert decode(row, samples.symbols)[window.x] == focus, (focus, row)
 
 
 _aligned_words = st.lists(
@@ -166,10 +167,14 @@ def test_labels_in_first_occurrence_order_samples_in_word_order():
     assert [(focus, list(labels)) for focus, labels in samples.blocks.items()] == [
         ("а", ["a"]), ("б", ["b"]), ("е", ["ye", "e"]), ("в", ["v"]),
     ]
-    assert samples.blocks["а"]["a"] == [(PAD, "а"), ("б", "а"), ("в", "а")]
-    assert samples.blocks["б"]["b"] == [("а", "б"), (PAD, "б")]
-    assert samples.blocks["е"]["ye"] == [(PAD, "е")]
-    assert samples.blocks["е"]["e"] == [("б", "е")]
+
+    def rows(focus, label):
+        return [decode(row, samples.symbols) for row in samples.blocks[focus][label]]
+
+    assert rows("а", "a") == [(PAD, "а"), ("б", "а"), ("в", "а")]
+    assert rows("б", "b") == [("а", "б"), (PAD, "б")]
+    assert rows("е", "ye") == [(PAD, "е")]
+    assert rows("е", "e") == [("б", "е")]
     assert len(samples) == 8
 
 

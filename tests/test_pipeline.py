@@ -789,6 +789,9 @@ def test_round_trip_empty_word_list(cyr2lat_table, lat2cyr_table, synthetic_smal
         ("2020", "2020", "2020"),
         ("(Тошкент", "(toshkent", "(Toshkent"),
         ("2-Мактаб", "2-maktab", "2-Maktab"),
+        # "i" + U+0307 upper-cases to "I" + U+0307, which NFC composes to U+0130
+        ("БОЛАİ", "bolai\u0307", "BOLA\u0130"),
+        ("İбола", "i\u0307bola", "\u0130bola"),
     ],
 )
 def test_apply_case_pattern(original, text, expected):
