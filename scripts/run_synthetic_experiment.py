@@ -4,11 +4,11 @@
 Generates a corpus, splits it 70/15/15, grid-searches the context
 window in both directions, scores on the test split the model each
 search trained for its best window, and checks the round trip. With
-default settings the whole run takes about 2 s of wall time (1.8-1.9 s
-on 2 cores with Python 3.11.7: the cyr2lat grid 0.3 s, the lat2cyr
-grid 1.1-1.3 s) and should end with validation and test F1 at or near
-1.0 and a perfect round trip; anything less points at a regression in
-the aligner, featurizer, or tree.
+default settings the whole run takes about 1 s of wall time (0.8-1.1 s
+over five runs on 2 cores with Python 3.11.7: the cyr2lat grid
+0.1-0.2 s, the lat2cyr grid 0.5-0.6 s) and should end with validation
+and test F1 at or near 1.0 and a perfect round trip; anything less
+points at a regression in the aligner, featurizer, or tree.
 
 Usage: python scripts/run_synthetic_experiment.py [--size 5000] [--seed 42]
        [--max-window 4]

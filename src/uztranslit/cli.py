@@ -7,7 +7,8 @@ table cannot align at all). All output files are written atomically: a
 temp file in the target directory is renamed over the destination, so
 an interrupted grid search never leaves a half-written model behind.
 A command that exits non-zero writes no ``--out`` file, and an output
-path that cannot be written is a usage error before any input is read.
+path that is empty or cannot be written is a usage error before any
+input is read.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import tempfile
 
 from . import dtree, gencorpus, pipeline
 from .alphabets import (
+    EMPTY_MARK,
     bundled_mapping_table,
     load_mapping_table,
     normalize_word,
@@ -62,16 +64,20 @@ def atomic_write(path, data) -> None:
         raise
 
 
-def _check_output(path) -> None:
-    """A usage error, naming ``path`` as given, unless atomic_write can
-    create it: its directory exists and is writable, and it is no
-    directory. Checked before any input is read, so a bad output path
-    fails at once rather than after a whole run."""
+def _output_path(path: str) -> str:
+    """The argparse type of every output flag: ``path``, or a usage error
+    naming it as given unless atomic_write can create it: it is not empty
+    and no directory, and its directory exists and is writable. Flags are
+    parsed before any input is read, so a bad output path fails at once
+    rather than after a whole run."""
+    if not path:
+        raise UsageError("cannot write '': the path is empty")
     if os.path.isdir(path):
         raise UsageError(f"cannot write {path}: it is a directory")
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory) or not os.access(directory, os.W_OK | os.X_OK):
         raise UsageError(f"cannot write {path}: no writable directory {directory}")
+    return path
 
 
 def _flag(parse, *values):
@@ -130,7 +136,7 @@ def cmd_align(args) -> int:
         raise ValueError("no pair could be aligned; the mapping table does not cover this corpus")
     lines = []
     for pair in alignments:
-        segments = "|".join(seg if seg else "∅" for seg in pair.target_segments)
+        segments = "|".join(seg if seg else EMPTY_MARK for seg in pair.target_segments)
         lines.append(f"{pair.source}\t{pair.target}\t{segments}\n")
     _emit("".join(lines), args.out)
     return 0
@@ -235,13 +241,13 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("align", cmd_align, inputs, help="align a corpus under a mapping table")
-    p.add_argument("--out", help="alignment TSV (default: stdout)")
-    p.add_argument("--failures", help="failure report path (default: stderr)")
+    p.add_argument("--out", type=_output_path, help="alignment TSV (default: stdout)")
+    p.add_argument("--failures", type=_output_path, help="failure report path (default: stderr)")
 
     p = add("train", cmd_train, inputs, help="train a transliteration model")
     p.add_argument("-x", type=int, default=2, help="preceding characters (default 2)")
     p.add_argument("-y", type=int, default=3, help="subsequent characters (default 3)")
-    p.add_argument("--out", required=True, help="model JSON path")
+    p.add_argument("--out", type=_output_path, required=True, help="model JSON path")
 
     p = add("transliterate", cmd_transliterate, help="transliterate words")
     p.add_argument("--model", required=True)
@@ -251,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--format", choices=("json", "tsv"), default="json")
-    p.add_argument("--out")
+    p.add_argument("--out", type=_output_path)
 
     p = add("grid-search", cmd_grid_search, inputs, help="search window sizes on a split")
     p.add_argument("--x-min", type=int, default=0)
@@ -260,24 +266,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y-max", type=int, default=10)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--fractions", default="0.7,0.15,0.15")
-    p.add_argument("--out", help="grid TSV path (default: stdout)")
-    p.add_argument("--best-model", help="also save the best cell's model")
+    p.add_argument("--out", type=_output_path, help="grid TSV path (default: stdout)")
+    p.add_argument("--best-model", type=_output_path, help="also save the best cell's model")
 
     p = add("gen-corpus", cmd_gen_corpus, help="generate a synthetic rule corpus")
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--out")
+    p.add_argument("--out", type=_output_path)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        for path in (getattr(args, name, None) for name in ("out", "best_model", "failures")):
-            if path:
-                _check_output(path)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)

@@ -143,15 +143,6 @@ class TranslitModel:
                 raise ModelFormatError(f"tree of {key!r}: {err}") from err
 
 
-def gini(class_counts: dict[str, int]) -> float:
-    """Gini impurity 1 - sum(p_c^2) of a label histogram."""
-    total = sum(class_counts.values())
-    if total <= 0:
-        raise ValueError("gini of empty counts")
-    sq = sum(c * c for c in class_counts.values())
-    return 1.0 - sq / (total * total)
-
-
 def _majority_label(class_counts: dict[str, int]) -> str:
     best_count = max(class_counts.values())
     return min(label for label, count in class_counts.items() if count == best_count)
@@ -231,8 +222,8 @@ def _best_split(hists, counts, n):
     only a strictly better decrease replaces the incumbent, which
     implements the tie-break.
     """
-    parent_gini = gini(counts)
     sq = sum(c * c for c in counts.values())
+    parent_gini = 1.0 - sq / (n * n)
     best_decrease = -1.0
     best = None
     constant = []

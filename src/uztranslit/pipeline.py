@@ -244,18 +244,21 @@ def split_corpus(corpus: Corpus, config: SplitConfig) -> tuple[Corpus, Corpus, C
         raise ValueError(
             f"degenerate fractions: split sizes {(n_train, n_val, n_test)} include an empty part"
         )
+    bounds = (0, n_train, n_train + n_val, len(corpus.pairs))
+    return tuple(_cut(corpus, config.seed, bounds, ("train", "validation", "test")))
+
+
+def _cut(corpus: Corpus, seed: int, bounds, names) -> list[Corpus]:
+    """``corpus`` shuffled deterministically (MT19937 Fisher-Yates via
+    random.Random(seed)) and cut into the contiguous parts between
+    consecutive ``bounds``, one per name, each part's provenance naming
+    it and the seed."""
     order = list(corpus.pairs)
-    random.Random(config.seed).shuffle(order)
-    parts = (
-        order[:n_train],
-        order[n_train : n_train + n_val],
-        order[n_train + n_val :],
-    )
-    names = ("train", "validation", "test")
-    return tuple(
-        Corpus(pairs=part, provenance=f"{corpus.provenance} [{name} seed={config.seed}]")
-        for part, name in zip(parts, names)
-    )
+    random.Random(seed).shuffle(order)
+    return [
+        Corpus(order[start:stop], f"{corpus.provenance} [{name} seed={seed}]")
+        for name, start, stop in zip(names, bounds, bounds[1:])
+    ]
 
 
 def _align_training(train_part: Corpus, table: MappingTable):
@@ -297,17 +300,20 @@ def transliterate_word(model: TranslitModel, word: str) -> str:
 def apply_case_pattern(original: str, text: str) -> str:
     """Word-level case restoration: all-caps in, all-caps out; a capital
     first letter in, a capital first letter out (digits and punctuation
-    before it are skipped on both sides); otherwise unchanged. Cased text
-    is NFC again: upper-casing ``i`` + U+0307 gives ``I`` + U+0307, which
-    composes to U+0130."""
+    before it are skipped on both sides); otherwise the case is unchanged.
+    The result is NFC in every case: upper-casing ``i`` + U+0307 gives
+    ``I`` + U+0307, which composes to U+0130, and a combining mark the
+    model passes through may compose with the segment before it, as
+    ``sh`` + U+0308 does to ``s`` + U+1E27."""
     letters = [ch for ch in original if ch.isalpha()]
     if letters and all(ch.isupper() for ch in letters):
-        return unicodedata.normalize("NFC", text.upper())
-    if letters and letters[0].isupper():
+        text = text.upper()
+    elif letters and letters[0].isupper():
         for i, ch in enumerate(text):
             if ch.isalpha():
-                return unicodedata.normalize("NFC", text[:i] + ch.upper() + text[i + 1 :])
-    return text
+                text = text[:i] + ch.upper() + text[i + 1 :]
+                break
+    return unicodedata.normalize("NFC", text)
 
 
 def evaluate(model: TranslitModel, heldout: Corpus, table: MappingTable) -> EvalReport:
@@ -406,13 +412,8 @@ def kfold(corpus: Corpus, k: int, seed: int) -> list[Corpus]:
     contiguous folds whose sizes differ by at most one."""
     if not 2 <= k <= len(corpus.pairs):
         raise ValueError(f"cannot cut {len(corpus.pairs)} pairs into {k} folds")
-    order = list(corpus.pairs)
-    random.Random(seed).shuffle(order)
-    bounds = [len(order) * i // k for i in range(k + 1)]
-    return [
-        Corpus(order[start:stop], f"{corpus.provenance} [fold {i + 1}/{k} seed={seed}]")
-        for i, (start, stop) in enumerate(zip(bounds, bounds[1:]))
-    ]
+    bounds = [len(corpus.pairs) * i // k for i in range(k + 1)]
+    return _cut(corpus, seed, bounds, [f"fold {i}/{k}" for i in range(1, k + 1)])
 
 
 def cross_validate(
@@ -451,5 +452,5 @@ def round_trip_check(
         back = transliterate_word(model_ba, forward)
         if back != word:
             failures.append((word, forward, back))
-    fraction = 1.0 - len(failures) / len(words) if words else 1.0
+    fraction = _ratio(len(words) - len(failures), len(words))
     return RoundTripReport(fraction=fraction, failures=failures)

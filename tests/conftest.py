@@ -7,7 +7,7 @@ from uztranslit import alphabets, gencorpus, pipeline
 from uztranslit.aligner import AlignmentError, align_word
 from uztranslit.alphabets import CYR2LAT, LAT2CYR, MappingTable
 from uztranslit.dtree import _grow
-from uztranslit.featurizer import PAD, Samples, WindowSpec
+from uztranslit.featurizer import PAD, Samples, WindowSpec, extract_samples
 
 
 @pytest.fixture(scope="session")
@@ -99,6 +99,12 @@ def rows_of(samples: Samples) -> list[Row]:
         for label, rows in labels.items()
         for row in rows
     ]
+
+
+def table7_samples(cyr2lat_table) -> list[Row]:
+    """The rows of the paper's Table 7: қўзичоқ -> qo'zichoq at x=2, y=1."""
+    pair = align_word("қўзичоқ", "qo'zichoq", cyr2lat_table)
+    return rows_of(extract_samples([pair], WindowSpec(x=2, y=1)))
 
 
 def gini_of(rows) -> float:

@@ -48,13 +48,16 @@ def test_transliterate_restores_case(trained_model, capsys):
 
 
 def test_transliterate_prints_pass_through_characters_in_nfc(trained_model, capsys):
-    # lowercasing "H" + U+0331 gives "h" + U+0331, which NFC composes to U+1E96
+    # lowercasing "H" + U+0331 gives "h" + U+0331, which NFC composes to
+    # U+1E96; a word whose case is left alone is NFC too: U+0308 passes
+    # through after "ш" -> "sh" and composes with its "h" to U+1E27
     code = main(
         ["transliterate", "--model", str(trained_model),
-         "--word", "болаH\u0331", "--word", "аJ\u030c", "--word", "БОЛАH\u0331"]
+         "--word", "болаH\u0331", "--word", "аJ\u030c", "--word", "БОЛАH\u0331",
+         "--word", "ш\u0308"]
     )
     assert code == 0
-    assert capsys.readouterr().out == "bola\u1e96\na\u01f0\nBOLAH\u0331\n"
+    assert capsys.readouterr().out == "bola\u1e96\na\u01f0\nBOLAH\u0331\ns\u1e27\n"
 
 
 def test_transliterate_prints_cased_output_in_nfc(trained_model, capsys):
@@ -531,8 +534,19 @@ def _fail(name):
         ["train", "--dir", "lat2cyr", "--out", "{tmp}"],
         ["align", "--dir", "lat2cyr", "--failures", "{tmp}/absent/f.tsv",
          "--out", "{tmp}/g.tsv"],
+        ["train", "--dir", "lat2cyr", "--out", ""],
+        ["grid-search", "--dir", "lat2cyr", "--best-model", "", "--out", "{tmp}/g.tsv"],
+        ["align", "--dir", "lat2cyr", "--failures", "", "--out", "{tmp}/g.tsv"],
     ],
-    ids=["grid-search-best-model", "train-out", "train-out-directory", "align-failures"],
+    ids=[
+        "grid-search-best-model",
+        "train-out",
+        "train-out-directory",
+        "align-failures",
+        "train-out-empty",
+        "grid-search-best-model-empty",
+        "align-failures-empty",
+    ],
 )
 def test_unwritable_output_fails_before_any_input_is_read(
     tmp_path, lexicon_path, monkeypatch, capsys, argv
@@ -542,8 +556,8 @@ def test_unwritable_output_fails_before_any_input_is_read(
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     assert main([*argv, "--corpus", lexicon_path]) == 1
     err = capsys.readouterr().err
-    bad = next(arg for arg in argv if "absent" in arg or arg == str(tmp_path))
-    assert err.startswith(f"usage error: cannot write {bad}: ")
+    bad = next(arg for arg in argv if "absent" in arg or arg in (str(tmp_path), ""))
+    assert err.startswith(f"usage error: cannot write {bad or repr(bad)}: ")
     assert sorted(os.listdir(tmp_path)) == []
 
 

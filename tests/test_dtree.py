@@ -17,15 +17,15 @@ from conftest import (
     rows_of,
     samples_of,
     split_decrease,
+    table7_samples,
 )
 from uztranslit import dtree
-from uztranslit.aligner import AlignedPair, align_corpus, align_word
+from uztranslit.aligner import AlignedPair, align_corpus
 from uztranslit.alphabets import CYR2LAT, LAT2CYR, MappingTable, bundled_mapping_table
 from uztranslit.dtree import (
     ModelFormatError,
     _majority_label,
     deserialize,
-    gini,
     predict,
     serialize,
     train,
@@ -46,28 +46,6 @@ _LETTERS = ["а", "б", "в"]
 _LABELS = ["", "a", "b", "ch"]
 # licenses every test label for the letters а to е; PAD is never a key
 OPEN_TABLE = open_table("абвгде", _LABELS)
-
-
-def table7_samples(cyr2lat_table):
-    pair = align_word("қўзичоқ", "qo'zichoq", cyr2lat_table)
-    return rows_of(extract_samples([pair], WindowSpec(x=2, y=1)))
-
-
-@pytest.mark.parametrize(
-    ("counts", "expected"),
-    [
-        ({"a": 5}, 0.0),
-        ({"a": 1, "b": 1}, 0.5),
-        ({"a": 3, "b": 1}, 0.375),
-    ],
-)
-def test_gini_values(counts, expected):
-    assert gini(counts) == pytest.approx(expected, abs=1e-15)
-
-
-def test_gini_empty_counts():
-    with pytest.raises(ValueError, match="gini of empty counts"):
-        gini({})
 
 
 def test_pure_fit_on_table7(cyr2lat_table):
@@ -459,10 +437,11 @@ def test_bad_feature_index_rejected(field, value):
 
 
 # Reference grower: the rescanning implementation that histogram
-# subtraction replaced, kept verbatim. Every node rebuilds its histograms
-# and label counts from its sample indices, which makes it slow but
-# obviously correct; _grow must produce the same nodes, and train() the
-# same tree for every key.
+# subtraction replaced, kept verbatim but for the parent impurity, which
+# it computes itself. Every node rebuilds its histograms and label counts
+# from its sample indices, which makes it slow but obviously correct;
+# _grow must produce the same nodes, and train() the same tree for every
+# key.
 
 def _best_split(feats, labs, indices, counts, width):
     """Exhaustively score every (position, symbol) equality split.
@@ -476,7 +455,7 @@ def _best_split(feats, labs, indices, counts, width):
     replaces the incumbent, which implements the tie-break.
     """
     n = len(indices)
-    parent_gini = gini(counts)
+    parent_gini = 1.0 - sum(c * c for c in counts.values()) / (n * n)
     # stats[p][symbol] -> label histogram of samples whose p-th feature is symbol
     stats: list[dict] = [{} for _ in range(width)]
     for i in indices:

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import Row, by_key, decode, rows_of, samples_of
+from conftest import Row, by_key, decode, rows_of, samples_of, table7_samples
 from uztranslit.aligner import AlignedPair, align_word
 from uztranslit.featurizer import (
     PAD,
@@ -20,11 +20,6 @@ TABLE7 = [
     (("и", "ч", "о", "қ"), "o"),
     (("ч", "о", "қ", PAD), "q"),
 ]
-
-
-def table7_samples(cyr2lat_table):
-    pair = align_word("қўзичоқ", "qo'zichoq", cyr2lat_table)
-    return rows_of(extract_samples([pair], WindowSpec(x=2, y=1)))
 
 
 def test_table7_reproduced_exactly(cyr2lat_table):

@@ -792,6 +792,8 @@ def test_round_trip_empty_word_list(cyr2lat_table, lat2cyr_table, synthetic_smal
         # "i" + U+0307 upper-cases to "I" + U+0307, which NFC composes to U+0130
         ("БОЛАİ", "bolai\u0307", "BOLA\u0130"),
         ("İбола", "i\u0307bola", "\u0130bola"),
+        # uncased text is NFC too: "h" + U+0308 composes to U+1E27
+        ("ш\u0308", "sh\u0308", "s\u1e27"),
     ],
 )
 def test_apply_case_pattern(original, text, expected):
