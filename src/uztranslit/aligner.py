@@ -5,14 +5,14 @@ target word so that the segments tile the target exactly. The answer is
 the tiling a depth-first search over the mapping table's candidates, in
 table order, finds first, so alignment is fully deterministic.
 
-Most words are aligned by a greedy walk: each character takes its first
-candidate that matches the target where the previous ones end. When
-that walk ends exactly at the end of the target it is the search's
-first descent and its answer, and ``align_word`` returns it. The walk
-reads the source string and the table's rows directly. It aligns all
-822 pairs of the bundled lexicon and all 400,000 pairs of
-``gen_corpus(5000)`` for seeds 0-39, both directions each, so only
-custom tables and failing pairs go further.
+``align_corpus`` aligns most words by a greedy walk: each character
+takes its first candidate that matches the target where the previous
+ones end. When that walk ends exactly at the end of the target it is
+the search's first descent and its answer. The walk reads the source
+string and the table's rows directly. It aligns all 822 pairs of the
+bundled lexicon and all 400,000 pairs of ``gen_corpus(5000)`` for seeds
+0-39, both directions each, so only custom tables and failing pairs
+reach ``align_word``, the exact search.
 
 Those pay for two passes over sets of target offsets, each at most one
 visit per (source index, target offset) state, however many empty
@@ -26,11 +26,15 @@ failure position is the deepest source index that any offset reaches,
 or the last character when the whole source is used up with target
 left over. A failing pair, like one with a character that has no table
 row, raises the one ``AlignmentError``, which carries that position.
+
+Every ``AlignedPair`` is made by one of these walks, and each gives
+exactly one segment per source character; the record itself does not
+check it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .alphabets import MappingTable
 
@@ -43,31 +47,28 @@ class AlignmentError(Exception):
         self.position = position
 
 
-@dataclass(frozen=True)
-class AlignedPair:
+class AlignedPair(NamedTuple):
     """A source word whose characters are each tied to a target segment."""
 
     source: str
     target_segments: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.source) != len(self.target_segments):
-            raise ValueError("source and target_segments lengths differ")
 
     @property
     def target(self) -> str:
         return "".join(self.target_segments)
 
 
-@dataclass(frozen=True)
-class AlignmentFailure:
+class AlignmentFailure(NamedTuple):
     source: str
     target: str
     position: int
 
 
 def align_word(source: str, target: str, table: MappingTable) -> AlignedPair:
-    """Align ``source`` against ``target`` under ``table``.
+    """Align ``source`` against ``target`` under ``table`` by the exact
+    search; ``align_corpus`` calls it only for the pairs its greedy walk
+    does not tile, and gives the same answers as calling it for every
+    pair.
 
     Raises AlignmentError when a source character has no table row, or
     when no candidate assignment concatenates to the target. Its
@@ -79,23 +80,7 @@ def align_word(source: str, target: str, table: MappingTable) -> AlignedPair:
     """
     if not source:
         raise ValueError("source word is empty")
-    entries = table.entries
-    target_len = len(target)
-    # The greedy walk: the search's first descent.
-    segments: list[str] = []
-    j = 0
-    for ch in source:
-        for candidate in entries.get(ch, ()):
-            if target.startswith(candidate, j):
-                segments.append(candidate)
-                j += len(candidate)
-                break
-        else:
-            break
-    if j == target_len and len(segments) == len(source):
-        return AlignedPair(source, tuple(segments))
-
-    candidate_lists = list(map(entries.get, source))
+    candidate_lists = list(map(table.entries.get, source))
     if None in candidate_lists:
         i = candidate_lists.index(None)
         raise AlignmentError(f"no table entry for {source[i]!r} in {source!r} (position {i})", i)
@@ -103,7 +88,7 @@ def align_word(source: str, target: str, table: MappingTable) -> AlignedPair:
     # tiles[i]: the offsets j from which source[i:] tiles target[j:]. A
     # negative start to startswith counts from the end, hence the guard.
     n = len(source)
-    tiles = [set() for _ in range(n)] + [{target_len}]
+    tiles = [set() for _ in range(n)] + [{len(target)}]
     for i in range(n - 1, -1, -1):
         tiles[i] = {
             j - len(c)
@@ -135,10 +120,31 @@ def align_word(source: str, target: str, table: MappingTable) -> AlignedPair:
 
 
 def align_corpus(pairs, table: MappingTable):
-    """Align every (source, target) pair; failures are collected, not raised."""
+    """Align every (source, target) pair; failures are collected, not raised.
+
+    Each pair first takes the greedy walk. A pair it does not tile, and
+    an empty source, goes to ``align_word``, whose ValueError for an
+    empty source is raised and whose AlignmentError becomes an
+    ``AlignmentFailure`` at the error's position.
+    """
+    entries = table.entries
     alignments: list[AlignedPair] = []
     failures: list[AlignmentFailure] = []
     for source, target in pairs:
+        # The greedy walk: the search's first descent.
+        segments: list[str] = []
+        j = 0
+        for ch in source:
+            for candidate in entries.get(ch, ()):
+                if target.startswith(candidate, j):
+                    segments.append(candidate)
+                    j += len(candidate)
+                    break
+            else:
+                break
+        if source and j == len(target) and len(segments) == len(source):
+            alignments.append(AlignedPair(source, tuple(segments)))
+            continue
         try:
             alignments.append(align_word(source, target, table))
         except AlignmentError as err:

@@ -8,7 +8,9 @@ temp file in the target directory is renamed over the destination, so
 an interrupted grid search never leaves a half-written model behind.
 A command that exits non-zero writes no ``--out`` file, and an output
 path that is empty or cannot be written is a usage error before any
-input is read.
+input is read. Its directory is ``os.path.dirname(path)``, which the
+operating system resolves as the rename will, so ``m.json/``,
+``missing/..`` and ``missing/../m.json`` are refused there too.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def atomic_write(path, data) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
+    directory = os.path.dirname(path) or os.curdir
     mode = "wb" if isinstance(data, bytes) else "w"
     umask = os.umask(0)
     os.umask(umask)
@@ -74,7 +76,7 @@ def _output_path(path: str) -> str:
         raise UsageError("cannot write '': the path is empty")
     if os.path.isdir(path):
         raise UsageError(f"cannot write {path}: it is a directory")
-    directory = os.path.dirname(os.path.abspath(path))
+    directory = os.path.dirname(path) or os.curdir
     if not os.path.isdir(directory) or not os.access(directory, os.W_OK | os.X_OK):
         raise UsageError(f"cannot write {path}: no writable directory {directory}")
     return path

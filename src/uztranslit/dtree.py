@@ -48,8 +48,8 @@ score needs. After a split only the labels the split cut in the smaller
 child are counted, one position at a time; a label it takes whole takes
 its histograms from the parent. The larger child is the parent minus the
 smaller (histogram subtraction, as in LightGBM, Ke et al. 2017): the
-parent's histograms, shrunk in place by what the smaller child took, one
-of its symbols at a time. Every score comes from the same integer counts
+parent's histograms, shrunk in place by ``Counter`` subtraction of what
+the smaller child took. Every score comes from the same integer counts
 through the same float expression in the same candidate order, so the
 trees are bit-identical to those of a grower that rebuilds every node's
 histograms over every position, and depend only on the multiset of
@@ -166,9 +166,10 @@ def _subtract(hists, small_blocks, counts) -> dict:
     """Return the histograms of a node's smaller child, given its label ->
     rows map, and turn the node's histograms into the larger child's in
     place. A label the smaller child takes whole moves over as it is; a
-    label the split cuts is counted once and taken away a symbol at a
-    time, deleting a symbol whose count reaches zero, so every symbol left
-    in a histogram occurs in its rows."""
+    label the split cuts is counted once and taken away by ``Counter``'s
+    in-place subtraction, which keeps only positive counts. No count can
+    go below zero, so every symbol left in a histogram occurs in its
+    rows."""
     small_hists = {}
     for q, per_label in hists.items():
         small_per_label = {}
@@ -177,13 +178,7 @@ def _subtract(hists, small_blocks, counts) -> dict:
                 small_per_label[label] = per_label.pop(label)
             else:
                 hist = small_per_label[label] = Counter(map(itemgetter(q), rows))
-                big = per_label[label]
-                for symbol, c in hist.items():
-                    left = big[symbol] - c
-                    if left:
-                        big[symbol] = left
-                    else:
-                        del big[symbol]
+                per_label[label] -= hist
         small_hists[q] = small_per_label
     return small_hists
 

@@ -41,8 +41,9 @@ every window.
 Every ``Samples`` is made here, by ``extract_samples``, ``narrowed``,
 ``only`` or ``dedup_samples``, and each keeps one row rule: a row is a
 ``width``-long slice of one padded word, filed under its own symbol at
-``x``, in the codes of its ``symbols``. ``AlignedPair`` ties every
-source character to exactly one segment, so every slice is full-width.
+``x``, in the codes of its ``symbols``. The aligner, which makes every
+``AlignedPair``, ties each source character to exactly one segment, so
+every slice is full-width.
 ``dtree.train`` takes ``Samples`` as they are made here and does not
 check their rows again.
 

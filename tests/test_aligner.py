@@ -48,6 +48,7 @@ def test_search_backtracks_where_the_greedy_walk_dead_ends():
     # а takes "ab" first, which leaves "c" for б; only а -> "a" tiles
     table = MappingTable({"а": ("ab", "a"), "б": ("bc",)})
     assert align_word("аб", "abc", table).target_segments == ("a", "bc")
+    assert align_corpus([("аб", "abc")], table) == ([AlignedPair("аб", ("a", "bc"))], [])
 
 
 @pytest.mark.parametrize(
@@ -64,6 +65,8 @@ def test_unknown_source_char(cyr2lat_table, source, target):
         align_word(source, target, cyr2lat_table)
     assert source[excinfo.value.position] == "w"
     assert excinfo.value.position == 1
+    failures = align_corpus([(source, target)], cyr2lat_table)[1]
+    assert failures == [AlignmentFailure(source, target, 1)]
 
 
 def test_leftover_target_fails(cyr2lat_table):
@@ -100,11 +103,10 @@ def test_empty_candidates_cost_polynomial_time(request, char, segment, table):
 def test_empty_source_rejected(cyr2lat_table):
     with pytest.raises(ValueError):
         align_word("", "a", cyr2lat_table)
-
-
-def test_aligned_pair_length_invariant():
+    # the greedy walk "tiles" an empty target with no segments; the pair
+    # still goes to align_word
     with pytest.raises(ValueError):
-        AlignedPair("а", ("a", "b"))
+        align_corpus([("", "")], cyr2lat_table)
 
 
 def test_align_corpus_mixed(cyr2lat_table):
@@ -235,3 +237,10 @@ def test_align_word_matches_reference_search(case):
         known = table.candidates(source[err.position]) is not None
         got = ("stuck" if known else "unknown", err.position)
     assert got == expected
+    # align_corpus runs its greedy walk first, and the search only where
+    # the walk does not tile the target
+    alignments, failures = align_corpus([(source, target)], table)
+    if expected[0] == "aligned":
+        assert (alignments, failures) == ([AlignedPair(source, expected[1])], [])
+    else:
+        assert (alignments, failures) == ([], [AlignmentFailure(source, target, expected[1])])

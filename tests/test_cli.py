@@ -537,6 +537,13 @@ def _fail(name):
         ["train", "--dir", "lat2cyr", "--out", ""],
         ["grid-search", "--dir", "lat2cyr", "--best-model", "", "--out", "{tmp}/g.tsv"],
         ["align", "--dir", "lat2cyr", "--failures", "", "--out", "{tmp}/g.tsv"],
+        # the OS resolves each of these through a missing directory, which
+        # a lexical normalization of the path would not
+        ["train", "--dir", "lat2cyr", "--out", "{tmp}/absent.json/"],
+        ["align", "--dir", "lat2cyr", "--failures", "{tmp}/absent/..",
+         "--out", "{tmp}/g.tsv"],
+        ["grid-search", "--dir", "lat2cyr", "--best-model", "{tmp}/absent/../b.json",
+         "--out", "{tmp}/g.tsv"],
     ],
     ids=[
         "grid-search-best-model",
@@ -546,6 +553,9 @@ def _fail(name):
         "train-out-empty",
         "grid-search-best-model-empty",
         "align-failures-empty",
+        "train-out-trailing-slash",
+        "align-failures-up-from-absent",
+        "grid-search-best-model-through-absent",
     ],
 )
 def test_unwritable_output_fails_before_any_input_is_read(
