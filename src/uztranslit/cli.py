@@ -6,11 +6,13 @@ tables/corpora/models, a table of the other direction, corpora the
 table cannot align at all). All output files are written atomically: a
 temp file in the target directory is renamed over the destination, so
 an interrupted grid search never leaves a half-written model behind.
-A command that exits non-zero writes no ``--out`` file, and an output
-path that is empty or cannot be written is a usage error before any
-input is read. Its directory is ``os.path.dirname(path)``, which the
-operating system resolves as the rename will, so ``m.json/``,
-``missing/..`` and ``missing/../m.json`` are refused there too.
+A command that exits non-zero writes no ``--out`` file. An output path
+that is empty or cannot be written is a usage error before any input is
+read. Its directory is ``os.path.dirname(path)``, which the operating
+system resolves as the rename will, so ``m.json/``, ``missing/..`` and
+``missing/../m.json`` are refused there too. Two output flags of one
+command that name one file, as ``os.path.realpath`` resolves them, are
+a usage error before any input is read as well.
 """
 
 from __future__ import annotations
@@ -82,6 +84,14 @@ def _output_path(path: str) -> str:
     return path
 
 
+def _distinct_outputs(out, other, flag: str) -> None:
+    """A usage error when ``--out`` and the output flag ``flag`` name one
+    file, as ``os.path.realpath`` resolves them: the file written last
+    would replace the other."""
+    if out and other and os.path.realpath(out) == os.path.realpath(other):
+        raise UsageError(f"--out and {flag} both name {other}")
+
+
 def _flag(parse, *values):
     """``parse(*values)``, with a ValueError turned into a usage error:
     the values came from flags."""
@@ -122,6 +132,7 @@ def _emit(text: str, out_path) -> None:
 
 
 def cmd_align(args) -> int:
+    _distinct_outputs(args.out, args.failures, "--failures")
     table, corpus = _inputs(args, "align")
     alignments, failures = align_corpus(corpus.oriented(table.direction), table)
     report = format_failure_report(failures)
@@ -182,6 +193,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_grid_search(args) -> int:
+    _distinct_outputs(args.out, args.best_model, "--best-model")
     fractions = _flag(lambda text: [float(f) for f in text.split(",")], args.fractions)
     if len(fractions) != 3:
         raise UsageError("--fractions wants train,validation,test")

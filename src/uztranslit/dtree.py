@@ -38,22 +38,26 @@ the focus position x, label -> ``Counter``. Every row of a key holds the
 key at x, so x is never counted, subtracted or scored. Nor, once a node
 is scored, is a position where all its rows hold one symbol: that can
 split neither the node nor any node under it, so scoring deletes it from
-the histograms the children inherit. A root counts each label a column
-at a time: its rows joined in one ``str``, and a column a strided slice
-of it, so counting makes no call per cell and no object per row. Scoring a
-position sums the histograms per symbol over the node's labels l, with
-c_l the symbol's count in l and N_l the count of l, into n_eq = sum c_l,
-sq_eq = sum c_l^2 and cross = sum c_l * N_l, which are all a split's
-score needs. After a split only the labels the split cut in the smaller
-child are counted, one position at a time; a label it takes whole takes
-its histograms from the parent. The larger child is the parent minus the
-smaller (histogram subtraction, as in LightGBM, Ke et al. 2017): the
-parent's histograms, shrunk in place by ``Counter`` subtraction of what
-the smaller child took. Every score comes from the same integer counts
-through the same float expression in the same candidate order, so the
-trees are bit-identical to those of a grower that rebuilds every node's
-histograms over every position, and depend only on the multiset of
-samples.
+the histograms the children inherit. Scoring a position sums the
+histograms per symbol over the node's labels l, with c_l the symbol's
+count in l and N_l the count of l, into n_eq = sum c_l, sq_eq = sum
+c_l^2 and cross = sum c_l * N_l, which are all a split's score needs.
+
+One counter and one split step make every histogram. The counter,
+``_label_hists``, counts a label a column at a time: its rows joined in
+one ``str``, and a column a strided slice of it, so counting makes no
+call per cell and no object per row. A root counts all its labels with
+it. The split step, ``_split``, walks the node's labels once; a label
+one child takes whole goes to it with its histograms, and of the
+smaller child only the labels the split cut are counted. The larger
+child is the parent minus the smaller (histogram subtraction, as in
+LightGBM, Ke et al. 2017): the parent's histograms, shrunk in place by a
+loop over the smaller child's counts that deletes each symbol reaching
+zero, so every symbol left in a histogram occurs in its rows. Every
+score comes from the same integer counts through the same float
+expression in the same candidate order, so the trees are bit-identical
+to those of a grower that rebuilds every node's histograms over every
+position, and depend only on the multiset of samples.
 
 A tree is one flat list of nodes, the same in memory and on disk. An
 internal node is ``[f, s, eq, ne]``: window position ``f`` is tested
@@ -162,45 +166,53 @@ def _label_hists(blocks, positions) -> dict:
     return hists
 
 
-def _subtract(hists, small_blocks, counts) -> dict:
-    """Return the histograms of a node's smaller child, given its label ->
-    rows map, and turn the node's histograms into the larger child's in
-    place. A label the smaller child takes whole moves over as it is; a
-    label the split cuts is counted once and taken away by ``Counter``'s
-    in-place subtraction, which keeps only positive counts. No count can
-    go below zero, so every symbol left in a histogram occurs in its
-    rows."""
-    small_hists = {}
-    for q, per_label in hists.items():
-        small_per_label = {}
-        for label, rows in small_blocks.items():
-            if len(rows) == counts[label]:
-                small_per_label[label] = per_label.pop(label)
-            else:
-                hist = small_per_label[label] = Counter(map(itemgetter(q), rows))
-                per_label[label] -= hist
-        small_hists[q] = small_per_label
-    return small_hists
+def _split(blocks, hists, p, code, n):
+    """The eq and ne children of a node split on ``row[p] == code``,
+    each a (label -> rows, histograms) pair, given the node's label ->
+    rows map, its histograms and its sample count ``n``.
 
-
-def _partition(blocks, p, symbol, per_label):
-    """Split a label -> rows map on ``row[p] == symbol``, given the node's
-    label -> Counter histograms at ``p``. A label the equality side holds
-    none or all of goes to that child as it is; a mixed one is cut in
-    two, both sides keeping their order."""
-    eq_blocks = {}
-    ne_blocks = {}
+    One walk over the labels builds both children: a label one side
+    holds all of goes to that child as it is, and a label the split cuts
+    is cut in two with ``compress``, keeping row order. StalledSplitError
+    unless both children hold samples, counted from the rows. Of the
+    smaller child only the cut labels are counted; a label it takes whole
+    brings its histograms from the node. The node's histograms become
+    the larger child's in place: the cut counts are taken away symbol by
+    symbol, deleting each symbol that reaches zero, so every symbol left
+    in a histogram occurs in its rows."""
+    # ne, eq: label -> rows, and the same of the labels the split cuts
+    children, cut = ({}, {}), ({}, {})
     for label, rows in blocks.items():
-        n_eq = per_label[label][symbol]
-        if n_eq == 0:
-            ne_blocks[label] = rows
-        elif n_eq == len(rows):
-            eq_blocks[label] = rows
+        n_eq = hists[p][label][code]
+        if n_eq == 0 or n_eq == len(rows):
+            children[n_eq > 0][label] = rows
         else:
-            eq_rows = list(map(symbol.__eq__, map(itemgetter(p), rows)))
-            eq_blocks[label] = list(compress(rows, eq_rows))
-            ne_blocks[label] = list(compress(rows, map(not_, eq_rows)))
-    return eq_blocks, ne_blocks
+            is_eq = list(map(code.__eq__, map(itemgetter(p), rows)))
+            children[1][label] = cut[1][label] = list(compress(rows, is_eq))
+            children[0][label] = cut[0][label] = list(compress(rows, map(not_, is_eq)))
+    # Counted from the rows, not the histograms, so that each split
+    # provably shrinks both children.
+    n_eq = sum(map(len, children[1].values()))
+    if not 0 < n_eq < n:
+        raise StalledSplitError(
+            f"split on position {p} = code {ord(code)} sends {n_eq} of {n} samples to eq"
+        )
+    small = 2 * n_eq <= n  # index of the smaller child: 1 (eq) or 0 (ne)
+    small_hists = _label_hists(cut[small], hists)
+    for q, small_per_label in small_hists.items():
+        per_label = hists[q]
+        for label, hist in small_per_label.items():
+            left = per_label[label]
+            for symbol, c in hist.items():
+                if left[symbol] == c:
+                    del left[symbol]
+                else:
+                    left[symbol] -= c
+        for label in children[small]:
+            if label not in small_per_label:
+                small_per_label[label] = per_label.pop(label)
+    eq_hists, ne_hists = (small_hists, hists) if small else (hists, small_hists)
+    return (children[1], eq_hists), (children[0], ne_hists)
 
 
 def _best_split(hists, counts, n):
@@ -267,41 +279,23 @@ def _grow(blocks, positions, symbols) -> list[list]:
     nodes: list[list] = []
     # Each entry names the parent node and the slot that receives the
     # entry's index once it is appended, then the node's label -> rows map
-    # and the histograms its parent hands down, or None.
-    stack = [(None, 0, blocks, None)]
+    # and its histograms; a root of one label, which is a leaf, has none.
+    stack = [(None, 0, blocks, _label_hists(blocks, positions) if len(blocks) > 1 else None)]
     while stack:
         parent, slot, blocks, hists = stack.pop()
         if parent is not None:
             parent[slot] = len(nodes)
         counts = {label: len(rows) for label, rows in blocks.items()}
         n = sum(counts.values())
-        split = None
-        if len(counts) > 1:
-            if hists is None:
-                hists = _label_hists(blocks, positions)
-            split = _best_split(hists, counts, n)
+        split = _best_split(hists, counts, n) if len(counts) > 1 else None
         if split is None:
             nodes.append([_majority_label(counts), counts])
             continue
         p, code = split
         node = [p, symbols[ord(code)], 0, 0]
         nodes.append(node)
-        eq_blocks, ne_blocks = _partition(blocks, p, code, hists[p])
-        # Counted from the rows, not the histograms, so that each split
-        # provably shrinks both children.
-        n_eq = sum(map(len, eq_blocks.values()))
-        if not 0 < n_eq < n:
-            raise StalledSplitError(
-                f"split on position {p} = {node[1]!r} sends {n_eq} of {n} samples to eq"
-            )
-
-        # Count only the smaller child; the larger child's histograms are
-        # the parent's, less what the smaller one took.
-        small_is_eq = 2 * n_eq <= n
-        small_hists = _subtract(hists, eq_blocks if small_is_eq else ne_blocks, counts)
-        eq_hists, ne_hists = (small_hists, hists) if small_is_eq else (hists, small_hists)
-        stack.append((node, 3, ne_blocks, ne_hists))
-        stack.append((node, 2, eq_blocks, eq_hists))
+        eq, ne = _split(blocks, hists, p, code, n)
+        stack += [(node, 3, *ne), (node, 2, *eq)]
     return nodes
 
 

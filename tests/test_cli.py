@@ -571,6 +571,30 @@ def test_unwritable_output_fails_before_any_input_is_read(
     assert sorted(os.listdir(tmp_path)) == []
 
 
+@pytest.mark.parametrize(
+    ("argv", "flag"),
+    [
+        (["grid-search", "--out", "{tmp}/m.json", "--best-model", "{tmp}/m.json"],
+         "--best-model"),
+        (["grid-search", "--out", "{tmp}/./m.json", "--best-model", "{tmp}/m.json"],
+         "--best-model"),
+        (["align", "--out", "{tmp}/f.tsv", "--failures", "{tmp}/f.tsv"], "--failures"),
+        (["align", "--out", "f.tsv", "--failures", "{tmp}/f.tsv"], "--failures"),
+    ],
+    ids=["grid-search", "grid-search-dot", "align", "align-relative"],
+)
+def test_two_outputs_naming_one_file_fail_before_any_input_is_read(
+    tmp_path, lexicon_path, monkeypatch, capsys, argv, flag
+):
+    # the second file written would replace the first
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(pipeline, "load_corpus", _fail("pipeline.load_corpus"))
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert main([*argv, "--dir", "cyr2lat", "--corpus", lexicon_path]) == 1
+    assert capsys.readouterr().err == f"usage error: --out and {flag} both name {argv[-1]}\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_failed_rename_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
     def refuse(src, dst):
         raise PermissionError(f"cannot rename onto {dst}")

@@ -1,9 +1,11 @@
+import copy
 import itertools
 import json
 import math
 import random
 import signal
 import sys
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -111,10 +113,18 @@ def test_unlicensed_samples_rejected(row, message):
 
 
 def test_split_that_leaves_a_child_empty_is_an_error(monkeypatch, synthetic_small, cyr2lat_table):
-    # Without the subtraction the larger child keeps its parent's counts
-    # and picks a split that moves nothing; growth must stop with an
-    # error, and within the time bound rather than by exhausting memory.
-    monkeypatch.setattr(dtree, "_subtract", lambda *args: None)
+    # A split step that hands both children their parent's histograms
+    # leaves a child that picks a split which moves nothing; growth must
+    # stop with an error, and within the time bound rather than by
+    # exhausting memory.
+    split = dtree._split
+
+    def stale_split(blocks, hists, p, code, n):
+        eq_hists, ne_hists = copy.deepcopy(hists), copy.deepcopy(hists)
+        (eq_blocks, _), (ne_blocks, _) = split(blocks, hists, p, code, n)
+        return (eq_blocks, eq_hists), (ne_blocks, ne_hists)
+
+    monkeypatch.setattr(dtree, "_split", stale_split)
     alignments, _ = align_corpus(synthetic_small.pairs, cyr2lat_table)
     samples = dedup_samples(extract_samples(alignments, WindowSpec(2, 1)))
 
@@ -566,6 +576,36 @@ def _sample_sets(draw):
 def test_matches_reference_grower(case):
     width, samples = case
     assert grow_rows(samples, range(width)) == _reference_nodes(samples)
+
+
+def _plain(hists):
+    # Counter == ignores zero counts (Python 3.10+); dict == does not
+    return {q: {label: dict(hist) for label, hist in per_label.items()}
+            for q, per_label in hists.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_sample_sets())
+def test_split_hands_each_child_its_own_counts(case):
+    # At every split, each child's histograms are those a fresh count of
+    # its rows gives on the positions its parent still scores: no label,
+    # symbol or zero count too many or too few.
+    width, samples = case
+    split = dtree._split
+    splits = []
+
+    def checked_split(blocks, hists, p, code, n):
+        positions = list(hists)
+        children = split(blocks, hists, p, code, n)
+        for rows, child_hists in children:
+            assert list(child_hists) == positions
+            assert _plain(child_hists) == _plain(dtree._label_hists(rows, positions))
+        splits.append(p)
+        return children
+
+    with patch.object(dtree, "_split", checked_split):
+        nodes = grow_rows(samples, range(width))
+    assert len(splits) == sum(len(node) == 4 for node in nodes)
 
 
 _MANY_SYMBOLS = ["а", "б", "в", "г", "д", "е", "ж", PAD]
