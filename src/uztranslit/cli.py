@@ -4,15 +4,18 @@ Exit codes: 0 success, 1 usage error (bad flags, any OSError such as a
 missing file), 2 data error (any ValueError: unparseable
 tables/corpora/models, a table of the other direction, corpora the
 table cannot align at all). All output files are written atomically: a
-temp file in the target directory is renamed over the destination, so
-an interrupted grid search never leaves a half-written model behind.
-A command that exits non-zero writes no ``--out`` file. An output path
-that is empty or cannot be written is a usage error before any input is
-read. Its directory is ``os.path.dirname(path)``, which the operating
-system resolves as the rename will, so ``m.json/``, ``missing/..`` and
-``missing/../m.json`` are refused there too. Two output flags of one
-command that name one file, as ``os.path.realpath`` resolves them, are
-a usage error before any input is read as well.
+temp file beside the file the path resolves to is renamed over that
+file, so an interrupted grid search never leaves a half-written model
+behind, and an output path that is a symlink is written through and
+stays a link. A command that exits non-zero writes no ``--out`` file.
+An output path that is empty or cannot be written is a usage error
+before any input is read. Its directory is ``os.path.dirname(path)``,
+which the operating system resolves as it opens the path, so
+``m.json/``, ``missing/..`` and ``missing/../m.json`` are refused there
+too, and so is a path that resolves into a missing or unwritable
+directory. Two output flags of one command that name one file, as
+``os.path.realpath`` resolves them, are a usage error before any input
+is read as well.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 
 from . import dtree, gencorpus, pipeline
 from .alphabets import (
@@ -51,36 +53,36 @@ class _Parser(argparse.ArgumentParser):
 
 
 def atomic_write(path, data) -> None:
-    directory = os.path.dirname(path) or os.curdir
-    mode = "wb" if isinstance(data, bytes) else "w"
-    umask = os.umask(0)
-    os.umask(umask)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-translit-")
+    """Write ``data`` to a new temp file beside the file ``path`` resolves
+    to, and rename it over that file: a symlinked ``path`` is written
+    through and stays a link. The kernel gives the temp file the mode
+    ``open(path, "w")`` would, 0o666 under the umask."""
+    target = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(target), f".tmp-translit-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        # mkstemp creates the file 0600; give it the mode open(path, "w") would
-        os.fchmod(fd, 0o666 & ~umask)
-        with os.fdopen(fd, mode, encoding=None if isinstance(data, bytes) else "utf-8") as handle:
-            handle.write(data)
-        os.replace(tmp_path, path)
+        with open(fd, "wb") as handle:
+            handle.write(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, target)
     except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
+        os.unlink(tmp)
         raise
 
 
 def _output_path(path: str) -> str:
     """The argparse type of every output flag: ``path``, or a usage error
     naming it as given unless atomic_write can create it: it is not empty
-    and no directory, and its directory exists and is writable. Flags are
-    parsed before any input is read, so a bad output path fails at once
-    rather than after a whole run."""
+    and no directory, and both its own directory and the directory of
+    the file it resolves to exist and are writable. Flags are parsed
+    before any input is read, so a bad output path fails at once rather
+    than after a whole run."""
     if not path:
         raise UsageError("cannot write '': the path is empty")
     if os.path.isdir(path):
         raise UsageError(f"cannot write {path}: it is a directory")
-    directory = os.path.dirname(path) or os.curdir
-    if not os.path.isdir(directory) or not os.access(directory, os.W_OK | os.X_OK):
-        raise UsageError(f"cannot write {path}: no writable directory {directory}")
+    for directory in (os.path.dirname(path) or os.curdir, os.path.dirname(os.path.realpath(path))):
+        if not os.path.isdir(directory) or not os.access(directory, os.W_OK | os.X_OK):
+            raise UsageError(f"cannot write {path}: no writable directory {directory}")
     return path
 
 

@@ -114,7 +114,9 @@ class StalledSplitError(RuntimeError):
 
 
 class ModelFormatError(ValueError):
-    """Model file is corrupt or of another format version."""
+    """A model breaks a model rule: its file is corrupt or of another
+    format version, or ``train`` grew a tree from labels the table does
+    not license."""
 
 
 @dataclass
@@ -306,23 +308,20 @@ def train(samples: Samples, table: MappingTable) -> TranslitModel:
     never saw. Each tree depends on its key's samples, not on their
     order, and ``samples`` is left as it is.
 
-    ValueError unless there are samples, every focus is a table key, and
-    every label of a focus is one of its candidates and has rows. These
-    checks loop over keys and labels only: rows are taken as
-    ``featurizer`` makes them, each ``window.width`` long with its focus
-    at ``x``, and are not checked again."""
+    ValueError unless there are samples, every label has rows and every
+    focus is a table key, whose tree would otherwise be dropped. Whether
+    the table licenses each label is checked by the model, as for every
+    model (ModelFormatError): each label ends up in some leaf's counts.
+    Rows are taken as ``featurizer`` makes them, each ``window.width``
+    long with its focus at ``x``, and are not checked again."""
     window = samples.window
     if not samples.blocks or not all(
         labels and all(labels.values()) for labels in samples.blocks.values()
     ):
         raise ValueError("cannot train on an empty sample list")
-    for focus, blocks in samples.blocks.items():
-        candidates = table.candidates(focus)
-        if candidates is None or not set(blocks).issubset(candidates):
-            raise ValueError(
-                f"focus {focus!r}: labels {sorted(blocks)} are not among its table candidates"
-                f" {candidates}"
-            )
+    unknown = samples.blocks.keys() - table.entries.keys()
+    if unknown:
+        raise ValueError(f"sample foci {sorted(unknown)} are not table keys")
     # Every row of a key holds that key at x, so no split can test x.
     positions = [p for p in range(window.width) if p != window.x]
     trees = {

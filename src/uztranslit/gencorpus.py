@@ -14,17 +14,15 @@ immediate neighbours. Consequences, relied on by the test suite:
     conflict-free (identical features imply identical label), and
   - the Latin form determines the Cyrillic form, so a pure-fit model
     pair round-trips 100% of generated words.
-Concretely: я/ю appear only word-initially or after vowels; ц only
-word-initially before a vowel or after a vowel (then final or before a
-vowel); й only after a vowel and never before а/е/о/у/я/ю/ё/ў or й;
-no letters with lossy mappings (ь, ъ) and neither с nor э, whose Latin
-forms collide with ц and е; no тш cluster (its Latin tsh collides with
-the ts of ц at one character of context).
+The placement rules are the alternatives of ``_MISPLACED``, one per
+rule. The generator also uses no letter with a lossy mapping (ь, ъ),
+and neither с nor э, whose Latin forms collide with ц and е.
 """
 
 from __future__ import annotations
 
 import random
+import re
 
 from .pipeline import Corpus
 
@@ -65,31 +63,21 @@ def latinize_word(word: str) -> str:
     )
 
 
+_V = "".join(sorted(VOWELS))
+# One alternative per placement rule; a word is valid when none matches.
+_MISPLACED = re.compile(
+    f"[^{_V}][яюцй]"  # я, ю, ц or й after a consonant
+    "|^й"  # word-initial й
+    f"|^ц(?![{_V}])"  # word-initial ц not before a vowel
+    f"|[{_V}]ц[^{_V}]"  # post-vowel ц before a consonant
+    f"|й[й{_V.replace('и', '')}]"  # й before й, or before a vowel other than и
+    "|тш"  # тш, whose Latin tsh collides with the ts of ц at one character of context
+)
+
+
 def valid_word(word: str) -> bool:
-    """Check the placement constraints documented in the module docstring."""
-    n = len(word)
-    for i, ch in enumerate(word):
-        prev = word[i - 1] if i else None
-        nxt = word[i + 1] if i + 1 < n else None
-        if ch in "яю" and not (prev is None or prev in VOWELS):
-            return False
-        if ch == "ц":
-            if prev is None:
-                if nxt is None or nxt not in VOWELS:
-                    return False
-            elif prev in VOWELS:
-                if nxt is not None and nxt not in VOWELS:
-                    return False
-            else:
-                return False
-        if ch == "й":
-            if prev is None or prev not in VOWELS:
-                return False
-            if nxt is not None and (nxt == "й" or (nxt in VOWELS and nxt != "и")):
-                return False
-        if ch == "т" and nxt == "ш":
-            return False
-    return True
+    """Whether ``word`` keeps every placement rule of ``_MISPLACED``."""
+    return _MISPLACED.search(word) is None
 
 
 def _random_word(rng: random.Random) -> str:

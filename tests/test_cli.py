@@ -292,6 +292,27 @@ def test_align_writes_alignments_and_failures(tmp_path, lexicon_path):
     assert fails.read_text(encoding="utf-8") == "аб\txyz\t0\n"
 
 
+def test_align_failure_positions(tmp_path):
+    # the deepest character the search reached, the last one when the
+    # source tiles only part of the target, or a character without a row
+    table, corpus, fails = tmp_path / "t.tsv", tmp_path / "c.tsv", tmp_path / "f.tsv"
+    table.write_text("а\ta\n", encoding="utf-8")
+    corpus.write_text("аа\tab\nа\ta\nаа\taaa\nба\tba\n", encoding="utf-8")
+    code = main(["align", "--dir", "cyr2lat", "--table", str(table), "--corpus", str(corpus),
+                 "--failures", str(fails), "--out", str(tmp_path / "al.tsv")])
+    assert code == 0
+    assert fails.read_text(encoding="utf-8") == "аа\tab\t1\nаа\taaa\t1\nба\tba\t0\n"
+
+
+def test_align_backtracks_where_the_greedy_walk_dead_ends(tmp_path, capsys):
+    # а takes ab first, which leaves c for б, so only а -> a tiles the target
+    table, corpus = tmp_path / "t.tsv", tmp_path / "c.tsv"
+    table.write_text("а\tab,a\nб\tbc\n", encoding="utf-8")
+    corpus.write_text("аб\tabc\n", encoding="utf-8")
+    assert main(["align", "--dir", "cyr2lat", "--table", str(table), "--corpus", str(corpus)]) == 0
+    assert capsys.readouterr().out == "аб\tabc\ta|bc\n"
+
+
 def test_align_empty_segment_rendering(tmp_path):
     out = tmp_path / "al.tsv"
     corpus = tmp_path / "c.tsv"
@@ -319,6 +340,13 @@ def test_gen_corpus_deterministic(tmp_path):
     assert main(["gen-corpus", "--size", "40", "--seed", "9", "--out", str(a)]) == 0
     assert main(["gen-corpus", "--size", "40", "--seed", "9", "--out", str(b)]) == 0
     assert a.read_text(encoding="utf-8") == b.read_text(encoding="utf-8")
+
+
+def test_gen_corpus_aligns_under_the_bundled_table(tmp_path):
+    corpus, out = tmp_path / "c.tsv", tmp_path / "al.tsv"
+    assert main(["gen-corpus", "--size", "200", "--seed", "1", "--out", str(corpus)]) == 0
+    assert main(["align", "--dir", "cyr2lat", "--corpus", str(corpus), "--out", str(out)]) == 0
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 200
 
 
 def test_gen_corpus_size_zero_usage_error(tmp_path):
@@ -504,11 +532,27 @@ def test_grid_search_failing_best_model_writes_no_grid(tmp_path, capsys):
 def test_output_files_get_the_umask_mode(tmp_path):
     old_umask = os.umask(0o022)
     try:
-        out = tmp_path / "c.tsv"
-        assert main(["gen-corpus", "--size", "5", "--out", str(out)]) == 0
-        assert stat.S_IMODE(os.stat(out).st_mode) == 0o644
+        for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+            os.umask(umask)
+            out = tmp_path / f"c{umask:o}.tsv"
+            assert main(["gen-corpus", "--size", "5", "--out", str(out)]) == 0
+            assert stat.S_IMODE(os.stat(out).st_mode) == mode
     finally:
         os.umask(old_umask)
+
+
+def test_symlinked_output_is_written_through(tmp_path):
+    real = tmp_path / "real"
+    real.mkdir()
+    link = tmp_path / "link.json"
+    link.symlink_to(real / "target.json")
+    for size in ("3", "4"):  # a dangling link, then one to a file
+        assert main(["gen-corpus", "--size", size, "--out", str(link)]) == 0
+        assert link.is_symlink()
+        expected = pipeline.format_corpus(gencorpus.gen_corpus(int(size), 42))
+        assert (real / "target.json").read_text(encoding="utf-8") == expected
+    assert os.listdir(real) == ["target.json"]
+    assert sorted(os.listdir(tmp_path)) == ["link.json", "real"]
 
 
 def test_no_stray_temp_files(tmp_path, lexicon_path):
@@ -567,8 +611,26 @@ def test_unwritable_output_fails_before_any_input_is_read(
     assert main([*argv, "--corpus", lexicon_path]) == 1
     err = capsys.readouterr().err
     bad = next(arg for arg in argv if "absent" in arg or arg in (str(tmp_path), ""))
-    assert err.startswith(f"usage error: cannot write {bad or repr(bad)}: ")
+    reason = {"": "the path is empty", str(tmp_path): "it is a directory"}.get(
+        bad, "no writable directory "
+    )
+    assert err.startswith(f"usage error: cannot write {bad or repr(bad)}: {reason}")
     assert sorted(os.listdir(tmp_path)) == []
+
+
+def test_symlink_into_a_missing_directory_fails_before_any_input_is_read(
+    tmp_path, lexicon_path, monkeypatch, capsys
+):
+    for name in ("load_corpus", "train_direction"):
+        monkeypatch.setattr(pipeline, name, _fail(f"pipeline.{name}"))
+    link = tmp_path / "link.json"
+    link.symlink_to(tmp_path / "absent" / "m.json")
+    assert main(["train", "--dir", "cyr2lat", "--corpus", lexicon_path, "--out", str(link)]) == 1
+    missing = os.path.dirname(os.path.realpath(link))
+    assert capsys.readouterr().err == (
+        f"usage error: cannot write {link}: no writable directory {missing}\n"
+    )
+    assert os.listdir(tmp_path) == ["link.json"]
 
 
 @pytest.mark.parametrize(
@@ -593,6 +655,19 @@ def test_two_outputs_naming_one_file_fail_before_any_input_is_read(
     assert main([*argv, "--dir", "cyr2lat", "--corpus", lexicon_path]) == 1
     assert capsys.readouterr().err == f"usage error: --out and {flag} both name {argv[-1]}\n"
     assert os.listdir(tmp_path) == []
+
+
+def test_outputs_naming_one_file_through_a_symlink_fail_before_any_input_is_read(
+    tmp_path, lexicon_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(pipeline, "load_corpus", _fail("pipeline.load_corpus"))
+    link, target = tmp_path / "link.json", tmp_path / "m.json"
+    link.symlink_to(target)
+    code = main(["grid-search", "--dir", "cyr2lat", "--corpus", lexicon_path,
+                 "--out", str(link), "--best-model", str(target)])
+    assert code == 1
+    assert capsys.readouterr().err == f"usage error: --out and --best-model both name {target}\n"
+    assert os.listdir(tmp_path) == ["link.json"]
 
 
 def test_failed_rename_leaves_no_temp_file(tmp_path, monkeypatch, capsys):

@@ -96,20 +96,21 @@ def test_empty_training_set():
 
 
 @pytest.mark.parametrize(
-    ("row", "message"),
+    ("rows", "message"),
     [
-        # the focus is no key
-        (Row(("q",), "q"),
-         r"focus 'q': labels \['q'\] are not among its table candidates None"),
-        # the label is not a candidate of the focus
-        (Row(("а",), "b"),
-         r"focus 'а': labels \['b'\] are not among its table candidates \('a',\)"),
+        # the focus is no key, so its tree would be dropped
+        ([Row(("q",), "q")], r"sample foci \['q'\] are not table keys"),
+        # the label is not a candidate of the focus: the model's tree check
+        ([Row(("а",), "b")], r"tree of 'а': node 0: leaf label 'b' is not a table candidate"),
+        # an outvoted label still lands in its leaf's counts
+        ([Row(("а",), "a"), Row(("а",), "a"), Row(("а",), "b")],
+         r"tree of 'а': node 0: leaf counts are not keyed by table candidates"),
     ],
-    ids=["focus-not-key", "label-not-candidate"],
+    ids=["focus-not-key", "label-not-candidate", "outvoted-label-not-candidate"],
 )
-def test_unlicensed_samples_rejected(row, message):
+def test_unlicensed_samples_rejected(rows, message):
     with pytest.raises(ValueError, match=message):
-        train(samples_of([row], WindowSpec(0, 0)), CYR2LAT_TABLE)
+        train(samples_of(rows, WindowSpec(0, 0)), CYR2LAT_TABLE)
 
 
 def test_split_that_leaves_a_child_empty_is_an_error(monkeypatch, synthetic_small, cyr2lat_table):

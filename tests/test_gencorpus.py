@@ -98,6 +98,19 @@ def test_invalid_words_rejected_by_validator():
 
 
 @pytest.mark.parametrize(
+    ("misplaced", "near_miss"),
+    [("бя", "ая"), ("йил", "ойил"), ("цба", "цаба"), ("ацба", "ацаба"), ("айа", "айи"),
+     ("тшо", "што")],
+    ids=["after-consonant", "initial-й", "initial-ц-before-consonant",
+         "post-vowel-ц-before-consonant", "й-before-vowel", "тш"],
+)
+def test_each_placement_rule_rejects_a_word_that_breaks_only_it(misplaced, near_miss):
+    # one pair per alternative of the validator's pattern, in its order
+    assert not valid_word(misplaced)
+    assert valid_word(near_miss)
+
+
+@pytest.mark.parametrize(
     "word",
     ["ц", "цб", "ацб", "бца"],
     ids=["initial-and-final", "initial-before-consonant", "after-vowel-before-consonant",
